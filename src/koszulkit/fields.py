@@ -1,9 +1,10 @@
 """Coefficient fields: exact rationals and prime fields GF(p).
 
 Field elements are plain Python objects supporting +, -, *, / and ==.
-Rationals are gmpy2.mpq values (fractions.Fraction if gmpy2 is absent),
-always in lowest terms with positive denominator.  Prime-field elements
-are GFElement instances holding a residue in [0, p).
+Rationals are fractions.Fraction values, or gmpy2.mpq values when the
+optional gmpy2 accelerator is installed, always in lowest terms with
+positive denominator.  Prime-field elements are GFElement instances
+holding a residue in [0, p).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ try:
     def _rational(num, den=1):
         return _mpq(num, den)
 
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional; the stdlib path is the default
     from fractions import Fraction as _mpq
 
     def _rational(num, den=1):
@@ -25,19 +26,35 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 
 DEFAULT_MODULUS = 32003
 
+# Miller-Rabin with the primes up to 37 as bases decides primality of
+# every n below this bound (Jiang-Deng 2014); larger moduli are refused.
+MAX_MODULUS = 318665857834031151167461
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for n < MAX_MODULUS."""
+    if n >= MAX_MODULUS:
+        raise InputError("modulus %d is not below %d, the bound of the proven "
+                         "primality test" % (n, MAX_MODULUS))
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -136,7 +136,8 @@ class QuotientRing:
 
     def mono_product(self, a: Monomial, b: Monomial) -> Polynomial:
         """Normal form of the product of two monomials, memoized."""
-        key = (a, b) if self.order.key(a) >= self.order.key(b) else (b, a)
+        # the product commutes, so any canonical order of the pair will do
+        key = (a, b) if a.exponents >= b.exponents else (b, a)
         nf = self._pair_nf.get(key)
         if nf is None:
             nf = self.reduce_monomial(a * b)

@@ -1,10 +1,16 @@
 """Minimal free resolutions by exact linear algebra.
 
-Graded resolutions are swept one internal degree at a time: the kernel
-of the current differential is computed in each finite-dimensional
-component, and the minimal generators are the part of the kernel not
-reached by multiplying the previous degree's kernel by the variables.
-Ungraded artinian rings get the same extraction on whole components.
+One engine serves every ring.  R splits into finite-dimensional pieces:
+over a graded ring piece e is the degree-e component and x_l maps piece
+e into piece e+1; an ungraded artinian ring is the single piece 0, which
+holds every standard monomial and which each x_l maps into itself.  A
+resolution is swept piece by piece: in each piece the kernel of the
+current differential is computed, and the minimal generators are the
+kernel vectors not reached by the variables times the previous piece.
+Only the sparse vectors that grew a piece's span are carried forward
+(La Scala-Stillman, J. Symb. Comput. 1998).  The single ungraded piece
+has no predecessor, so its sweep starts from a spanning set of the
+whole submodule instead.
 
 Every sweep needs a certified stopping degree.  Over an artinian ring
 components vanish above maxgen + top degree.  Over the polynomial ring
@@ -18,6 +24,7 @@ homological degree.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -79,89 +86,100 @@ class ModulePresentation:
         return cls(ring, "cokernel", 1, (0,), cols, kind="cyclic")
 
 
+# -- pieces -----------------------------------------------------------
+
+
+def _piece_of(ring: QuotientRing, degree: int) -> int:
+    """The piece of R holding the monomials of the given degree."""
+    return degree if ring.graded else 0
+
+
+def _piece(ring: QuotientRing, e: int) -> tuple:
+    """Standard monomials of piece e of R, largest first."""
+    if ring.graded:
+        return ring.std_basis(e) if e >= 0 else ()
+    return ring.std_monomials if e == 0 else ()
+
+
+def _cached(ring: QuotientRing, key: tuple, build: Callable):
+    """build(), memoized on the ring under key."""
+    cache = ring.__dict__.setdefault("_resolution_cache", {})
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
+def _piece_index(ring: QuotientRing, e: int) -> dict:
+    """Monomial -> position within piece e."""
+    return _cached(ring, ("index", e),
+                   lambda: {m: i for i, m in enumerate(_piece(ring, e))})
+
+
 # -- free modules -----------------------------------------------------
 
 
 class FreeModule:
-    """A free module: generator degrees when graded, a bare rank when not."""
+    """A free module with one generator degree per basis element.
 
-    def __init__(self, ring: QuotientRing, degrees: Optional[list], rank: int = 0):
+    Piece j of the module is the direct sum of the pieces j - d of R, one
+    block per generator of degree d.  Over an ungraded ring every degree
+    is 0 and the module has the single piece 0.
+    """
+
+    def __init__(self, ring: QuotientRing, degrees: list):
         self.ring = ring
-        self.degrees = None if degrees is None else list(degrees)
-        self._rank = rank
-        self._components: dict[int, tuple] = {}
+        self.degrees = list(degrees)
+        self._offsets: dict[int, tuple] = {}
+        self._shifts: dict[int, tuple] = {}
 
     @property
     def rank(self) -> int:
-        return self._rank if self.degrees is None else len(self.degrees)
+        return len(self.degrees)
 
-    def component(self, j: int):
-        """(offset per generator, total dimension) of the degree-j piece."""
-        cached = self._components.get(j)
+    def offsets(self, j: int) -> tuple:
+        """Where each generator's block starts in piece j."""
+        cached = self._offsets.get(j)
         if cached is None:
             offsets = []
             total = 0
             for d in self.degrees:
                 offsets.append(total)
-                if j - d >= 0:
-                    total += len(self.ring.std_basis(j - d))
-            cached = (tuple(offsets), total)
-            self._components[j] = cached
+                total += len(_piece(self.ring, j - d))
+            cached = tuple(offsets)
+            self._offsets[j] = cached
         return cached
 
-    def max_degree(self) -> int:
-        return max(self.degrees) if self.degrees else 0
+    def shifts(self, j: int):
+        """Offsets of piece j and, for each variable x_l, a table of
+        (source offset, target offset, x_l action) per generator."""
+        cached = self._shifts.get(j)
+        if cached is None:
+            ring = self.ring
+            src = self.offsets(j)
+            tgt = self.offsets(_piece_of(ring, j + 1))
+            cached = (src, [tuple((src[g], tgt[g], _var_action(ring, l, j - d))
+                                  for g, d in enumerate(self.degrees))
+                            for l in range(ring.n)])
+            self._shifts[j] = cached
+        return cached
 
 
 # -- cached multiplication index maps ---------------------------------
 
 
-def _var_action(ring: QuotientRing, l: int, deg: int):
-    """Multiplication by x_l as index pairs out of std_basis(deg)."""
-    cache = getattr(ring, "_var_action_cache", None)
-    if cache is None:
-        cache = {}
-        ring._var_action_cache = cache
-    key = (l, deg)
-    if key not in cache:
-        tgt_index = {m: i for i, m in enumerate(ring.std_basis(deg + 1))}
-        var = ring._var_monomial(l)
-        rows = []
-        for m in ring.std_basis(deg):
-            prod = ring.mono_product(var, m)
-            rows.append(tuple((tgt_index[mm], c) for mm, c in prod.terms))
-        cache[key] = tuple(rows)
-    return cache[key]
+def _var_action(ring: QuotientRing, l: int, e: int):
+    """Multiplication by x_l as index pairs out of piece e."""
+    return _cached(ring, ("x", l, e), lambda: _poly_action(ring, ring.variable(l), e))
 
 
-def _whole_var_action(ring: QuotientRing, l: int):
-    cache = getattr(ring, "_whole_var_action_cache", None)
-    if cache is None:
-        cache = {}
-        ring._whole_var_action_cache = cache
-    if l not in cache:
-        index = ring.basis_index()
-        var = ring._var_monomial(l)
-        rows = []
-        for m in ring.std_monomials:
-            prod = ring.mono_product(var, m)
-            rows.append(tuple((index[mm], c) for mm, c in prod.terms))
-        cache[l] = tuple(rows)
-    return cache[l]
-
-
-def _poly_action(ring: QuotientRing, p: Polynomial, deg: int):
-    """Multiplication by p as index pairs out of std_basis(deg)."""
+def _poly_action(ring: QuotientRing, p: Polynomial, e: int):
+    """Multiplication by p as index pairs out of piece e."""
+    terms = [(mm, c, _piece_index(ring, _piece_of(ring, mm.degree + e)))
+             for mm, c in p.terms]
     out = []
-    tgt_cache: dict[int, dict] = {}
-    for m in ring.std_basis(deg):
+    for m in _piece(ring, e):
         acc: dict = {}
-        for mm, c in p.terms:
-            tdeg = mm.degree + m.degree
-            tgt_index = tgt_cache.get(tdeg)
-            if tgt_index is None:
-                tgt_index = {b: i for i, b in enumerate(ring.std_basis(tdeg))}
-                tgt_cache[tdeg] = tgt_index
+        for mm, c, tgt_index in terms:
             for bm, bc in ring.mono_product(mm, m).terms:
                 i = tgt_index[bm]
                 v = acc.get(i)
@@ -174,55 +192,16 @@ def _poly_action(ring: QuotientRing, p: Polynomial, deg: int):
     return tuple(out)
 
 
-def _whole_poly_action(ring: QuotientRing, p: Polynomial):
-    index = ring.basis_index()
-    out = []
-    for m in ring.std_monomials:
-        acc: dict = {}
-        for mm, c in p.terms:
-            for bm, bc in ring.mono_product(mm, m).terms:
-                i = index[bm]
-                v = acc.get(i)
-                v = c * bc if v is None else v + c * bc
-                if v:
-                    acc[i] = v
-                elif i in acc:
-                    del acc[i]
-        out.append(tuple(acc.items()))
-    return tuple(out)
+# -- component plumbing -----------------------------------------------
 
 
-# -- graded component plumbing ----------------------------------------
-
-
-def _component_pairs(module: FreeModule, j: int):
-    """Coordinate -> (generator, local index) for the degree-j component."""
-    pairs = []
-    for g, d in enumerate(module.degrees):
-        if j - d < 0:
-            continue
-        for local in range(len(module.ring.std_basis(j - d))):
-            pairs.append((g, local))
-    return pairs
-
-
-def _shift_vector(ring, module: FreeModule, vec: dict, j: int, l: int) -> dict:
-    """x_l times a degree-j component vector, in degree j+1 coordinates."""
-    pairs = _component_pairs(module, j)
-    tgt_offsets, _ = module.component(j + 1)
-    degrees = module.degrees
-    actions: dict[int, tuple] = {}
+def _shift_vector(vec: dict, offsets: tuple, table: tuple) -> dict:
+    """x_l times a vector, given one variable's table from FreeModule.shifts."""
     out: dict = {}
     for coord, coeff in vec.items():
-        g, local = pairs[coord]
-        deg = j - degrees[g]
-        act = actions.get(deg)
-        if act is None:
-            act = _var_action(ring, l, deg)
-            actions[deg] = act
-        base = tgt_offsets[g]
-        for ti, c in act[local]:
-            k = base + ti
+        src, tgt, act = table[bisect_right(offsets, coord) - 1]
+        for ti, c in act[coord - src]:
+            k = tgt + ti
             v = out.get(k)
             v = coeff * c if v is None else v + coeff * c
             if v:
@@ -234,12 +213,13 @@ def _shift_vector(ring, module: FreeModule, vec: dict, j: int, l: int) -> dict:
 
 def _column_images(ring, source: FreeModule, target: FreeModule,
                    columns, j: int, action_cache: dict) -> list[dict]:
-    """Images of the degree-j component basis of the source."""
-    tgt_offsets, _ = target.component(j)
+    """Images of the piece-j basis of the source."""
+    tgt_offsets = target.offsets(j)
     out = []
     for g, d in enumerate(source.degrees):
         e = j - d
-        if e < 0:
+        basis = _piece(ring, e)
+        if not basis:
             continue
         acts = []
         for tg, p in columns[g].items():
@@ -249,7 +229,7 @@ def _column_images(ring, source: FreeModule, target: FreeModule,
                 act = _poly_action(ring, p, e)
                 action_cache[key] = act
             acts.append((tgt_offsets[tg], act))
-        for local in range(len(ring.std_basis(e))):
+        for local in range(len(basis)):
             vec: dict = {}
             for base, act in acts:
                 for ti, c in act[local]:
@@ -265,29 +245,29 @@ def _column_images(ring, source: FreeModule, target: FreeModule,
 
 
 def _vector_to_column(ring, source: FreeModule, vec: dict, j: int) -> dict:
-    """Component vector -> polynomial column over the source generators."""
-    pairs = _component_pairs(source, j)
+    """Piece-j vector -> polynomial column over the source generators."""
+    offsets = source.offsets(j)
     per_gen: dict[int, list] = {}
     for coord, coeff in vec.items():
-        g, local = pairs[coord]
-        per_gen.setdefault(g, []).append((local, coeff))
+        g = bisect_right(offsets, coord) - 1
+        per_gen.setdefault(g, []).append((coord - offsets[g], coeff))
     out = {}
     for g, entries in sorted(per_gen.items()):
-        basis = ring.std_basis(j - source.degrees[g])
+        basis = _piece(ring, j - source.degrees[g])
         terms = [(basis[local], coeff) for local, coeff in entries]
         out[g] = Polynomial(ring.n, ring.field, ring.order, terms)
     return out
 
 
 def _column_component(ring, target: FreeModule, column: dict, j: int) -> dict:
-    """Polynomial column -> component vector at internal degree j."""
-    offsets, _ = target.component(j)
+    """Polynomial column -> piece-j vector."""
+    offsets = target.offsets(j)
     vec: dict = {}
     for tg, p in column.items():
         e = j - target.degrees[tg]
         if e < 0:
             raise AssertionError("column entry below its generator degree")
-        index = {m: i for i, m in enumerate(ring.std_basis(e))}
+        index = _piece_index(ring, e)
         for m, c in p.terms:
             k = offsets[tg] + index[m]
             v = vec.get(k)
@@ -411,14 +391,13 @@ class ResolutionData:
         self.ring = ring
         self.presentation = pres
         self.limit = limit
-        self.ambient: Optional[FreeModule] = None
         self.chain: list[FreeModule] = []
         self.maps: list[list[dict]] = []
         self.exactness_log: list[tuple] = []
 
     @property
     def graded(self) -> bool:
-        return self.chain[0].degrees is not None
+        return self.ring.graded
 
     def _tor_offset(self) -> int:
         return 0 if self.presentation.mode == "cokernel" else 1
@@ -449,6 +428,8 @@ class ResolutionData:
 
     def is_linear(self) -> bool:
         """True when every i-th step generator sits in internal degree i."""
+        if not self.graded:
+            raise PreconditionError("linearity needs a grading")
         off = self._tor_offset()
         shift = self.presentation.power if self.presentation.kind == "power" else 0
         for i, mod in enumerate(self.chain[off:off + self.limit + 1]):
@@ -457,82 +438,100 @@ class ResolutionData:
         return True
 
 
-# -- the graded engine ------------------------------------------------
+# -- the engine -------------------------------------------------------
 
 
-def _graded_extract(ring, target: FreeModule, vectors_at, jmin, jmax):
-    """Sweep degrees collecting generators not absorbed by saturation.
+def _extract(ring, module: FreeModule, jmin: int, jmax: int, vectors_at, seed):
+    """Sweep pieces jmin..jmax collecting generators not absorbed by saturation.
 
-    vectors_at(j) spans the degree-j piece of the module being generated
-    together with R_1 times the previous piece; the generators are the
-    vectors that still grow the span.  Returns (degree, vector) pairs
-    plus a per-degree log of (j, saturated dim, new, total).
+    Piece j is first saturated with x_l times the feed: the vectors that
+    grew the previous piece's span, or for piece jmin the vectors of
+    `seed`, which lie in piece jmin itself.  The generators are the
+    vectors of vectors_at(j) that still grow the span.  Returns
+    (piece, vector) pairs plus a per-piece log of (j, saturated dim,
+    new, total).
     """
     gens = []
-    prev_basis: list[dict] = []
     log = []
+    feed, feed_piece = seed, jmin
     for j in range(jmin, jmax + 1):
+        keep = j < jmax  # the grown vectors feed the next piece
+        grown = []
         span = Subspace(ring.field)
-        for v in prev_basis:
-            for l in range(ring.n):
-                span.extend(_shift_vector(ring, target, v, j - 1, l))
+        offsets, tables = module.shifts(feed_piece)
+        for v in feed:
+            for table in tables:
+                w = _shift_vector(v, offsets, table)
+                if span.extend(w) and keep:
+                    grown.append(w)
         sat_dim = span.dim
-        new = 0
+        before = len(gens)
         for v in vectors_at(j):
             if span.extend(v):
                 gens.append((j, v))
-                new += 1
-        log.append((j, sat_dim, new, span.dim))
-        prev_basis = span.basis_rows()
+                if keep:
+                    grown.append(v)
+        log.append((j, sat_dim, len(gens) - before, span.dim))
+        feed, feed_piece = grown, j
     return gens, log
 
 
-def _resolve_graded(ring: QuotientRing, pres: ModulePresentation, limit: int,
-                    window: Callable) -> ResolutionData:
-    data = ResolutionData(ring, pres, limit)
-    ambient = FreeModule(ring, list(pres.shifts))
-    data.ambient = ambient
+def _closure(module: FreeModule, vectors) -> list[dict]:
+    """Independent vectors spanning the submodule that `vectors` generate
+    inside the single piece 0 of an ungraded ring."""
+    span = Subspace(module.ring.field)
+    grown = [v for v in vectors if span.extend(v)]
+    queue = list(grown)
+    offsets, tables = module.shifts(0)
+    while queue:
+        v = queue.pop()
+        for table in tables:
+            w = _shift_vector(v, offsets, table)
+            if w and span.extend(w):
+                queue.append(w)
+                grown.append(w)
+    return grown
 
-    col_degrees = []
+
+def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
+             window: Callable) -> ResolutionData:
+    data = ResolutionData(ring, pres, limit)
+    ambient = FreeModule(ring, [_piece_of(ring, sh) for sh in pres.shifts])
+
+    by_piece: dict[int, list] = {}
     for col in pres.columns:
-        degs = set()
-        for p, sh in zip(col, pres.shifts):
-            if not p.terms:
-                continue
-            if not p.is_homogeneous():
-                raise PreconditionError("graded resolutions need homogeneous columns")
-            degs.add(p.max_term_degree() + sh)
-        if len(degs) > 1:
+        column = {}
+        pieces = set()
+        for tg, p in enumerate(col):
+            p = ring.normal_form(p)
+            if p.terms:
+                column[tg] = p
+                pieces.update(_piece_of(ring, m.degree + ambient.degrees[tg])
+                              for m, _c in p.terms)
+        if len(pieces) > 1:
             raise PreconditionError("graded resolutions need homogeneous columns")
-        if degs:
-            col_degrees.append((degs.pop(), col))
-        if pres.mode == "cokernel":
-            for p in col:
-                if p.terms and p.min_term_degree() == 0:
-                    raise PreconditionError(
-                        "cokernel columns must lie in the maximal ideal")
+        if pres.mode == "cokernel" and any(p.constant_term() for p in column.values()):
+            raise PreconditionError("cokernel columns must lie in the maximal ideal")
+        if column:
+            j = pieces.pop()
+            by_piece.setdefault(j, []).append(_column_component(ring, ambient, column, j))
 
     # chain positions to build: limit for a cokernel, one extra shifted
     positions = limit + (0 if pres.mode == "cokernel" else 1)
     tor_of = (lambda p: p) if pres.mode == "cokernel" else (lambda p: p - 1)
 
-    # step one: minimal generators of the span of the given columns
-    if col_degrees and positions >= 1:
-        by_degree: dict[int, list] = {}
-        for d, col in col_degrees:
-            by_degree.setdefault(d, []).append(
-                _column_component(ring, ambient, _as_column(col), d))
-        jmin = min(by_degree)
-        jmax = max(by_degree)
-        gens, log = _graded_extract(ring, ambient,
-                                    lambda j: by_degree.get(j, ()), jmin, jmax)
-    else:
-        gens, log = [], []
-
     data.chain = [ambient]
     if positions >= 1:
-        first = FreeModule(ring, [d for d, _v in gens])
-        data.chain.append(first)
+        # step one: minimal generators of the span of the given columns;
+        # the one piece of an ungraded ring starts from their closure
+        gens, log = [], []
+        if by_piece:
+            seed = () if ring.graded else _closure(ambient, by_piece[0])
+            gens, log = _extract(ring, ambient, min(by_piece), max(by_piece),
+                                 lambda j: by_piece.get(j, ()), seed)
+            if seed and log[-1][3] != len(seed):
+                raise AssertionError("given columns fail to generate their span")
+        data.chain.append(FreeModule(ring, [d for d, _v in gens]))
         data.maps.append([_vector_to_column(ring, ambient, v, d) for d, v in gens])
         data.exactness_log.append((tor_of(1), log))
 
@@ -546,172 +545,27 @@ def _resolve_graded(ring: QuotientRing, pres: ModulePresentation, limit: int,
             data.maps.append([])
             continue
         jmin = min(src.degrees)
-        jmax = window(tor_of(pos), src.max_degree())
+        jmax = window(tor_of(pos), max(src.degrees))
         action_cache: dict = {}
 
         def kernel_at(j, _src=src, _tgt=tgt, _cols=cols, _cache=action_cache):
             images = _column_images(ring, _src, _tgt, _cols, j, _cache)
             return kernel_of_columns(images, ring.field)
 
-        gens, log = _graded_extract(ring, src, kernel_at, jmin, jmax)
+        if ring.graded:
+            seed, vectors_at = (), kernel_at
+        else:
+            # the kernel is already a submodule: it seeds its own piece
+            kernel = kernel_at(0)
+            seed, vectors_at = kernel, (lambda j, _k=kernel: _k)
+        gens, log = _extract(ring, src, jmin, jmax, vectors_at, seed)
         data.exactness_log.append((tor_of(pos), log))
         new_cols = [_vector_to_column(ring, src, v, d) for d, v in gens]
         for col in new_cols:
             for p in col.values():
-                if p.terms and p.min_term_degree() == 0:
-                    raise AssertionError("resolution lost minimality")
-        data.chain.append(FreeModule(ring, [d for d, _v in gens]))
-        data.maps.append(new_cols)
-    return data
-
-
-def _as_column(col) -> dict:
-    return {i: p for i, p in enumerate(col) if p.terms}
-
-
-# -- the ungraded engine ----------------------------------------------
-
-
-def _whole_vector(ring, col: dict) -> dict:
-    index = ring.basis_index()
-    dim = ring.dim
-    vec: dict = {}
-    for tg, p in col.items():
-        for m, c in ring.normal_form(p).terms:
-            vec[tg * dim + index[m]] = c
-    return vec
-
-
-def _whole_shift(ring, vec: dict, l: int) -> dict:
-    act = _whole_var_action(ring, l)
-    dim = ring.dim
-    out: dict = {}
-    for coord, coeff in vec.items():
-        g, local = divmod(coord, dim)
-        base = g * dim
-        for ti, c in act[local]:
-            k = base + ti
-            v = out.get(k)
-            v = coeff * c if v is None else v + coeff * c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-    return out
-
-
-def _whole_to_column(ring, vec: dict) -> dict:
-    dim = ring.dim
-    per_gen: dict[int, list] = {}
-    for coord, coeff in vec.items():
-        g, local = divmod(coord, dim)
-        per_gen.setdefault(g, []).append((ring.std_monomials[local], coeff))
-    return {g: Polynomial(ring.n, ring.field, ring.order, terms)
-            for g, terms in sorted(per_gen.items())}
-
-
-def _whole_images(ring, source: FreeModule, columns) -> list[dict]:
-    dim = ring.dim
-    out = []
-    for g in range(source.rank):
-        acts = [(tg * dim, _whole_poly_action(ring, p))
-                for tg, p in columns[g].items()]
-        for local in range(dim):
-            vec: dict = {}
-            for base, act in acts:
-                for ti, c in act[local]:
-                    k = base + ti
-                    v = vec.get(k)
-                    v = c if v is None else v + c
-                    if v:
-                        vec[k] = v
-                    elif k in vec:
-                        del vec[k]
-            out.append(vec)
-    return out
-
-
-def _whole_minimal_gens(ring, vectors: list[dict]):
-    """Vectors of span(vectors) surviving modulo m * span(vectors)."""
-    sat = Subspace(ring.field)
-    for v in vectors:
-        for l in range(ring.n):
-            sat.extend(_whole_shift(ring, v, l))
-    sat_dim = sat.dim
-    gens = [v for v in vectors if sat.extend(v)]
-    return gens, sat_dim, sat.dim
-
-
-def _resolve_whole(ring: QuotientRing, pres: ModulePresentation,
-                   limit: int) -> ResolutionData:
-    ring.require_artinian("a resolution without a grading")
-    data = ResolutionData(ring, pres, limit)
-    ambient = FreeModule(ring, None, pres.rank)
-    data.ambient = ambient
-
-    col_vecs = []
-    for col in pres.columns:
-        vec = _whole_vector(ring, _as_column(col))
-        if vec:
-            col_vecs.append(vec)
-    if pres.mode == "cokernel":
-        for v in col_vecs:
-            col = _whole_to_column(ring, v)
-            if any(p.constant_term() for p in col.values()):
-                raise PreconditionError("cokernel columns must lie in the "
-                                        "maximal ideal")
-
-    # saturate the column span into a submodule, then drop the part
-    # reached by the maximal ideal; survivors among the original
-    # columns are the minimal generators
-    span = Subspace(ring.field)
-    queue = []
-    for v in col_vecs:
-        if span.extend(v):
-            queue.append(v)
-    while queue:
-        v = queue.pop()
-        for l in range(ring.n):
-            w = _whole_shift(ring, v, l)
-            if w and span.extend(w):
-                queue.append(w)
-    sat = Subspace(ring.field)
-    for v in span.basis_rows():
-        for l in range(ring.n):
-            sat.extend(_whole_shift(ring, v, l))
-    sat_dim = sat.dim
-    gens = [v for v in col_vecs if sat.extend(v)]
-    if sat.dim != span.dim:
-        raise AssertionError("given columns fail to generate their span")
-
-    positions = limit + (0 if pres.mode == "cokernel" else 1)
-    tor_of = (lambda p: p) if pres.mode == "cokernel" else (lambda p: p - 1)
-
-    data.chain = [ambient]
-    if positions >= 1:
-        data.chain.append(FreeModule(ring, None, len(gens)))
-        data.maps.append([_whole_to_column(ring, v) for v in gens])
-        data.exactness_log.append((tor_of(1), [(None, sat_dim, len(gens), sat.dim)]))
-
-    while len(data.chain) - 1 < positions:
-        src = data.chain[-1]
-        cols = data.maps[-1]
-        pos = len(data.chain)
-        if src.rank == 0:
-            data.chain.append(FreeModule(ring, None, 0))
-            data.maps.append([])
-            continue
-        images = _whole_images(ring, src, cols)
-        kernel = kernel_of_columns(images, ring.field)
-        new_gens, ker_sat, total = _whole_minimal_gens(ring, kernel)
-        data.exactness_log.append(
-            (tor_of(pos), [(None, ker_sat, len(new_gens), total)]))
-        new_cols = [_whole_to_column(ring, v) for v in new_gens]
-        for col in new_cols:
-            for p in col.values():
                 if p.constant_term():
                     raise AssertionError("resolution lost minimality")
-        data.chain.append(FreeModule(ring, None, len(new_gens)))
+        data.chain.append(FreeModule(ring, [d for d, _v in gens]))
         data.maps.append(new_cols)
     return data
 
@@ -737,17 +591,17 @@ def minimal_resolution(ring: QuotientRing, pres: ModulePresentation,
     if pres.ring is not ring:
         raise InputError("presentation belongs to a different ring")
     if not ring.graded:
-        return _resolve_whole(ring, pres, limit)
-    if not ring.relations:
+        ring.require_artinian("a resolution without a grading")
+        window = lambda tor_i, prev_maxgen: 0  # sweep the single piece 0
+    elif not ring.relations:
         window = _q_mode_window(ring, pres)
-        return _resolve_graded(ring, pres, limit, window)
-    if ring.is_artinian:
+    elif ring.is_artinian:
         top = ring.top_degree
-        return _resolve_graded(ring, pres, limit,
-                               lambda tor_i, prev_maxgen: prev_maxgen + top)
-    max_tor = limit + (0 if pres.mode == "cokernel" else 1)
-    window = _serre_window(ring, pres, max_tor)
-    return _resolve_graded(ring, pres, limit, window)
+        window = lambda tor_i, prev_maxgen: prev_maxgen + top
+    else:
+        max_tor = limit + (0 if pres.mode == "cokernel" else 1)
+        window = _serre_window(ring, pres, max_tor)
+    return _resolve(ring, pres, limit, window)
 
 
 def betti_numbers_k(ring: QuotientRing, limit: int) -> ResolutionData:
@@ -799,10 +653,7 @@ def tor_map_vanishes(ring: QuotientRing, s: int, b: int, limit: int) -> TorMapRe
         raise InputError("limit must be nonnegative")
     res_s = minimal_resolution(ring, ModulePresentation.power_module(ring, s), limit)
     res_b = minimal_resolution(ring, ModulePresentation.power_module(ring, b), limit)
-    if res_s.graded:
-        lifts = _lift_graded(ring, res_s, res_b, limit)
-    else:
-        lifts = _lift_whole(ring, res_s, res_b, limit)
+    lifts = _lift(ring, res_s, res_b, limit)
 
     degrees = []
     witnesses = []
@@ -831,7 +682,7 @@ def _compose_map(ring, lift_prev: list[dict], column: dict) -> dict:
     return {bg: p for bg, p in acc.items() if p.terms}
 
 
-def _lift_graded(ring, res_s, res_b, limit):
+def _lift(ring, res_s, res_b, limit):
     # position 0 is the shared ambient copy of R; the lift starts as
     # the identity and is pushed up the two chains one step at a time
     one = ring.one_poly()
@@ -859,33 +710,5 @@ def _lift_graded(ring, res_s, res_b, limit):
             if sol is None:
                 raise AssertionError("chain map lift failed; resolution not exact")
             cur.append(_vector_to_column(ring, res_b.chain[p], dict(sol), d))
-        lifts.append(cur)
-    return lifts
-
-
-def _lift_whole(ring, res_s, res_b, limit):
-    one = ring.one_poly()
-    lifts = [[{0: one}]]
-    systems: dict = {}
-    for p in range(1, limit + 2):
-        src = res_s.chain[p]
-        prev = lifts[p - 1]
-        cur = []
-        for gi in range(src.rank):
-            target_col = _compose_map(ring, prev, res_s.maps[p - 1][gi])
-            tvec = _whole_vector(ring, target_col)
-            if not tvec:
-                cur.append({})
-                continue
-            system = systems.get(p)
-            if system is None:
-                system = LinearSystem(
-                    _whole_images(ring, res_b.chain[p], res_b.maps[p - 1]),
-                    ring.field)
-                systems[p] = system
-            sol = system.solve(tvec)
-            if sol is None:
-                raise AssertionError("chain map lift failed; resolution not exact")
-            cur.append(_whole_to_column(ring, dict(sol)))
         lifts.append(cur)
     return lifts

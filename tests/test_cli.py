@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -170,6 +171,16 @@ def test_corpus_listing_and_round_trip(capsys):
         assert format_ring_definition(parse_ring_definition(canonical)) == canonical
 
 
+def _prepend_env(monkeypatch, var, first):
+    monkeypatch.setenv(var, os.pathsep.join(filter(None, [first, os.environ.get(var)])))
+
+
+def _child_imports_this_koszulkit(monkeypatch):
+    # a child process must import the same koszulkit that is under test here
+    _prepend_env(monkeypatch, "PYTHONPATH",
+                 str(Path(koszulkit.__file__).resolve().parent.parent))
+
+
 def test_console_script_runs(tmp_path, monkeypatch):
     # Run the entry point declared in pyproject.toml as its own process,
     # through a launcher like the one pip writes, so no install is needed.
@@ -184,12 +195,30 @@ def test_console_script_runs(tmp_path, monkeypatch):
                         "from %s import %s\n"
                         "sys.exit(%s())\n" % (sys.executable, module, attr, attr))
     launcher.chmod(0o755)
-    # the child must import the same koszulkit that is under test here
-    src = str(Path(koszulkit.__file__).resolve().parent.parent)
-    for var, first in (("PATH", str(tmp_path)), ("PYTHONPATH", src)):
-        monkeypatch.setenv(var, os.pathsep.join(
-            filter(None, [first, os.environ.get(var)])))
+    _prepend_env(monkeypatch, "PATH", str(tmp_path))
+    _child_imports_this_koszulkit(monkeypatch)
     proc = subprocess.run(["koszulkit", "corpus", "list"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == list(corpus.names())
+
+
+def test_python_dash_m_runs(monkeypatch):
+    _child_imports_this_koszulkit(monkeypatch)
+    proc = subprocess.run([sys.executable, "-m", "koszulkit", "corpus", "list"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == list(corpus.names())
+
+
+def test_huge_prime_modulus_is_decided_fast(capsys, monkeypatch):
+    ring = "field GF(%d)\nvars x,y\nideal:\nx^2\ny^3\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(ring % (10**18 + 3)))
+    start = time.perf_counter()
+    rc, out, _err = run(capsys, ["gb", "-"])
+    assert rc == 0 and out.split() == ["x^2", "y^3"]
+    assert time.perf_counter() - start < 5
+    # past the proven range of the primality test a modulus is refused
+    monkeypatch.setattr(sys, "stdin", io.StringIO(ring % 10**24))
+    rc, _out, err = run(capsys, ["gb", "-"])
+    assert rc == 3 and "bound of the proven primality test" in err

@@ -5,8 +5,9 @@ from koszulkit.errors import InputError, PreconditionError
 from koszulkit.fields import QQ
 from koszulkit.poly import MonomialOrder
 from koszulkit.quotient import QuotientRing
-from koszulkit.resolutions import (ModulePresentation, betti_table_R_over_Q,
-                                   minimal_resolution, tor_map_vanishes)
+from koszulkit.resolutions import (ModulePresentation, betti_numbers_k,
+                                   betti_table_R_over_Q, minimal_resolution,
+                                   tor_map_vanishes)
 from koszulkit.ringdef import format_polynomial, parse_polynomial
 from koszulkit.series import poly_mul
 
@@ -89,6 +90,26 @@ def test_ungraded_resolution_has_no_bigrading(betti_k):
     assert not data.graded
     with pytest.raises(PreconditionError):
         data.bigraded_betti()
+    with pytest.raises(PreconditionError):
+        data.is_linear()
+
+
+@pytest.mark.parametrize("name", ["case54", "case55", "socle4", "case71v16"])
+def test_graded_and_ungraded_engines_agree(name):
+    # r0 + r1*x_n generates the same ideal with the same reduced Groebner
+    # basis, but is not homogeneous, so the twin resolves as one piece
+    ring = corpus.get_ring(name)
+    r0, r1 = ring.relations[:2]
+    twin = QuotientRing(ring.field, ring.var_names,
+                        (r0 + r1 * ring.variable(ring.n - 1),) + ring.relations[1:],
+                        ring.order)
+    assert ring.graded and not twin.graded
+    assert twin.groebner_basis == ring.groebner_basis
+    assert betti_numbers_k(twin, 5).betti_numbers() == \
+        betti_numbers_k(ring, 5).betti_numbers()
+    # witnesses name basis vectors, which the two gradings choose differently
+    assert tor_map_vanishes(twin, 3, 2, 2).degrees == \
+        tor_map_vanishes(ring, 3, 2, 2).degrees
 
 
 def test_power_module_resolution():
