@@ -22,7 +22,7 @@ from . import corpus
 from .conditions import (CycleSet, StretchedSpec, build_stretched_ring,
                          check_nonlinear_generated_by, check_P_graded,
                          check_P_local, check_trivial_products, check_Z_graded)
-from .errors import (InputError, NotACycleError, NotArtinianError, ParseError,
+from .errors import (InputError, NotACycleError, NotArtinianError,
                      PreconditionError)
 from .koszul import homology_algebra, homology_h_polynomial
 from .poly import MonomialOrder
@@ -458,9 +458,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    except ParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
     except (InputError, NotArtinianError, NotACycleError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

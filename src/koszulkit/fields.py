@@ -11,17 +11,11 @@ from __future__ import annotations
 
 from .errors import InputError
 
+# rational(num, den=1) is the backend's constructor, in lowest terms
 try:
-    from gmpy2 import mpq as _mpq
-
-    def _rational(num, den=1):
-        return _mpq(num, den)
-
+    from gmpy2 import mpq as rational
 except ImportError:  # gmpy2 is optional; the stdlib path is the default
-    from fractions import Fraction as _mpq
-
-    def _rational(num, den=1):
-        return _mpq(num, den)
+    from fractions import Fraction as rational
 
 
 DEFAULT_MODULUS = 32003
@@ -149,15 +143,15 @@ class RationalField:
 
     def of(self, value):
         """Coerce an int (or rational) into the field."""
-        return _rational(value)
+        return rational(value)
 
     @property
     def zero(self):
-        return _rational(0)
+        return rational(0)
 
     @property
     def one(self):
-        return _rational(1)
+        return rational(1)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -17,7 +17,7 @@ import itertools
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotACycleError, NotArtinianError, PreconditionError
-from .linalg import Subspace, kernel_of_columns, LinearSystem
+from .linalg import EchelonSolver, Subspace, kernel_of_columns
 from .poly import Monomial, Polynomial
 from .quotient import QuotientRing
 
@@ -468,8 +468,10 @@ class HomologyAlgebra:
                 return bd, {}
             raise PreconditionError("bidegree %r is outside the certified support" % (bd,))
         columns = hp.boundary_space.basis_rows() + hp.rep_vectors
-        nb = len(hp.boundary_space.basis_rows())
-        system = LinearSystem(columns, self.ring.field)
+        nb = hp.boundary_space.dim
+        system = EchelonSolver(self.ring.field, track=True)
+        for j, col in enumerate(columns):
+            system.add(col, tag=j)
         sol = system.solve(hp.piece.vector_of(el))
         if sol is None:
             raise AssertionError("cycle failed to reduce against its own piece")

@@ -1,16 +1,34 @@
-"""Sparse exact linear algebra over an arbitrary coefficient field.
+"""Sparse exact linear algebra over Q and GF(p).
 
 Vectors are dicts mapping coordinate index to a nonzero field element.
 The workhorse is an incremental forward echelon (`EchelonSolver`) that
 can optionally track how each inserted vector was reduced, which yields
 kernels, membership certificates and particular solutions from the same
 loop.  Pivot choice is deterministic: the smallest coordinate index.
+
+Inside the solver every row, tracked combination and working vector
+holds plain Python ints; field elements are converted only where
+vectors enter or leave it.
+- GF(p): an entry is its residue in [1, p); a stored row has pivot
+  residue 1.
+- Q: a vector being reduced is a dict of integer numerators V over one
+  common denominator D > 0, and its tracked combination C shares D.  A
+  stored row is an integer dict with positive pivot entry whose true
+  value is row / row[pivot]; its combination has the same scale, and
+  the entries of the two have no common factor.  Eliminating pivot c
+  with g = gcd(V[c], P), P = row[c], sets V := (P/g) V - (V[c]/g) row
+  (the combination likewise) and D := (P/g) D, then divides V, C and D
+  by their common gcd: fraction-free elimination with one content gcd
+  per row operation (Bareiss 1968 in its simplest form).
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Hashable, Iterable, Optional
+
+from .fields import GFElement, rational
 
 
 def vec_add_scaled(dst: dict, scale, src: dict) -> None:
@@ -31,67 +49,152 @@ def vec_scale(vec: dict, scale) -> dict:
     return {c: scale * v for c, v in vec.items()} if scale else {}
 
 
+def _sub_scaled(dst: dict, a: int, src: dict, p: int) -> None:
+    """dst -= a * src on int dicts, mod p when p, dropping zeros."""
+    for t, x in src.items():
+        nv = dst.get(t, 0) - a * x
+        if p:
+            nv %= p
+        if nv:
+            dst[t] = nv
+        else:
+            del dst[t]
+
+
+def _eliminate_mod_p(V: dict, C, p: int, rows: dict, combos: dict) -> None:
+    """Clear every coordinate of V that is a pivot of rows, in place."""
+    heap = list(V)
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        a = V.get(c)
+        if a is None:
+            continue
+        row = rows.get(c)
+        if row is None:
+            continue
+        del V[c]
+        for cc, rv in row.items():
+            if cc == c:
+                continue
+            nv = V.get(cc)
+            if nv is None:
+                V[cc] = -a * rv % p
+                heappush(heap, cc)
+            else:
+                nv = (nv - a * rv) % p
+                if nv:
+                    V[cc] = nv
+                else:
+                    del V[cc]
+        if C is not None:
+            _sub_scaled(C, a, combos[c], p)
+
+
+def _eliminate_q(V: dict, C, D: int, rows: dict, combos: dict):
+    """Clear every coordinate of V / D that is a pivot of rows.
+
+    Returns the new (V, C, D); the true values V / D and C / D change
+    exactly as field-element elimination would change them.
+    """
+    heap = list(V)
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        a = V.get(c)
+        if a is None:
+            continue
+        row = rows.get(c)
+        if row is None:
+            continue
+        del V[c]
+        P = row[c]
+        if P != 1:
+            g = gcd(a, P)
+            a //= g
+            if g != P:
+                s = P // g
+                V = {k: x * s for k, x in V.items()}
+                if C is not None:
+                    C = {t: x * s for t, x in C.items()}
+                D *= s
+        for cc, rv in row.items():
+            if cc == c:
+                continue
+            nv = V.get(cc)
+            if nv is None:
+                V[cc] = -a * rv
+                heappush(heap, cc)
+            else:
+                nv -= a * rv
+                if nv:
+                    V[cc] = nv
+                else:
+                    del V[cc]
+        if C is not None:
+            _sub_scaled(C, a, combos[c], 0)
+        if D != 1:
+            g = gcd(D, *V.values())
+            if g != 1 and C:
+                g = gcd(g, *C.values())
+            if g != 1:
+                V = {k: x // g for k, x in V.items()}
+                if C is not None:
+                    C = {t: x // g for t, x in C.items()}
+                D //= g
+    return V, C, D
+
+
 class EchelonSolver:
     """Incremental echelon form with optional combination tracking.
 
-    Maintains the invariant that every stored row has its smallest
-    coordinate as pivot, with pivot coefficient one.  Rows are only
-    forward reduced; `reduce` still terminates with a remainder free of
-    pivot coordinates because row entries never precede their pivot.
+    Every stored row has its smallest coordinate as pivot and, as a
+    field vector, pivot coefficient one.  Rows are only forward reduced;
+    `reduce` still terminates with a remainder free of pivot coordinates
+    because row entries never precede their pivot.
     """
 
     def __init__(self, field, track: bool = False):
         self.field = field
         self.track = track
-        self.rows: dict[int, dict] = {}
-        self.combos: dict[int, dict] = {}
-        self.insertion_order: list[int] = []
+        self._p = field.char  # 0 over Q
+        self._rows: dict[int, dict] = {}
+        self._combos: dict[int, dict] = {}
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def reduce(self, vec: dict, combo: Optional[dict] = None):
-        """Return (remainder, combo') after eliminating all pivot coordinates.
+        """Eliminate all pivot coordinates from vec (a dict of field elements).
 
-        Tracking invariant: remainder - sum(combo'[t] * original_t) stays
-        equal to vec - sum(combo[t] * original_t) for the initial combo.
+        `combo` is None (untracked) or a starting combination of int
+        coefficients (residues over GF(p)).  Returns (V, C, D): the
+        remainder is V / D and the combination C / D, with V and C int
+        dicts and D = 1 over GF(p).  Tracking invariant: remainder -
+        sum(C[t] / D * original_t) equals vec - sum(combo[t] * original_t).
         """
-        vec = dict(vec)
-        combo = dict(combo) if combo is not None else ({} if self.track else None)
         if not vec:
-            return vec, combo
-        rows = self.rows
-        combos = self.combos
-        heap = list(vec)
-        heapq.heapify(heap)
-        while heap:
-            c = heapq.heappop(heap)
-            v = vec.get(c)
-            if not v:
-                continue
-            row = rows.get(c)
-            if row is None:
-                continue
-            del vec[c]
-            for cc, rv in row.items():
-                if cc == c:
-                    continue
-                nv = vec.get(cc)
-                if nv is None:
-                    nv = -v * rv
-                    if nv:
-                        vec[cc] = nv
-                        heapq.heappush(heap, cc)
-                else:
-                    nv = nv - v * rv
-                    if nv:
-                        vec[cc] = nv
-                    else:
-                        del vec[cc]
-            if combo is not None:
-                vec_add_scaled(combo, -v, combos[c])
-        return vec, combo
+            return {}, (None if combo is None else dict(combo)), 1
+        p = self._p
+        if p:
+            V = {c: e.v for c, e in vec.items()}
+            C = None if combo is None else dict(combo)
+            _eliminate_mod_p(V, C, p, self._rows, self._combos)
+            return V, C, 1
+        D = lcm(*[e.denominator for e in vec.values()])
+        V = {c: e.numerator * (D // e.denominator) for c, e in vec.items()}
+        C = None if combo is None else {t: x * D for t, x in combo.items()}
+        return _eliminate_q(V, C, D, self._rows, self._combos)
+
+    def _to_field(self, vec: dict, D: int, sign: int = 1) -> dict:
+        """The field vector sign * vec / D."""
+        p = self._p
+        if p:
+            return {c: GFElement(p, sign * x) for c, x in vec.items()}
+        if D == 1:
+            return {c: rational(sign * x) for c, x in vec.items()}
+        return {c: rational(sign * x, D) for c, x in vec.items()}
 
     def add(self, vec: dict, tag: Hashable = None):
         """Insert a vector into the echelon.
@@ -101,39 +204,50 @@ class EchelonSolver:
         vec = sum(coeff * previously added vector).  Requires track=True
         for a meaningful dependency; untracked solvers return {}.
         """
-        start = {tag: self.field.one} if self.track else None
-        rem, combo = self.reduce(vec, start)
-        if not rem:
-            if combo is None:
+        if not vec:
+            return {}
+        V, C, D = self.reduce(vec, {tag: 1} if self.track else None)
+        if not V:
+            if C is None:
                 return {}
             # 0 = vec + sum over earlier tags, so vec = -that sum
-            combo.pop(tag, None)
-            return {t: -c for t, c in combo.items()}
-        pivot = min(rem)
-        pv = rem[pivot]
-        if pv != self.field.one:
-            inv = self.field.one / pv
-            rem = {c: v * inv for c, v in rem.items()}
-            if combo is not None:
-                combo = {t: v * inv for t, v in combo.items()}
-        self.rows[pivot] = rem
-        if combo is not None:
-            self.combos[pivot] = combo
-        self.insertion_order.append(pivot)
+            C.pop(tag, None)
+            return self._to_field(C, D, -1)
+        pivot = min(V)
+        p = self._p
+        if p:
+            pv = V[pivot]
+            if pv != 1:
+                inv = pow(pv, p - 2, p)
+                V = {c: x * inv % p for c, x in V.items()}
+                if C is not None:
+                    C = {t: x * inv % p for t, x in C.items()}
+        else:
+            g = gcd(*V.values())
+            if g != 1 and C:
+                g = gcd(g, *C.values())
+            if V[pivot] < 0:
+                g = -g
+            if g != 1:
+                V = {c: x // g for c, x in V.items()}
+                if C is not None:
+                    C = {t: x // g for t, x in C.items()}
+        self._rows[pivot] = V
+        if C is not None:
+            self._combos[pivot] = C
         return None
 
     def contains(self, vec: dict) -> bool:
-        rem, _ = self.reduce(vec, None)
-        return not rem
+        return not self.reduce(vec)[0]
 
     def solve(self, target: dict):
         """Express target in the inserted vectors: {tag: coeff} or None."""
         if not self.track:
             raise ValueError("solver was built without tracking")
-        rem, combo = self.reduce(target, {})
-        if rem:
+        V, C, D = self.reduce(target, {})
+        if V:
             return None
-        return {t: -c for t, c in combo.items() if c}
+        return self._to_field(C, D, -1)
 
 
 class Subspace:
@@ -164,26 +278,32 @@ class Subspace:
         return all(self.contains(row) for row in other.basis_rows())
 
     def reduce(self, vec: dict) -> dict:
-        rem, _ = self._solver.reduce(vec, None)
-        return rem
+        s = self._solver
+        V, _, D = s.reduce(vec)
+        return s._to_field(V, D)
 
     def basis_rows(self) -> list[dict]:
         """Echelon basis rows ordered by pivot coordinate."""
-        return [self._solver.rows[p] for p in sorted(self._solver.rows)]
+        s = self._solver
+        rows = s._rows
+        return [s._to_field(rows[p], rows[p][p]) for p in sorted(rows)]
 
     def reduced_basis_rows(self) -> list[dict]:
         """Fully reduced (RREF) basis: canonical for the subspace."""
-        pivots = sorted(self._solver.rows)
+        s = self._solver
+        rows = s._rows
+        pivots = sorted(rows)
         out = {}
-        # back-eliminate, highest pivot first so later rows are final
-        for p in reversed(pivots):
-            row = dict(self._solver.rows[p])
-            for q in pivots:
-                if q <= p or q not in row:
-                    continue
-                vec_add_scaled(row, -row[q] / out[q][q], out[q])
-            out[p] = row
-        return [out[p] for p in pivots]
+        # back-eliminate, highest pivot first so later rows are final;
+        # out rows have no entry at any other pivot, so each is a valid row
+        for q in reversed(pivots):
+            row = dict(rows[q])
+            if s._p:
+                _eliminate_mod_p(row, None, s._p, out, {})
+            else:
+                row = _eliminate_q(row, None, row[q], out, {})[0]
+            out[q] = row
+        return [s._to_field(out[q], out[q][q]) for q in pivots]
 
     def sum(self, other: "Subspace") -> "Subspace":
         s = Subspace(self.field, self.basis_rows())
@@ -208,16 +328,3 @@ def kernel_of_columns(columns: list[dict], field) -> list[dict]:
             vec[j] = one
             kernel.append(vec)
     return kernel
-
-
-class LinearSystem:
-    """Solve A x = b repeatedly for the same columns A."""
-
-    def __init__(self, columns: list[dict], field):
-        self.solver = EchelonSolver(field, track=True)
-        for j, col in enumerate(columns):
-            self.solver.add(col, tag=j)
-
-    def solve(self, target: dict):
-        """A particular solution {col_index: coeff}, or None."""
-        return self.solver.solve(target)

@@ -197,26 +197,18 @@ class QuotientRing:
         cached = self._power_subspaces.get(t)
         if cached is not None:
             return cached
-        space = Subspace(self.field)
         if self.graded:
+            space = Subspace(self.field)
             one = self.field.one
             idx = self.basis_index()
             for d in range(t, self.top_degree + 1):
                 for m in self.std_basis(d):
                     space.extend({idx[m]: one})
         else:
-            # span of normal forms of all monomials of degree >= t:
-            # seed with degree-t products, then saturate under the variables
-            seeds = [self.reduce_monomial(m) for m in monomials_of_degree(self.n, t)]
-            queue = [p for p in seeds if p.terms]
-            while queue:
-                p = queue.pop()
-                if not space.extend(self.poly_to_vec(p)):
-                    continue
-                for i in range(self.n):
-                    q = self.multiply(self.variable(i), p)
-                    if q.terms:
-                        queue.append(q)
+            # the ideal the degree-t monomials generate; most of them are
+            # zero in R, so only the nonzero normal forms are handed over
+            seeds = (self.reduce_monomial(m) for m in monomials_of_degree(self.n, t))
+            space = self.ideal_span([p for p in seeds if p.terms])
         self._power_subspaces[t] = space
         return space
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, NotArtinianError, PreconditionError
-from .linalg import LinearSystem, Subspace, kernel_of_columns
+from .linalg import EchelonSolver, Subspace, kernel_of_columns
 from .poly import Polynomial
 from .quotient import QuotientRing
 from .tables import BettiTable
@@ -462,7 +462,7 @@ def _extract(ring, module: FreeModule, jmin: int, jmax: int, vectors_at, seed):
         for v in feed:
             for table in tables:
                 w = _shift_vector(v, offsets, table)
-                if span.extend(w) and keep:
+                if w and span.extend(w) and keep:
                     grown.append(w)
         sat_dim = span.dim
         before = len(gens)
@@ -704,7 +704,9 @@ def _lift(ring, res_s, res_b, limit):
             if system is None:
                 images = _column_images(ring, res_b.chain[p], res_b.chain[p - 1],
                                         res_b.maps[p - 1], d, {})
-                system = LinearSystem(images, ring.field)
+                system = EchelonSolver(ring.field, track=True)
+                for j, col in enumerate(images):
+                    system.add(col, tag=j)
                 systems[key] = system
             sol = system.solve(tvec)
             if sol is None:

@@ -1,6 +1,17 @@
+from fractions import Fraction
+
+import pytest
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # only the reference comparison needs it; it skips
+    pass
+
 from koszulkit.fields import PrimeField, QQ
-from koszulkit.linalg import (LinearSystem, Subspace, kernel_of_columns,
+from koszulkit.linalg import (EchelonSolver, Subspace, kernel_of_columns,
                               vec_add_scaled, vec_scale)
+
+import reference_linalg as ref
 
 
 def q(v):
@@ -72,15 +83,22 @@ def test_kernel_rank_nullity():
         assert acc == {}
 
 
+def _column_solver(cols, field):
+    solver = EchelonSolver(field, track=True)
+    for j, col in enumerate(cols):
+        solver.add(col, tag=j)
+    return solver
+
+
 def test_linear_system_solve():
     cols = [{0: q(1), 1: q(1)}, {1: q(1)}]
-    sol = LinearSystem(cols, QQ).solve({0: q(2), 1: q(5)})
+    sol = _column_solver(cols, QQ).solve({0: q(2), 1: q(5)})
     assert sol is not None
     acc = {}
     for idx, c in sol.items():
         vec_add_scaled(acc, c, cols[idx])
     assert acc == {0: q(2), 1: q(5)}
-    assert LinearSystem(cols, QQ).solve({2: q(1)}) is None
+    assert _column_solver(cols, QQ).solve({2: q(1)}) is None
 
 
 def test_prime_field_subspace():
@@ -88,3 +106,79 @@ def test_prime_field_subspace():
     s = Subspace(gf, [{0: gf.of(2), 1: gf.of(4)}])
     assert s.contains({0: gf.of(1), 1: gf.of(2)})
     assert not s.contains({0: gf.of(1), 1: gf.of(3)})
+
+
+# -- the int-backed solver against the field-element reference ---------
+
+FIELDS = {"Q": QQ, "GF(32003)": PrimeField(32003), "GF(2)": PrimeField(2)}
+NCOORDS = 7
+
+
+def _entries(field):
+    if field.char:
+        return st.integers(1, field.char - 1).map(field.of)
+    small = st.integers(-3, 3).filter(bool).map(Fraction)
+    large = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30).filter(bool),
+                      st.integers(1, 10 ** 20))
+    return st.one_of(small, st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                                      st.integers(1, 12)), large)
+
+
+def _matrices(field):
+    """Sparse vectors (empty ones included), some of them combinations of
+    earlier ones so that dependencies occur, plus probe vectors."""
+    entry = _entries(field)
+    vector = st.dictionaries(st.integers(0, NCOORDS - 1), entry, max_size=5)
+
+    @st.composite
+    def build(draw):
+        vecs = draw(st.lists(vector, max_size=8))
+        for _ in range(draw(st.integers(0, 3))):
+            if not vecs:
+                break
+            i, j = (draw(st.integers(0, len(vecs) - 1)) for _ in range(2))
+            w = {}
+            vec_add_scaled(w, draw(entry), vecs[i])
+            vec_add_scaled(w, draw(entry), vecs[j])
+            vecs.insert(draw(st.integers(0, len(vecs))), w)
+        return vecs, draw(st.lists(vector, max_size=4))
+
+    return build()
+
+
+def _literal(vec):
+    """A dict as its items in order, each value with its type."""
+    if vec is None:
+        return None
+    return [(c, type(v), v) for c, v in vec.items()]
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_int_backed_solver_matches_reference(name):
+    pytest.importorskip("hypothesis")
+    field = FIELDS[name]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_matrices(field))
+    def check(case):
+        vecs, probes = case
+        got, want = Subspace(field, vecs), ref.Subspace(field, vecs)
+        assert got.dim == want.dim
+        assert [min(r) for r in got.basis_rows()] == [min(r) for r in want.basis_rows()]
+        assert [_literal(r) for r in got.basis_rows()] == \
+            [_literal(r) for r in want.basis_rows()]
+        assert [_literal(r) for r in got.reduced_basis_rows()] == \
+            [_literal(r) for r in want.reduced_basis_rows()]
+        for v in vecs + probes:
+            assert _literal(got.reduce(v)) == _literal(want.reduce(v))
+        assert [_literal(k) for k in kernel_of_columns(vecs, field)] == \
+            [_literal(k) for k in ref.kernel_of_columns(vecs, field)]
+
+        solver, ref_solver = EchelonSolver(field, track=True), ref.EchelonSolver(field, True)
+        for j, v in enumerate(vecs):
+            assert _literal(solver.add(v, tag=j)) == _literal(ref_solver.add(v, tag=j))
+        assert solver.rank == ref_solver.rank
+        for v in vecs + probes:
+            assert _literal(solver.solve(v)) == _literal(ref_solver.solve(v))
+
+    check()
