@@ -7,7 +7,7 @@ numbers, and evaluates the rational Poincare series formulas those
 structures certify.
 """
 
-from .errors import (InputError, KoszulkitError, NotACycleError,
+from .errors import (BudgetError, InputError, KoszulkitError, NotACycleError,
                      NotArtinianError, ParseError, PreconditionError)
 from .fields import QQ, PrimeField
 from .poly import Monomial, MonomialOrder, Polynomial

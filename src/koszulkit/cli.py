@@ -3,8 +3,9 @@
 Rings are named by a built-in corpus entry, a definition file path, or
 ``-`` for stdin.  Exit codes are scriptable: 0 for success or a true
 verdict, 1 for a condition that is false, 2 for unmet hypotheses, 3
-for bad input.  Condition subcommands take ``--json`` for a structured
-report; its shape is pinned by report_schema.json next to this module.
+for bad input, 4 for a computation that exceeded a work budget.
+Condition subcommands take ``--json`` for a structured report; its
+shape is pinned by report_schema.json next to this module.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import corpus
 from .conditions import (CycleSet, StretchedSpec, build_stretched_ring,
                          check_nonlinear_generated_by, check_P_graded,
                          check_P_local, check_trivial_products, check_Z_graded)
-from .errors import (InputError, NotACycleError, NotArtinianError,
+from .errors import (BudgetError, InputError, NotACycleError, NotArtinianError,
                      PreconditionError)
 from .koszul import homology_algebra, homology_h_polynomial
 from .poly import MonomialOrder
@@ -464,6 +465,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PreconditionError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except BudgetError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -249,8 +249,7 @@ def check_P_local(ring: QuotientRing, t: int, r: int,
     pieces = []
     for i in range(ring.n + 1):
         target = full_piece(ring, i)
-        span = Subspace(ring.field,
-                        filtered_boundaries(ring, t - 1, i).basis_rows())
+        span = filtered_boundaries(ring, t - 1, i).copy()
         if i - r >= 0 and l.terms:
             source_piece, zcycles = filtered_cycles(ring, t - 1, i - r)
             for vec in zcycles:

@@ -33,3 +33,7 @@ class NotACycleError(KoszulkitError):
 
 class PreconditionError(KoszulkitError):
     """An operation's stated precondition is violated by the arguments."""
+
+
+class BudgetError(KoszulkitError):
+    """A computation exceeded one of the toolkit's fixed work budgets."""

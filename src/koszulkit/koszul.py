@@ -325,7 +325,7 @@ class HomologyPiece:
         self.cycle_space = Subspace(piece.ring.field, cycles)
         self.boundary_space = boundary_space
         reps = []
-        span = Subspace(piece.ring.field, boundary_space.basis_rows())
+        span = boundary_space.copy()
         for v in cycles:
             if span.extend(v):
                 reps.append(v)
@@ -338,7 +338,7 @@ class HomologyPiece:
 
     def class_span(self, extra: Iterable[dict] = ()) -> Subspace:
         """Boundaries plus the given cycle vectors, as a subspace of the piece."""
-        span = Subspace(self.piece.ring.field, self.boundary_space.basis_rows())
+        span = self.boundary_space.copy()
         span.extend_all(extra)
         return span
 

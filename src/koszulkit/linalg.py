@@ -305,8 +305,18 @@ class Subspace:
             out[q] = row
         return [s._to_field(out[q], out[q][q]) for q in pivots]
 
+    def copy(self) -> "Subspace":
+        """An independent subspace with the same rows.
+
+        The int rows are shared, not copied: the solver never changes a
+        stored row, it only replaces or adds rows.
+        """
+        s = Subspace(self.field)
+        s._solver._rows = dict(self._solver._rows)
+        return s
+
     def sum(self, other: "Subspace") -> "Subspace":
-        s = Subspace(self.field, self.basis_rows())
+        s = self.copy()
         s.extend_all(other.basis_rows())
         return s
 

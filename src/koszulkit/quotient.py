@@ -14,6 +14,9 @@ from .groebner import buchberger, normal_form
 from .linalg import Subspace, kernel_of_columns
 from .poly import Monomial, MonomialOrder, Polynomial, monomials_of_degree
 
+# attributes that `_enumerate_basis` sets on artinian rings only
+_ARTINIAN_ATTRIBUTES = frozenset(("dim", "top_degree", "std_monomials"))
+
 
 class QuotientRing:
     """k[x1..xn]/I for an ideal I contained in the square of the maximal ideal."""
@@ -66,6 +69,12 @@ class QuotientRing:
     def __repr__(self):
         tag = self.label or ",".join(self.var_names)
         return "<QuotientRing %s (%d relations)>" % (tag, len(self.relations))
+
+    def __getattr__(self, name):
+        # only reached when normal lookup fails, so artinian rings never get here
+        if name in _ARTINIAN_ATTRIBUTES and self.__dict__.get("_artinian") is False:
+            self.require_artinian("`%s`" % name)
+        raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
 
     @property
     def is_artinian(self) -> bool:

@@ -103,6 +103,15 @@ def test_bad_input_exit_codes(capsys, monkeypatch):
     assert rc == 3 and "no algebra generator" in err
 
 
+def test_budget_exit_code(capsys, monkeypatch):
+    from koszulkit import groebner
+    monkeypatch.setattr(groebner, "PAIR_BUDGET", 0)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("field Q\nvars x,y\nideal:\nx^2 + y^2\nx*y\n"))
+    rc, out, err = run(capsys, ["gb", "-"])
+    assert rc == 4 and out == ""
+    assert err == "error: Buchberger pair budget of 0 S-pair reductions exceeded\n"
+
+
 def test_usage_errors_exit_three(capsys):
     for argv in (["check", "p-cond", "case54", "--t", "2", "--r", "1"],
                  ["betti", "case54", "--of-k", "--over-poly"],

@@ -1,7 +1,20 @@
-from koszulkit.fields import QQ
+import random
+
+import pytest
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # only the reference comparison needs it; it skips
+    pass
+
+from koszulkit import groebner
+from koszulkit.errors import BudgetError
+from koszulkit.fields import PrimeField, QQ
 from koszulkit.groebner import buchberger, normal_form
-from koszulkit.poly import MonomialOrder
+from koszulkit.poly import Monomial, MonomialOrder, Polynomial, monomials_of_degree
 from koszulkit.ringdef import format_polynomial, parse_polynomial
+
+import reference_groebner as ref
 
 LEX = MonomialOrder.LEX
 GRL = MonomialOrder.GREVLEX
@@ -68,3 +81,122 @@ def test_socle4_lex_basis_matches_sympy_oracle():
         "a*d^3 + c^4", "d^4", "c*d^3", "c^5",
     ])
     assert got == expected
+
+
+def test_pair_budget_raises_budget_error(monkeypatch):
+    names = ("x", "y")
+    gens = polys(["x^2 + y^2", "x*y"], names, GRL)
+    assert len(buchberger(gens, GRL)) == 3
+    monkeypatch.setattr(groebner, "PAIR_BUDGET", 0)
+    with pytest.raises(BudgetError, match="pair budget"):
+        buchberger(gens, GRL)
+
+
+# -- the pair criteria against the reference Buchberger ------------------
+
+FIELDS = {"Q": QQ, "GF(32003)": PrimeField(32003), "GF(2)": PrimeField(2)}
+
+
+def _literal(basis):
+    """Each element as its order and terms, every coefficient with its type."""
+    return [(g.order, [(m.exponents, type(c), c) for m, c in g.terms]) for g in basis]
+
+
+def _ideals(field):
+    """Generator lists in 2-4 variables: homogeneous or not, with monomials,
+    zero polynomials and duplicates mixed in, plus an order and probes.
+
+    Inhomogeneous lex ideals stay in 2-3 variables: in 4 their bases grow
+    large enough to take seconds per example.
+    """
+
+    @st.composite
+    def build(draw):
+        homogeneous = draw(st.booleans())
+        order = draw(st.sampled_from([LEX, GRL]))
+        n = draw(st.integers(2, 4 if homogeneous or order is GRL else 3))
+        coeff = st.integers(-4, 4).filter(bool).map(field.of)
+
+        def term(degree):
+            exps = [0] * n
+            for i in draw(st.lists(st.integers(0, n - 1), min_size=degree,
+                                   max_size=degree)):
+                exps[i] += 1
+            return Monomial(exps), draw(coeff)
+
+        def poly():
+            kind = draw(st.sampled_from(["dense", "dense", "monomial", "zero"]))
+            if kind == "zero":
+                return Polynomial.zero(n, field, order)
+            size = 1 if kind == "monomial" else draw(st.integers(2, 4))
+            degree = draw(st.integers(1, 3))
+            degrees = [degree if homogeneous else draw(st.integers(1, 3))
+                       for _ in range(size)]
+            return Polynomial(n, field, order, [term(d) for d in degrees])
+
+        gens = draw(st.lists(st.builds(poly), min_size=1, max_size=4))
+        if draw(st.booleans()):
+            gens.append(gens[draw(st.integers(0, len(gens) - 1))])
+        probes = draw(st.lists(st.builds(poly), max_size=3))
+        return gens, order, probes
+
+    return build()
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_criteria_match_reference_buchberger(name):
+    pytest.importorskip("hypothesis")
+    field = FIELDS[name]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_ideals(field))
+    def check(case):
+        gens, order, probes = case
+        got, want = buchberger(gens, order), ref.buchberger(gens, order)
+        assert _literal(got) == _literal(want)
+        for p in probes + [a * b for a, b in zip(gens, gens[1:])]:
+            assert _literal([normal_form(p, got)]) == _literal([ref.normal_form(p, want)])
+
+    check()
+
+
+def test_criterion_b_keeps_pairs_sharing_the_new_lcm():
+    """Criterion B must keep (i, j) when lcm(i, j) = lcm(i, h) or lcm(j, h);
+    without that exception this basis loses y*z^2 + ... and z^4."""
+    names = ("x", "y", "z")
+    gens = polys(["x^2 - 3*x*y", "2*x - 3*y - 2*z", "x^3 + y^2*z"], names, GRL)
+    got = buchberger(gens, GRL)
+    assert _literal(got) == _literal(ref.buchberger(gens, GRL))
+    assert [format_polynomial(g, names) for g in got] == \
+        ["x - 3/2*y - z", "y^2 - 4/9*z^2", "y*z^2 + 20/27*z^3", "z^4"]
+
+
+def _count_s_pairs(module, monkeypatch, gens, order):
+    calls = []
+    original = module.s_polynomial
+
+    def counting(f, g):
+        calls.append((f, g))
+        return original(f, g)
+
+    monkeypatch.setattr(module, "s_polynomial", counting)
+    return module.buchberger(gens, order), len(calls)
+
+
+@pytest.mark.parametrize("order", [LEX, GRL], ids=["lex", "grevlex"])
+def test_criteria_skip_s_pair_reductions(monkeypatch, order):
+    """Five random quadrics plus m^3 in five variables over Q."""
+    rng = random.Random(5)
+    n = 5
+    quadrics = list(monomials_of_degree(n, 2))
+    gens = []
+    while len(gens) < 5:
+        terms = [(m, QQ.of(rng.randint(-3, 3))) for m in quadrics]
+        g = Polynomial(n, QQ, order, [(m, c) for m, c in terms if c])
+        if g:
+            gens.append(g)
+    gens += [Polynomial.from_monomial(n, QQ, order, m) for m in monomials_of_degree(n, 3)]
+    got, got_pairs = _count_s_pairs(groebner, monkeypatch, gens, order)
+    want, want_pairs = _count_s_pairs(ref, monkeypatch, gens, order)
+    assert _literal(got) == _literal(want)
+    assert got_pairs < want_pairs

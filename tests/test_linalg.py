@@ -44,6 +44,21 @@ def test_subspace_sum_and_containment():
     assert not a.contains_subspace(both)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF(7)"])
+def test_subspace_copy_equals_rebuilt_subspace(field):
+    f = field.of
+    s = Subspace(field, [{0: f(2), 3: f(4)}, {1: f(3), 2: f(-5)}, {0: f(1), 2: f(1), 3: f(6)}])
+    if field is QQ:
+        s.extend({2: QQ.of(1) / 3, 4: QQ.of(5) / 2})
+    c = s.copy()
+    rebuilt = Subspace(field, s.basis_rows())
+    # identical rows, entry order included
+    assert repr(c._solver._rows) == repr(rebuilt._solver._rows) == repr(s._solver._rows)
+    assert c.extend({4: f(1), 5: f(1)})
+    assert (c.dim, s.dim) == (s.dim + 1, rebuilt.dim)
+    assert not s.contains({5: f(1), 4: f(1)})
+
+
 def test_reduce_returns_canonical_remainder():
     s = Subspace(QQ, [{0: q(1), 1: q(1)}])
     rem = s.reduce({0: q(1), 1: q(3)})

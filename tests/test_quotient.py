@@ -30,6 +30,19 @@ def test_non_artinian_detection():
     assert len(R.std_basis(2)) == 4
 
 
+def test_non_artinian_ring_has_no_finite_basis_attributes():
+    R = ring_of("field Q\nvars x,y\nideal:\nx^2\n")
+    assert not R.is_artinian
+    for name in ("dim", "top_degree", "std_monomials"):
+        with pytest.raises(NotArtinianError, match=name):
+            getattr(R, name)
+    with pytest.raises(AttributeError):
+        R.no_such_attribute
+    assert getattr(R, "no_such_attribute", None) is None
+    S = ring_of("field Q\nvars x,y\nideal:\nx^2\ny^2\n")
+    assert (S.dim, S.top_degree, len(S.std_monomials)) == (4, 2, 4)
+
+
 def test_normal_form_properties():
     R = corpus.get_ring("socle4")
     f = parse_polynomial("a*b*d + c^3 + a^2*b", R.var_names, R.field, R.order)
