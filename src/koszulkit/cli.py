@@ -3,7 +3,8 @@
 Rings are named by a built-in corpus entry, a definition file path, or
 ``-`` for stdin.  Exit codes are scriptable: 0 for success or a true
 verdict, 1 for a condition that is false, 2 for unmet hypotheses, 3
-for bad input, 4 for a computation that exceeded a work budget.
+for bad input, 4 for a computation that exceeded a work budget, 5 for
+an internal error (a failed consistency check).
 Condition subcommands take ``--json`` for a structured report; its
 shape is pinned by report_schema.json next to this module.
 """
@@ -468,6 +469,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
+    except AssertionError as exc:
+        # an internal invariant failed: not a verdict, so not exit 1
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import itertools
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotACycleError, NotArtinianError, PreconditionError
-from .linalg import EchelonSolver, Subspace, kernel_of_columns
+from .linalg import EchelonSolver, Subspace, kernel_of_columns, vec_combine
 from .poly import Monomial, Polynomial
 from .quotient import QuotientRing
 
@@ -521,31 +521,9 @@ def filtered_cycles(ring: QuotientRing, t: int, i: int,
             below = full_piece(ring, i - 1)
             cols = differential_columns(ring, piece, below)
             # restrict the differential to the filtered subspace
-            sub_cols = []
-            for vec in basis:
-                img: dict = {}
-                for c, v in vec.items():
-                    for tc, tv in cols[c].items():
-                        nv = img.get(tc)
-                        nv = v * tv if nv is None else nv + v * tv
-                        if nv:
-                            img[tc] = nv
-                        elif tc in img:
-                            del img[tc]
-                sub_cols.append(img)
+            sub_cols = [vec_combine(vec, cols) for vec in basis]
             combos = kernel_of_columns(sub_cols, ring.field)
-            cycles = []
-            for combo in combos:
-                vec: dict = {}
-                for bi, coeff in combo.items():
-                    for c, v in basis[bi].items():
-                        nv = vec.get(c)
-                        nv = coeff * v if nv is None else nv + coeff * v
-                        if nv:
-                            vec[c] = nv
-                        elif c in vec:
-                            del vec[c]
-                cycles.append(vec)
+            cycles = [vec_combine(combo, basis) for combo in combos]
         cache[key] = (piece, cycles)
     return cache[key]
 
@@ -579,19 +557,7 @@ def filtered_boundaries(ring: QuotientRing, t: int, i: int) -> Subspace:
         else:
             source, basis = filtered_component(ring, t, i + 1)
             cols = differential_columns(ring, source, target)
-            images = []
-            for vec in basis:
-                img: dict = {}
-                for c, v in vec.items():
-                    for tc, tv in cols[c].items():
-                        nv = img.get(tc)
-                        nv = v * tv if nv is None else nv + v * tv
-                        if nv:
-                            img[tc] = nv
-                        elif tc in img:
-                            del img[tc]
-                images.append(img)
-            cache[key] = Subspace(ring.field, images)
+            cache[key] = Subspace(ring.field, [vec_combine(vec, cols) for vec in basis])
     return cache[key]
 
 

@@ -45,8 +45,12 @@ def vec_add_scaled(dst: dict, scale, src: dict) -> None:
             del dst[c]
 
 
-def vec_scale(vec: dict, scale) -> dict:
-    return {c: scale * v for c, v in vec.items()} if scale else {}
+def vec_combine(coeffs: dict, vectors) -> dict:
+    """The sum of coeffs[k] * vectors[k], dropping zeros."""
+    out: dict = {}
+    for k, c in coeffs.items():
+        vec_add_scaled(out, c, vectors[k])
+    return out
 
 
 def _sub_scaled(dst: dict, a: int, src: dict, p: int) -> None:

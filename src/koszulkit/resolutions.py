@@ -12,6 +12,12 @@ Only the sparse vectors that grew a piece's span are carried forward
 has no predecessor, so its sweep starts from a spanning set of the
 whole submodule instead.
 
+A differential is kept as the coordinate vectors the sweep found: the
+image of each generator as a vector of the target.  The image of x_l*m
+times a generator is x_l times the image of m, so the images of a whole
+piece's basis follow by shifting vectors; polynomial columns are built
+only when `ResolutionData.differential` is asked for them.
+
 Every sweep needs a certified stopping degree.  Over an artinian ring
 components vanish above maxgen + top degree.  Over the polynomial ring
 the regularity of a finite-length module (its top degree) or the Taylor
@@ -26,10 +32,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, NotArtinianError, PreconditionError
-from .linalg import EchelonSolver, Subspace, kernel_of_columns
+from .linalg import EchelonSolver, Subspace, kernel_of_columns, vec_combine
 from .poly import Polynomial
 from .quotient import QuotientRing
 from .tables import BettiTable
@@ -131,6 +138,7 @@ class FreeModule:
         self.degrees = list(degrees)
         self._offsets: dict[int, tuple] = {}
         self._shifts: dict[int, tuple] = {}
+        self._constant_slots: dict[int, dict] = {}
 
     @property
     def rank(self) -> int:
@@ -163,33 +171,45 @@ class FreeModule:
             self._shifts[j] = cached
         return cached
 
+    def constant_slots(self, j: int) -> dict:
+        """Coordinate of the constant monomial in piece j -> its generator.
+
+        Only a generator of degree j has 1 in its block of piece j, and 1
+        comes first in piece 0 of R."""
+        cached = self._constant_slots.get(j)
+        if cached is None:
+            offsets = self.offsets(j)
+            cached = {offsets[g]: g for g, d in enumerate(self.degrees) if d == j}
+            self._constant_slots[j] = cached
+        return cached
+
 
 # -- cached multiplication index maps ---------------------------------
 
 
 def _var_action(ring: QuotientRing, l: int, e: int):
     """Multiplication by x_l as index pairs out of piece e."""
-    return _cached(ring, ("x", l, e), lambda: _poly_action(ring, ring.variable(l), e))
+    def build():
+        x = ring.variable(l).lead_monomial
+        index = _piece_index(ring, _piece_of(ring, e + 1))
+        return tuple(tuple((index[bm], bc) for bm, bc in ring.mono_product(x, m).terms)
+                     for m in _piece(ring, e))
+    return _cached(ring, ("x", l, e), build)
 
 
-def _poly_action(ring: QuotientRing, p: Polynomial, e: int):
-    """Multiplication by p as index pairs out of piece e."""
-    terms = [(mm, c, _piece_index(ring, _piece_of(ring, mm.degree + e)))
-             for mm, c in p.terms]
-    out = []
-    for m in _piece(ring, e):
-        acc: dict = {}
-        for mm, c, tgt_index in terms:
-            for bm, bc in ring.mono_product(mm, m).terms:
-                i = tgt_index[bm]
-                v = acc.get(i)
-                v = c * bc if v is None else v + c * bc
-                if v:
-                    acc[i] = v
-                elif i in acc:
-                    del acc[i]
-        out.append(tuple(acc.items()))
-    return tuple(out)
+def _divisors(ring: QuotientRing, e: int) -> tuple:
+    """Per monomial m of piece e: None for m = 1, else (l, position of
+    m / x_l in its piece) for the first variable x_l dividing m.  Standard
+    monomials are closed under division, so m / x_l is standard."""
+    def build():
+        index = _piece_index(ring, _piece_of(ring, e - 1))
+        out = []
+        for m in _piece(ring, e):
+            l = next((l for l, a in enumerate(m.exponents) if a), None)
+            out.append(None if l is None else
+                       (l, index[m.quotient_by(ring.variable(l).lead_monomial)]))
+        return tuple(out)
+    return _cached(ring, ("div", e), build)
 
 
 # -- component plumbing -----------------------------------------------
@@ -211,36 +231,32 @@ def _shift_vector(vec: dict, offsets: tuple, table: tuple) -> dict:
     return out
 
 
-def _column_images(ring, source: FreeModule, target: FreeModule,
-                   columns, j: int, action_cache: dict) -> list[dict]:
-    """Images of the piece-j basis of the source."""
-    tgt_offsets = target.offsets(j)
-    out = []
-    for g, d in enumerate(source.degrees):
-        e = j - d
-        basis = _piece(ring, e)
-        if not basis:
-            continue
-        acts = []
-        for tg, p in columns[g].items():
-            key = (g, tg, e)
-            act = action_cache.get(key)
-            if act is None:
-                act = _poly_action(ring, p, e)
-                action_cache[key] = act
-            acts.append((tgt_offsets[tg], act))
-        for local in range(len(basis)):
-            vec: dict = {}
-            for base, act in acts:
-                for ti, c in act[local]:
-                    k = base + ti
-                    v = vec.get(k)
-                    v = c if v is None else v + c
-                    if v:
-                        vec[k] = v
-                    elif k in vec:
-                        del vec[k]
-            out.append(vec)
+def _basis_images(source: FreeModule, target: FreeModule, vectors, j: int,
+                  memo: dict) -> list[dict]:
+    """Images of the piece-j basis of source under the map sending
+    generator g to vectors[g], a vector of target; memo maps j -> images.
+
+    The image of (g, m) with m = x_l * m' is x_l times the image of
+    (g, m'): one shift of an image found before, since m' precedes m in
+    an ungraded piece and lies in the previous piece of a graded ring.
+    """
+    out = memo.get(j)
+    if out is None:
+        ring = source.ring
+        out = memo[j] = []
+        below = _piece_of(ring, j - 1)
+        prev = None
+        for g, d in enumerate(source.degrees):
+            for step in _divisors(ring, j - d):
+                if step is None:
+                    out.append(vectors[g])
+                    continue
+                if prev is None:  # over an ungraded ring, `out` itself
+                    prev = _basis_images(source, target, vectors, below, memo)
+                    prev_offsets = source.offsets(below)
+                    offsets, tables = target.shifts(below)
+                l, i = step
+                out.append(_shift_vector(prev[prev_offsets[g] + i], offsets, tables[l]))
     return out
 
 
@@ -380,11 +396,12 @@ def _q_mode_window(ring: QuotientRing, pres: ModulePresentation,
 class ResolutionData:
     """A minimal free resolution: modules, differentials, Betti numbers.
 
-    `chain` starts at the ambient free module; `maps[p]` holds the
-    polynomial columns of the map chain[p+1] -> chain[p].  For a
-    cokernel the resolved module has chain[0] as its zeroth step; for a
-    submodule the chain is shifted by one and maps[0] is the evaluation
-    into the ambient module.
+    `chain` starts at the ambient free module; `maps[p][g]` is the image
+    of generator g of chain[p+1], a coordinate vector of chain[p] in the
+    piece of that generator's degree.  `differential` turns these into
+    polynomial columns when called.  For a cokernel the resolved module
+    has chain[0] as its zeroth step; for a submodule the chain is shifted
+    by one and maps[0] is the evaluation into the ambient module.
     """
 
     def __init__(self, ring: QuotientRing, pres: ModulePresentation, limit: int):
@@ -406,8 +423,14 @@ class ResolutionData:
         return self.chain[i + self._tor_offset()]
 
     def differential(self, i: int) -> list[dict]:
-        """Columns of the i-th differential of the resolved module, i >= 1."""
-        return self.maps[i - 1 + self._tor_offset()]
+        """Polynomial columns of the i-th differential of the resolved
+        module, i >= 1: one dict {target generator: entry} per source
+        generator."""
+        if not 1 <= i <= self.limit:
+            raise InputError("differential index must lie in 1..%d" % self.limit)
+        p = i - 1 + self._tor_offset()
+        return [_vector_to_column(self.ring, self.chain[p], v, d)
+                for d, v in zip(self.chain[p + 1].degrees, self.maps[p])]
 
     def betti_numbers(self) -> list[int]:
         off = self._tor_offset()
@@ -532,13 +555,11 @@ def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
             if seed and log[-1][3] != len(seed):
                 raise AssertionError("given columns fail to generate their span")
         data.chain.append(FreeModule(ring, [d for d, _v in gens]))
-        data.maps.append([_vector_to_column(ring, ambient, v, d) for d, v in gens])
+        data.maps.append([v for _d, v in gens])
         data.exactness_log.append((tor_of(1), log))
 
     while len(data.chain) - 1 < positions:
         src = data.chain[-1]
-        tgt = data.chain[-2]
-        cols = data.maps[-1]
         pos = len(data.chain)
         if src.rank == 0:
             data.chain.append(FreeModule(ring, []))
@@ -546,11 +567,10 @@ def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
             continue
         jmin = min(src.degrees)
         jmax = window(tor_of(pos), max(src.degrees))
-        action_cache: dict = {}
+        images = partial(_basis_images, src, data.chain[-2], data.maps[-1], memo={})
 
-        def kernel_at(j, _src=src, _tgt=tgt, _cols=cols, _cache=action_cache):
-            images = _column_images(ring, _src, _tgt, _cols, j, _cache)
-            return kernel_of_columns(images, ring.field)
+        def kernel_at(j, _images=images):
+            return kernel_of_columns(_images(j), ring.field)
 
         if ring.graded:
             seed, vectors_at = (), kernel_at
@@ -560,13 +580,12 @@ def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
             seed, vectors_at = kernel, (lambda j, _k=kernel: _k)
         gens, log = _extract(ring, src, jmin, jmax, vectors_at, seed)
         data.exactness_log.append((tor_of(pos), log))
-        new_cols = [_vector_to_column(ring, src, v, d) for d, v in gens]
-        for col in new_cols:
-            for p in col.values():
-                if p.constant_term():
-                    raise AssertionError("resolution lost minimality")
+        for d, v in gens:
+            constants = src.constant_slots(d)
+            if any(k in constants for k in v):
+                raise AssertionError("resolution lost minimality")
         data.chain.append(FreeModule(ring, [d for d, _v in gens]))
-        data.maps.append(new_cols)
+        data.maps.append([v for _d, v in gens])
     return data
 
 
@@ -658,59 +677,45 @@ def tor_map_vanishes(ring: QuotientRing, s: int, b: int, limit: int) -> TorMapRe
     degrees = []
     witnesses = []
     for i in range(limit + 1):
+        target = res_b.chain[i + 1]
         ok = True
-        for gi, col in enumerate(lifts[i + 1]):
-            for bg, p in col.items():
-                c = p.constant_term()
-                if c:
-                    ok = False
-                    witnesses.append((i, gi, bg, repr(c)))
+        for gi, (d, vec) in enumerate(zip(res_s.chain[i + 1].degrees, lifts[i + 1])):
+            constants = target.constant_slots(d)
+            for k in sorted(k for k in vec if k in constants):
+                ok = False
+                witnesses.append((i, gi, constants[k], repr(vec[k])))
         degrees.append(ok)
     return TorMapReport(s, b, limit, all(degrees), tuple(degrees), tuple(witnesses))
 
 
-def _compose_map(ring, lift_prev: list[dict], column: dict) -> dict:
-    """A previously lifted map applied to one differential column."""
-    acc: dict[int, Polynomial] = {}
-    for tg, p in column.items():
-        for bg, q in lift_prev[tg].items():
-            prod = ring.multiply(p, q)
-            if not prod.terms:
-                continue
-            cur = acc.get(bg)
-            acc[bg] = prod if cur is None else cur + prod
-    return {bg: p for bg, p in acc.items() if p.terms}
-
-
 def _lift(ring, res_s, res_b, limit):
+    """Chain map between the two resolutions over the inclusion, as the
+    vectors lifts[p][g] of res_b.chain[p], one per generator g of
+    res_s.chain[p]."""
     # position 0 is the shared ambient copy of R; the lift starts as
     # the identity and is pushed up the two chains one step at a time
-    one = ring.one_poly()
-    lifts = [[{0: one}]]
-    systems: dict = {}
+    lifts = [[_column_component(ring, res_b.chain[0], {0: ring.one_poly()}, 0)]]
     for p in range(1, limit + 2):
-        src = res_s.chain[p]
-        prev = lifts[p - 1]
+        # lift_{p-1} of the piece-d basis, and the differential of res_b
+        composed = partial(_basis_images, res_s.chain[p - 1], res_b.chain[p - 1],
+                           lifts[p - 1], memo={})
+        images = partial(_basis_images, res_b.chain[p], res_b.chain[p - 1],
+                         res_b.maps[p - 1], memo={})
+        systems: dict = {}
         cur = []
-        for gi in range(src.rank):
-            d = src.degrees[gi]
-            target_col = _compose_map(ring, prev, res_s.maps[p - 1][gi])
-            tvec = _column_component(ring, res_b.chain[p - 1], target_col, d)
+        for d, v in zip(res_s.chain[p].degrees, res_s.maps[p - 1]):
+            tvec = vec_combine(v, composed(d))
             if not tvec:
                 cur.append({})
                 continue
-            key = (p, d)
-            system = systems.get(key)
+            system = systems.get(d)
             if system is None:
-                images = _column_images(ring, res_b.chain[p], res_b.chain[p - 1],
-                                        res_b.maps[p - 1], d, {})
-                system = EchelonSolver(ring.field, track=True)
-                for j, col in enumerate(images):
+                system = systems[d] = EchelonSolver(ring.field, track=True)
+                for j, col in enumerate(images(d)):
                     system.add(col, tag=j)
-                systems[key] = system
             sol = system.solve(tvec)
             if sol is None:
                 raise AssertionError("chain map lift failed; resolution not exact")
-            cur.append(_vector_to_column(ring, res_b.chain[p], dict(sol), d))
+            cur.append(sol)
         lifts.append(cur)
     return lifts

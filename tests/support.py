@@ -98,8 +98,12 @@ def random_stretched_spec(rng):
     """p >= 1 so the distinguished cycle exists; resamples singular a."""
     v = rng.randint(2, 4)
     r = rng.randint(1, v - 1)
+    return random_symmetric_spec(rng, v, r, rng.choice((3, 4)))
+
+
+def random_symmetric_spec(rng, v, r, h):
+    """The stretched spec (v, r, h) with a random invertible symmetric a."""
     p = v - r
-    h = rng.choice((3, 4))
     while True:
         rows = [[0] * p for _ in range(p)]
         for i in range(p):

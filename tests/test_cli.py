@@ -112,6 +112,17 @@ def test_budget_exit_code(capsys, monkeypatch):
     assert err == "error: Buchberger pair budget of 0 S-pair reductions exceeded\n"
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # every coordinate counts as a unit entry, so the minimality check of
+    # the second resolution step fails
+    from koszulkit import resolutions
+    monkeypatch.setattr(resolutions.FreeModule, "constant_slots",
+                        lambda self, j: range(10**9))
+    rc, out, err = run(capsys, ["betti", "stretched32", "--of-k", "--limit", "2"])
+    assert rc == 5 and out == ""
+    assert err == "internal error: resolution lost minimality\n"
+
+
 def test_usage_errors_exit_three(capsys):
     for argv in (["check", "p-cond", "case54", "--t", "2", "--r", "1"],
                  ["betti", "case54", "--of-k", "--over-poly"],

@@ -9,7 +9,7 @@ except ImportError:  # only the reference comparison needs it; it skips
 
 from koszulkit.fields import PrimeField, QQ
 from koszulkit.linalg import (EchelonSolver, Subspace, kernel_of_columns,
-                              vec_add_scaled, vec_scale)
+                              vec_add_scaled, vec_combine)
 
 import reference_linalg as ref
 
@@ -22,7 +22,8 @@ def test_vec_helpers_drop_zeros():
     dst = {0: q(1), 1: q(2)}
     vec_add_scaled(dst, q(-1), {1: q(2), 2: q(3)})
     assert dst == {0: q(1), 2: q(-3)}
-    assert vec_scale({0: q(2)}, q(0)) == {}
+    assert vec_combine({0: q(1), 2: q(-1)}, [{0: q(1), 1: q(1)}, None, {1: q(1)}]) == \
+        {0: q(1)}
 
 
 def test_subspace_dim_and_membership():

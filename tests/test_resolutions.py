@@ -1,17 +1,20 @@
+import random
+
 import pytest
 
 from koszulkit import corpus
+from koszulkit.conditions import StretchedSpec, build_stretched_ring
 from koszulkit.errors import InputError, PreconditionError
 from koszulkit.fields import QQ
 from koszulkit.poly import MonomialOrder
 from koszulkit.quotient import QuotientRing
 from koszulkit.resolutions import (ModulePresentation, betti_numbers_k,
                                    betti_table_R_over_Q, minimal_resolution,
-                                   tor_map_vanishes)
+                                   TorMapReport, tor_map_vanishes)
 from koszulkit.ringdef import format_polynomial, parse_polynomial
 from koszulkit.series import poly_mul
 
-from support import GRADED_CORPUS
+from support import GRADED_CORPUS, SEED, random_symmetric_spec
 
 BETTI_K = {
     # ring name -> (limit, betti numbers of k, resolution is linear)
@@ -58,6 +61,9 @@ def test_resolution_accessors(betti_k):
     assert data.module(0).rank == 1
     assert data.module(1).rank == 4
     assert len(data.differential(1)) == 4
+    for i in (0, 7):
+        with pytest.raises(InputError):
+            data.differential(i)
     for _i, log in data.exactness_log:
         for _j, saturated, new, total in log:
             assert total == saturated + new
@@ -162,3 +168,74 @@ def test_tor_map_input_errors():
         tor_map_vanishes(ring, 1, 2, 2)
     with pytest.raises(InputError):
         tor_map_vanishes(ring, 2, 1, -1)
+
+
+_ORACLE_RNG = random.Random(SEED)
+STRETCHED_ORACLE_SPECS = [StretchedSpec(3, 2, 3), StretchedSpec(3, 1, 4),
+                          StretchedSpec(4, 2, 3),
+                          random_symmetric_spec(_ORACLE_RNG, 3, 1, 3),
+                          random_symmetric_spec(_ORACLE_RNG, 4, 2, 4)]
+
+
+@pytest.mark.parametrize("spec", STRETCHED_ORACLE_SPECS,
+                         ids=lambda s: "v%d_r%d_h%d" % (s.v, s.r, s.h))
+def test_stretched_modules_share_one_denominator(spec):
+    # the paper's theorem: over a stretched ring every finitely generated
+    # module has a rational Poincare series with the denominator
+    # 1 - v z + z^2 of the residue field's
+    ring = build_stretched_ring(spec)
+    x1 = ring.variable(0)
+    modules = {
+        "k": ModulePresentation.residue_field(ring),
+        "m": ModulePresentation.power_module(ring, 1),
+        "m^2": ModulePresentation.power_module(ring, 2),
+        "m^(h-1)": ModulePresentation.power_module(ring, spec.h - 1),
+        "R/(x1)": ModulePresentation.cyclic_quotient(ring, [x1]),
+        "R/(x1^2)": ModulePresentation.cyclic_quotient(ring, [x1 * x1]),
+    }
+    for name, pres in modules.items():
+        b = minimal_resolution(ring, pres, 5).betti_numbers()
+        residues = [b[i] - spec.v * b[i - 1] + b[i - 2] for i in range(2, 6)]
+        assert residues == [1 if name == "R/(x1^2)" else 0, 0, 0, 0], (name, b)
+
+
+def _compose(ring, outer: list, column: dict) -> dict:
+    """The map with columns `outer` applied to one polynomial column."""
+    acc: dict = {}
+    for g, p in column.items():
+        for tg, q in outer[g].items():
+            acc[tg] = acc.get(tg, ring.zero_poly()) + ring.multiply(p, q)
+    return {tg: p for tg, p in acc.items() if p.terms}
+
+
+@pytest.mark.parametrize("name", ["case54", "socle4", "stretched22", "stretched32"])
+@pytest.mark.parametrize("module", ["k", "m^2"])
+def test_differentials_compose_to_zero(name, module):
+    # d_i d_{i+1} = 0 from the Polynomial columns alone, through
+    # ring.multiply; minimality: no column entry has a constant term
+    ring = corpus.get_ring(name)
+    pres = (ModulePresentation.residue_field(ring) if module == "k"
+            else ModulePresentation.power_module(ring, 2))
+    data = minimal_resolution(ring, pres, 3)
+    for i in range(1, 4):
+        cols = data.differential(i)
+        assert len(cols) == data.module(i).rank
+        assert all(tg < data.module(i - 1).rank and p.terms and not p.constant_term()
+                   for col in cols for tg, p in col.items())
+    for i in range(1, 3):
+        outer = data.differential(i)
+        assert all(not _compose(ring, outer, col) for col in data.differential(i + 1))
+
+
+def test_tor_map_reports_pinned():
+    # the identity m^2 -> m^2 over socle4 reduces to the identity matrix
+    ranks = (10, 33, 167)
+    one = "Fraction(1, 1)"
+    assert tor_map_vanishes(corpus.get_ring("socle4"), 2, 2, 2) == TorMapReport(
+        2, 2, 2, False, (False, False, False),
+        tuple((i, g, g, one) for i, rank in enumerate(ranks) for g in range(rank)))
+    ring = build_stretched_ring(StretchedSpec(3, 1, 3, a=((1, -1), (-1, 0))))
+    minus = "Fraction(-1, 1)"
+    assert tor_map_vanishes(ring, 3, 2, 2) == TorMapReport(
+        3, 2, 2, False, (True, False, False),
+        ((1, 0, 2, minus), (2, 0, 6, minus), (2, 1, 7, minus)))
