@@ -20,6 +20,14 @@ vectors enter or leave it.
   (the combination likewise) and D := (P/g) D, then divides V, C and D
   by their common gcd: fraction-free elimination with one content gcd
   per row operation (Bareiss 1968 in its simplest form).
+
+A vector that matters only up to a nonzero scale, such as one spanning
+a saturation, can skip the field altogether: `EchelonSolver.add_ints`
+takes an int dict (residues over GF(p), integers over Q) and stores it
+with the same elimination and the same normalised rows as `add`.
+`int_kernel` returns the null basis as int vectors known up to scale;
+`kernel_of_columns` is a thin wrapper that turns them into field
+vectors.
 """
 
 from __future__ import annotations
@@ -193,30 +201,12 @@ class EchelonSolver:
 
     def _to_field(self, vec: dict, D: int, sign: int = 1) -> dict:
         """The field vector sign * vec / D."""
-        p = self._p
-        if p:
-            return {c: GFElement(p, sign * x) for c, x in vec.items()}
-        if D == 1:
-            return {c: rational(sign * x) for c, x in vec.items()}
-        return {c: rational(sign * x, D) for c, x in vec.items()}
+        return _field_vector(self._p, vec, D, sign)
 
-    def add(self, vec: dict, tag: Hashable = None):
-        """Insert a vector into the echelon.
-
-        Returns None when the vector was independent (a new pivot row).
-        Otherwise returns the dependency: a dict {tag: coeff} with
-        vec = sum(coeff * previously added vector).  Requires track=True
-        for a meaningful dependency; untracked solvers return {}.
-        """
-        if not vec:
-            return {}
-        V, C, D = self.reduce(vec, {tag: 1} if self.track else None)
-        if not V:
-            if C is None:
-                return {}
-            # 0 = vec + sum over earlier tags, so vec = -that sum
-            C.pop(tag, None)
-            return self._to_field(C, D, -1)
+    def _store(self, V: dict, C) -> None:
+        """Normalise a nonzero remainder V (and its combination C) and
+        store it as the row of its pivot: pivot residue 1 over GF(p),
+        content 1 and a positive pivot entry over Q."""
         pivot = min(V)
         p = self._p
         if p:
@@ -239,7 +229,48 @@ class EchelonSolver:
         self._rows[pivot] = V
         if C is not None:
             self._combos[pivot] = C
+
+    def add(self, vec: dict, tag: Hashable = None):
+        """Insert a vector into the echelon.
+
+        Returns None when the vector was independent (a new pivot row).
+        Otherwise returns the dependency: a dict {tag: coeff} with
+        vec = sum(coeff * previously added vector).  Requires track=True
+        for a meaningful dependency; untracked solvers return {}.
+        """
+        if not vec:
+            return {}
+        V, C, D = self.reduce(vec, {tag: 1} if self.track else None)
+        if not V:
+            if C is None:
+                return {}
+            # 0 = vec + sum over earlier tags, so vec = -that sum
+            C.pop(tag, None)
+            return self._to_field(C, D, -1)
+        self._store(V, C)
         return None
+
+    def add_ints(self, V: dict) -> bool:
+        """Insert an int vector that matters only up to a nonzero scale:
+        residues over GF(p), integers over Q.  Consumes V; True if it was
+        independent.  Only for untracked solvers."""
+        p = self._p
+        if p:
+            _eliminate_mod_p(V, None, p, self._rows, self._combos)
+        else:
+            V = _eliminate_q(V, None, 1, self._rows, self._combos)[0]
+        if not V:
+            return False
+        self._store(V, None)
+        return True
+
+    def has_pivot(self, c: int) -> bool:
+        return c in self._rows
+
+    def int_rows(self) -> list[dict]:
+        """The stored int rows in insertion order; each is the field row
+        up to scale, and none is ever changed once stored."""
+        return list(self._rows.values())
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)[0]
@@ -325,6 +356,45 @@ class Subspace:
         return s
 
 
+def _field_vector(p: int, vec: dict, D: int, sign: int = 1) -> dict:
+    """The field vector sign * vec / D of an int vector, over GF(p) for
+    p > 0 and over Q for p = 0."""
+    if p:
+        return {c: GFElement(p, sign * x) for c, x in vec.items()}
+    if D == 1:
+        return {c: rational(sign * x) for c, x in vec.items()}
+    return {c: rational(sign * x, D) for c, x in vec.items()}
+
+
+def int_kernel(columns: list[dict], field) -> list[tuple[int, dict]]:
+    """Null space of the linear map whose j-th column is columns[j], as
+    pairs (f, C) in ascending order of the free index f.
+
+    C is an int vector (residues over GF(p), integers without common
+    factor over Q) whose field value C / C[f] is the reduced-echelon null
+    vector of free column f: coefficient one at f, zero at every other
+    free column.
+    """
+    solver = EchelonSolver(field, track=True)
+    kernel = []
+    for f, col in enumerate(columns):
+        V, C, _D = solver.reduce(col, {f: 1})
+        if V:
+            solver._store(V, C)
+        else:
+            kernel.append((f, C))  # C[f] is the common denominator _D
+    return kernel
+
+
+def kernel_vector(f: int, C: dict, field) -> dict:
+    """The field vector of an `int_kernel` pair: entries in the order of
+    C, except that the coefficient one at f comes last."""
+    vec = _field_vector(field.char, C, C[f])
+    del vec[f]
+    vec[f] = field.one
+    return vec
+
+
 def kernel_of_columns(columns: list[dict], field) -> list[dict]:
     """Null space of the linear map whose j-th column is columns[j].
 
@@ -332,13 +402,4 @@ def kernel_of_columns(columns: list[dict], field) -> list[dict]:
     their leading (free) index; each has coefficient one there.  This is
     the reduced-echelon null basis with free variables set to zero.
     """
-    solver = EchelonSolver(field, track=True)
-    kernel = []
-    one = field.one
-    for j, col in enumerate(columns):
-        dep = solver.add(col, tag=j)
-        if dep is not None:
-            vec = {t: -c for t, c in dep.items()}
-            vec[j] = one
-            kernel.append(vec)
-    return kernel
+    return [kernel_vector(f, C, field) for f, C in int_kernel(columns, field)]

@@ -4,13 +4,29 @@ One engine serves every ring.  R splits into finite-dimensional pieces:
 over a graded ring piece e is the degree-e component and x_l maps piece
 e into piece e+1; an ungraded artinian ring is the single piece 0, which
 holds every standard monomial and which each x_l maps into itself.  A
-resolution is swept piece by piece: in each piece the kernel of the
+resolution is swept piece by piece: in each piece the kernel K_j of the
 current differential is computed, and the minimal generators are the
-kernel vectors not reached by the variables times the previous piece.
-Only the sparse vectors that grew a piece's span are carried forward
-(La Scala-Stillman, J. Symb. Comput. 1998).  The single ungraded piece
-has no predecessor, so its sweep starts from a spanning set of the
-whole submodule instead.
+kernel vectors not reached by the variables times the previous piece
+(La Scala-Stillman, J. Symb. Comput. 1998, on sparse spanning sets in a
+degree sweep).  The single ungraded piece has no predecessor: there the
+kernel itself is the previous piece.
+
+Generators are read off pivots.  The kernel comes as the reduced null
+basis: vector f has coefficient one at its free column f and zero at the
+other free columns, so a vector of K_j is fixed by its free coordinates.
+The products x_l * k for k in a basis of the previous piece's kernel are
+restricted to those coordinates and echeloned with the largest free
+column as pivot; kernel vector f is a new generator exactly when f is not
+a pivot, which is the greedy rule "f lies outside span(m K) plus the
+span of the kernel vectors before it".
+
+The feed of that saturation is all ints: a kernel vector matters only up
+to scale, so it stays an int vector (residues over GF(p), a primitive
+integer vector over Q), and one pass over its coordinates yields all n
+products from int action tables, scaled over Q by one common
+denominator per piece.  Field vectors are built only for the generators.
+The first step resolves the given columns; it keeps the greedy test
+against the same saturation.
 
 A differential is kept as the coordinate vectors the sweep found: the
 image of each generator as a vector of the target.  The image of x_l*m
@@ -33,10 +49,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
+from math import lcm
 from typing import Callable, Optional, Sequence
 
-from .errors import InputError, NotArtinianError, PreconditionError
-from .linalg import EchelonSolver, Subspace, kernel_of_columns, vec_combine
+from .errors import BudgetError, InputError, NotArtinianError, PreconditionError
+# kernel_of_columns is not called here, but stays a name of this module
+# for tools that wrap it in every module that imports it
+from .linalg import (EchelonSolver, int_kernel, kernel_of_columns,  # noqa: F401
+                     kernel_vector, vec_combine)
 from .poly import Polynomial
 from .quotient import QuotientRing
 from .tables import BettiTable
@@ -91,6 +111,12 @@ class ModulePresentation:
                         relations: Sequence[Polynomial]) -> "ModulePresentation":
         cols = tuple((r,) for r in relations)
         return cls(ring, "cokernel", 1, (0,), cols, kind="cyclic")
+
+
+# Source coordinates one resolution step may hold: the sum over its
+# degree window of rank times piece dimension.  A larger step raises
+# BudgetError before its kernel is computed.
+RESOLUTION_BUDGET = 150000
 
 
 # -- pieces -----------------------------------------------------------
@@ -171,6 +197,31 @@ class FreeModule:
             self._shifts[j] = cached
         return cached
 
+    def dim(self, j: int) -> int:
+        """Dimension of piece j."""
+        return sum(len(_piece(self.ring, j - d)) for d in self.degrees)
+
+    def int_shifts(self, j: int):
+        """Offsets of piece j and, per generator, (source offset, target
+        offset, int action of all variables) for `_shift_all`.
+
+        Over Q all blocks share one scale, the lcm of the denominators of
+        every block's action, so x_l times an int vector is one integer
+        multiple of its true value; a scale per block would break that
+        proportionality.  Over GF(p) the tables hold residues.  A sweep
+        saturates each piece once, so the result is not cached.
+        """
+        ring = self.ring
+        src = self.offsets(j)
+        tgt = self.offsets(_piece_of(ring, j + 1))
+        scale = 1
+        if not ring.field.char:
+            scale = lcm(*(c.denominator for e in set(j - d for d in self.degrees)
+                          for l in range(ring.n) for act in _var_action(ring, l, e)
+                          for _ti, c in act))
+        return src, tuple((src[g], tgt[g], _int_action(ring, j - d, scale))
+                          for g, d in enumerate(self.degrees))
+
     def constant_slots(self, j: int) -> dict:
         """Coordinate of the constant monomial in piece j -> its generator.
 
@@ -195,6 +246,21 @@ def _var_action(ring: QuotientRing, l: int, e: int):
         return tuple(tuple((index[bm], bc) for bm, bc in ring.mono_product(x, m).terms)
                      for m in _piece(ring, e))
     return _cached(ring, ("x", l, e), build)
+
+
+def _int_action(ring: QuotientRing, e: int, scale: int) -> tuple:
+    """Per monomial of piece e, the (l, target position, coefficient)
+    triples of x_1 .. x_n times it: coefficients are residues over GF(p)
+    and `scale` times their value over Q."""
+    def build():
+        p = ring.field.char
+        out = [[] for _m in _piece(ring, e)]
+        for l in range(ring.n):
+            for entries, act in zip(out, _var_action(ring, l, e)):
+                entries.extend((l, ti, c.v if p else c.numerator * (scale // c.denominator))
+                               for ti, c in act)
+        return tuple(map(tuple, out))
+    return _cached(ring, ("xint", e, scale), build)
 
 
 def _divisors(ring: QuotientRing, e: int) -> tuple:
@@ -229,6 +295,47 @@ def _shift_vector(vec: dict, offsets: tuple, table: tuple) -> dict:
             elif k in out:
                 del out[k]
     return out
+
+
+def _shift_all(vec: dict, offsets: tuple, blocks: tuple, p: int,
+               keep: Optional[dict] = None) -> list[dict]:
+    """The nonzero ones among x_1 * vec, ..., x_n * vec for an int vector,
+    each up to the scale of the tables from FreeModule.int_shifts; one
+    pass over vec, with one bisect per coordinate.  With `keep`, only
+    target coordinates k in keep survive, renamed keep[k]."""
+    outs: dict = {}  # l -> x_l * vec; most products of a sweep are zero
+    for coord, coeff in vec.items():
+        src, tgt, act = blocks[bisect_right(offsets, coord) - 1]
+        for l, ti, c in act[coord - src]:
+            out = outs.get(l)
+            if out is None:
+                out = outs[l] = {}
+            k = tgt + ti
+            out[k] = out.get(k, 0) + coeff * c
+    result = []
+    for out in outs.values():
+        if keep is not None:
+            out = {keep[k]: x for k, x in out.items() if k in keep}
+        if p:
+            out = {k: r for k, x in out.items() if (r := x % p)}
+        else:
+            out = {k: x for k, x in out.items() if x}
+        if out:
+            result.append(out)
+    return result
+
+
+def _saturate(span: EchelonSolver, module: FreeModule, piece: int, feed,
+              keep: Optional[dict] = None) -> None:
+    """Insert x_l * v into span for every int vector v of feed, a list
+    of vectors of the given piece of module, and every variable x_l."""
+    if not feed:
+        return
+    offsets, blocks = module.int_shifts(piece)
+    p = module.ring.field.char
+    for v in feed:
+        for w in _shift_all(v, offsets, blocks, p, keep):
+            span.add_ints(w)
 
 
 def _basis_images(source: FreeModule, target: FreeModule, vectors, j: int,
@@ -464,56 +571,83 @@ class ResolutionData:
 # -- the engine -------------------------------------------------------
 
 
-def _extract(ring, module: FreeModule, jmin: int, jmax: int, vectors_at, seed):
-    """Sweep pieces jmin..jmax collecting generators not absorbed by saturation.
+def _extract(module: FreeModule, jmin: int, jmax: int, vectors_at, seed):
+    """Step one: sweep pieces jmin..jmax collecting the given vectors not
+    absorbed by saturation.
 
-    Piece j is first saturated with x_l times the feed: the vectors that
-    grew the previous piece's span, or for piece jmin the vectors of
-    `seed`, which lie in piece jmin itself.  The generators are the
-    vectors of vectors_at(j) that still grow the span.  Returns
-    (piece, vector) pairs plus a per-piece log of (j, saturated dim,
-    new, total).
+    Piece j is first saturated with x_l times a spanning set of the
+    previous piece's span, or for piece jmin with x_l times the int
+    vectors of `seed`, which lie in piece jmin itself.  The generators
+    are the vectors of vectors_at(j) that still grow the span.  Returns
+    (piece, vector) pairs plus a per-piece log of (j, saturated dim, new,
+    total).
     """
     gens = []
     log = []
     feed, feed_piece = seed, jmin
     for j in range(jmin, jmax + 1):
-        keep = j < jmax  # the grown vectors feed the next piece
-        grown = []
-        span = Subspace(ring.field)
-        offsets, tables = module.shifts(feed_piece)
-        for v in feed:
-            for table in tables:
-                w = _shift_vector(v, offsets, table)
-                if w and span.extend(w) and keep:
-                    grown.append(w)
-        sat_dim = span.dim
-        before = len(gens)
-        for v in vectors_at(j):
-            if span.extend(v):
-                gens.append((j, v))
-                if keep:
-                    grown.append(v)
-        log.append((j, sat_dim, len(gens) - before, span.dim))
-        feed, feed_piece = grown, j
+        span = EchelonSolver(module.ring.field)
+        _saturate(span, module, feed_piece, feed)
+        sat_dim = span.rank
+        new = [v for v in vectors_at(j) if span.add(v) is None]
+        gens.extend((j, v) for v in new)
+        log.append((j, sat_dim, len(new), span.rank))
+        feed, feed_piece = span.int_rows(), j
     return gens, log
 
 
 def _closure(module: FreeModule, vectors) -> list[dict]:
-    """Independent vectors spanning the submodule that `vectors` generate
-    inside the single piece 0 of an ungraded ring."""
-    span = Subspace(module.ring.field)
-    grown = [v for v in vectors if span.extend(v)]
-    queue = list(grown)
-    offsets, tables = module.shifts(0)
-    while queue:
-        v = queue.pop()
-        for table in tables:
-            w = _shift_vector(v, offsets, table)
-            if w and span.extend(w):
-                queue.append(w)
-                grown.append(w)
-    return grown
+    """Independent int vectors spanning the submodule that `vectors`
+    generate inside the single piece 0 of an ungraded ring."""
+    span = EchelonSolver(module.ring.field)
+    for v in vectors:
+        span.add(v)
+    done = 0
+    while done < span.rank:
+        rows = span.int_rows()
+        _saturate(span, module, 0, rows[done:])
+        done = len(rows)
+    return span.int_rows()
+
+
+def _sweep(src: FreeModule, jmin: int, jmax: int, images):
+    """Every step after the first: the minimal generators of the kernel
+    of the map whose piece-j basis images are images(j).
+
+    Kernel vector f of piece j (free column f, see `int_kernel`) is a new
+    generator iff it lies outside span(m K_j) + span(kernel vectors
+    before f).  A kernel vector is fixed by its free coordinates, so
+    restrict x_l times a basis of the previous piece's kernel to them
+    and name free column f by -f: the echelon then pivots on the largest
+    free column, and f is a new generator iff it is not a pivot.
+    Returns (piece, field vector) pairs plus the per-piece log.
+    """
+    ring = src.ring
+    field = ring.field
+    gens = []
+    log = []
+    below = int_kernel(images(_piece_of(ring, jmin - 1)), field)
+    for j in range(jmin, jmax + 1):
+        # an ungraded ring's single piece feeds itself
+        kernel = int_kernel(images(j), field) if ring.graded else below
+        span = EchelonSolver(field)
+        _saturate(span, src, _piece_of(ring, j - 1), [C for _f, C in below],
+                  {f: -f for f, _C in kernel})
+        new = [(f, C) for f, C in kernel if not span.has_pivot(-f)]
+        log.append((j, span.rank, len(new), len(kernel)))
+        # keep only the next piece's feed, and drop each int vector once
+        # its generator's field vector is built
+        below = kernel if j < jmax else ()
+        del span, kernel
+        new.reverse()
+        constants = src.constant_slots(j)
+        while new:
+            f, C = new.pop()
+            vec = kernel_vector(f, C, field)
+            if any(k in constants for k in vec):
+                raise AssertionError("resolution lost minimality")
+            gens.append((j, vec))
+    return gens, log
 
 
 def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
@@ -550,7 +684,7 @@ def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
         gens, log = [], []
         if by_piece:
             seed = () if ring.graded else _closure(ambient, by_piece[0])
-            gens, log = _extract(ring, ambient, min(by_piece), max(by_piece),
+            gens, log = _extract(ambient, min(by_piece), max(by_piece),
                                  lambda j: by_piece.get(j, ()), seed)
             if seed and log[-1][3] != len(seed):
                 raise AssertionError("given columns fail to generate their span")
@@ -567,23 +701,14 @@ def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
             continue
         jmin = min(src.degrees)
         jmax = window(tor_of(pos), max(src.degrees))
+        source_dim = sum(src.dim(j) for j in range(jmin, jmax + 1))
+        if source_dim > RESOLUTION_BUDGET:
+            raise BudgetError(
+                "resolution budget of %d source coordinates per step exceeded: "
+                "step %d needs %d" % (RESOLUTION_BUDGET, tor_of(pos), source_dim))
         images = partial(_basis_images, src, data.chain[-2], data.maps[-1], memo={})
-
-        def kernel_at(j, _images=images):
-            return kernel_of_columns(_images(j), ring.field)
-
-        if ring.graded:
-            seed, vectors_at = (), kernel_at
-        else:
-            # the kernel is already a submodule: it seeds its own piece
-            kernel = kernel_at(0)
-            seed, vectors_at = kernel, (lambda j, _k=kernel: _k)
-        gens, log = _extract(ring, src, jmin, jmax, vectors_at, seed)
+        gens, log = _sweep(src, jmin, jmax, images)
         data.exactness_log.append((tor_of(pos), log))
-        for d, v in gens:
-            constants = src.constant_slots(d)
-            if any(k in constants for k in v):
-                raise AssertionError("resolution lost minimality")
         data.chain.append(FreeModule(ring, [d for d, _v in gens]))
         data.maps.append([v for _d, v in gens])
     return data

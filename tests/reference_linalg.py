@@ -104,6 +104,9 @@ class Subspace:
     def dim(self) -> int:
         return self._solver.rank
 
+    def extend(self, vec: dict) -> bool:
+        return self._solver.add(vec) is None
+
     def reduce(self, vec: dict) -> dict:
         return self._solver.reduce(vec, None)[0]
 

@@ -242,3 +242,16 @@ def test_huge_prime_modulus_is_decided_fast(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(ring % 10**24))
     rc, _out, err = run(capsys, ["gb", "-"])
     assert rc == 3 and "bound of the proven primality test" in err
+
+
+def test_resolution_budget_stops_a_huge_sweep(monkeypatch):
+    # step 12 of k over case54 has 221184 source coordinates; the step is
+    # refused before its kernel is computed, so the run ends well inside
+    # the timeout instead of sweeping for hours
+    _child_imports_this_koszulkit(monkeypatch)
+    proc = subprocess.run([sys.executable, "-m", "koszulkit", "betti", "case54",
+                           "--of-k", "--limit", "40"],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr == ("error: resolution budget of 150000 source coordinates "
+                           "per step exceeded: step 12 needs 221184\n")

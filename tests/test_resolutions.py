@@ -1,12 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # only the reference comparison needs it; it skips
+    pass
 
 from koszulkit import corpus
 from koszulkit.conditions import StretchedSpec, build_stretched_ring
 from koszulkit.errors import InputError, PreconditionError
-from koszulkit.fields import QQ
-from koszulkit.poly import MonomialOrder
+from koszulkit.fields import PrimeField, QQ
+from koszulkit.poly import MonomialOrder, Polynomial, monomials_of_degree
 from koszulkit.quotient import QuotientRing
 from koszulkit.resolutions import (ModulePresentation, betti_numbers_k,
                                    betti_table_R_over_Q, minimal_resolution,
@@ -14,6 +20,8 @@ from koszulkit.resolutions import (ModulePresentation, betti_numbers_k,
 from koszulkit.ringdef import format_polynomial, parse_polynomial
 from koszulkit.series import poly_mul
 
+from reference_linalg import Subspace
+from reference_resolutions import piece_images, reference_resolution
 from support import GRADED_CORPUS, SEED, random_symmetric_spec
 
 BETTI_K = {
@@ -239,3 +247,96 @@ def test_tor_map_reports_pinned():
     assert tor_map_vanishes(ring, 3, 2, 2) == TorMapReport(
         3, 2, 2, False, (True, False, False),
         ((1, 0, 2, minus), (2, 0, 6, minus), (2, 1, 7, minus)))
+
+
+def _literal(vectors):
+    return [[list(v.items()) for v in step] for step in vectors]
+
+
+def _artinian_rings(field, coefficients):
+    """A graded ring in 2-3 variables with 1-3 quadrics plus m^3, and its
+    ungraded twin: r0 + r1*x_n replaces r0, which keeps the ideal."""
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(2, 3))
+        grl = MonomialOrder("grevlex")
+        quads = list(monomials_of_degree(n, 2))
+        coeff = st.sampled_from(coefficients)
+        quadrics = []
+        for _ in range(draw(st.integers(1, 3))):
+            terms = [(m, field.of(c)) for m, c in zip(quads, draw(
+                st.lists(coeff, min_size=len(quads), max_size=len(quads))))]
+            quadrics.append(Polynomial(n, field, grl, [(m, c) for m, c in terms if c]))
+        cubes = [Polynomial.from_monomial(n, field, grl, m) for m in monomials_of_degree(n, 3)]
+        rels = [q for q in quadrics if q] + cubes
+        names = tuple("xyz"[:n])
+        ring = QuotientRing(field, names, rels, grl)
+        twin = QuotientRing(field, names,
+                            [rels[0] + rels[1] * ring.variable(n - 1)] + rels[1:], grl)
+        return ring, twin
+
+    return build()
+
+
+RANDOM_RING_FIELDS = {
+    # fractions put denominators into the action tables of the sweep
+    "Q": (QQ, [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]),
+    "GF32003": (PrimeField(32003), [0, 0, 1, -1, 2, 16002, 31999]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
+def test_pivot_read_off_matches_greedy_reference(name):
+    # the engine reads minimal generators off pivots; the reference applies
+    # the greedy rule to Polynomial columns, so maps (values and entry
+    # order) and the exactness logs must agree literally
+    pytest.importorskip("hypothesis")
+    field, coefficients = RANDOM_RING_FIELDS[name]
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(_artinian_rings(field, coefficients))
+    def check(rings):
+        for ring in rings:
+            for pres in (ModulePresentation.residue_field(ring),
+                         ModulePresentation.cyclic_quotient(ring, [ring.variable(0)])):
+                data = minimal_resolution(ring, pres, 3)
+                maps, log = reference_resolution(data)
+                assert _literal(data.maps) == _literal(maps)
+                assert data.exactness_log == log
+
+    check()
+
+
+def _piece_rank(ring, source_degrees, target_degrees, columns, j):
+    """Rank and source dimension of one differential on piece j."""
+    images = piece_images(ring, source_degrees, target_degrees, columns, j)
+    return Subspace(ring.field, images).dim, len(images)
+
+
+EXACTNESS_CASES = [(name, module, 3) for name in ("case54", "socle4", "stretched22",
+                                                  "stretched32")
+                   for module in ("k", "m^2")] + [("case66", "k", 3)]
+
+
+@pytest.mark.parametrize("name,module,limit", EXACTNESS_CASES)
+def test_resolutions_are_exact(name, module, limit):
+    # exactness beyond d d = 0: on every piece, rank d_{i+1} equals the
+    # nullity of d_i, both from the Polynomial columns of differential()
+    ring = corpus.get_ring(name)
+    pres = (ModulePresentation.residue_field(ring) if module == "k"
+            else ModulePresentation.power_module(ring, 2))
+    data = minimal_resolution(ring, pres, limit)
+    for i in range(1, limit):
+        degrees = [data.module(k).degrees for k in (i - 1, i, i + 1)]
+        if not ring.graded:
+            pieces = [0]
+        elif ring.is_artinian:
+            pieces = range(min(degrees[1], default=0), max(degrees[1], default=0)
+                           + ring.top_degree + 1)
+        else:  # two pieces past the last generator of step i + 1
+            pieces = range(min(degrees[1], default=0), max(degrees[2], default=0) + 3)
+        for j in pieces:
+            rank_i, dim = _piece_rank(ring, degrees[1], degrees[0], data.differential(i), j)
+            rank_next, _ = _piece_rank(ring, degrees[2], degrees[1],
+                                       data.differential(i + 1), j)
+            assert rank_next == dim - rank_i, (i, j)
