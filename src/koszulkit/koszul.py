@@ -17,8 +17,8 @@ import itertools
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotACycleError, NotArtinianError, PreconditionError
-from .linalg import EchelonSolver, Subspace, kernel_of_columns, vec_combine
-from .poly import Monomial, Polynomial
+from .linalg import EchelonSolver, Subspace, kernel_of_columns, vec_add_terms, vec_combine
+from .poly import Polynomial
 from .quotient import QuotientRing
 
 
@@ -120,15 +120,8 @@ class KoszulElement:
         if not isinstance(other, KoszulElement):
             return NotImplemented
         self._check_ring(other)
-        terms = dict(self.terms)
-        for key, poly in other.terms.items():
-            cur = terms.get(key)
-            s = poly if cur is None else cur + poly
-            if s.terms:
-                terms[key] = s
-            elif key in terms:
-                del terms[key]
-        return KoszulElement(self.ring, terms, normalize=False)
+        return KoszulElement(self.ring, vec_add_terms(dict(self.terms), other.terms.items()),
+                             normalize=False)
 
     __radd__ = __add__
 
@@ -154,24 +147,17 @@ class KoszulElement:
             return NotImplemented
         self._check_ring(other)
         ring = self.ring
-        acc: dict = {}
-        for s, p in self.terms.items():
-            for t, q in other.terms.items():
-                merged, sign = _merge_sign(s, t)
-                if merged is None:
-                    continue
-                prod = ring.multiply(p, q)
-                if not prod.terms:
-                    continue
-                if sign < 0:
-                    prod = -prod
-                cur = acc.get(merged)
-                tot = prod if cur is None else cur + prod
-                if tot.terms:
-                    acc[merged] = tot
-                elif merged in acc:
-                    del acc[merged]
-        return KoszulElement(ring, acc, normalize=False)
+
+        def products():
+            for s, p in self.terms.items():
+                for t, q in other.terms.items():
+                    merged, sign = _merge_sign(s, t)
+                    if merged is not None:
+                        prod = ring.multiply(p, q)
+                        if prod.terms:
+                            yield merged, (-prod if sign < 0 else prod)
+
+        return KoszulElement(ring, vec_add_terms({}, products()), normalize=False)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Polynomial)):
@@ -181,22 +167,15 @@ class KoszulElement:
     def diff(self) -> "KoszulElement":
         """The Koszul differential: d(Ti) = xi, extended by Leibniz."""
         ring = self.ring
-        acc: dict = {}
-        for key, poly in self.terms.items():
-            for pos, idx in enumerate(key):
-                coeff = ring.multiply(ring.variable(idx), poly)
-                if not coeff.terms:
-                    continue
-                if pos % 2:
-                    coeff = -coeff
-                sub = key[:pos] + key[pos + 1:]
-                cur = acc.get(sub)
-                tot = coeff if cur is None else cur + coeff
-                if tot.terms:
-                    acc[sub] = tot
-                elif sub in acc:
-                    del acc[sub]
-        return KoszulElement(ring, acc, normalize=False)
+
+        def faces():
+            for key, poly in self.terms.items():
+                for pos, idx in enumerate(key):
+                    coeff = ring.multiply(ring.variable(idx), poly)
+                    if coeff.terms:
+                        yield key[:pos] + key[pos + 1:], (-coeff if pos % 2 else coeff)
+
+        return KoszulElement(ring, vec_add_terms({}, faces()), normalize=False)
 
     def is_cycle(self) -> bool:
         return self.diff().is_zero()
@@ -225,44 +204,48 @@ def _coerce(ring, value) -> KoszulElement:
 
 
 class Piece:
-    """Coordinates for a finite-dimensional slice of the complex.
+    """Coordinates for a finite-dimensional slice of K_i.
 
-    Basis vectors are (standard monomial, exterior monomial) pairs;
-    monomials run largest-first in the ring's order, exterior tuples in
-    ascending lexicographic order.
+    A basis vector is a pair (standard monomial of one piece of the ring,
+    exterior monomial of length i); the pair of monomial position a and
+    exterior position b has coordinate a * len(exts) + b.  Monomials run
+    in the ring piece's order, exterior tuples in ascending lexicographic
+    order.
     """
 
-    def __init__(self, ring: QuotientRing, hom_degree: int,
-                 coords: list[tuple[Monomial, tuple]]):
+    def __init__(self, ring: QuotientRing, hom_degree: int, ring_piece):
         self.ring = ring
         self.hom_degree = hom_degree
-        self.coords = coords
-        self.index = {c: i for i, c in enumerate(coords)}
+        self.ring_piece = ring_piece
+        self.monos = ring.piece(ring_piece)
+        self.exts = exterior_monomials(ring.n, hom_degree) if 0 <= hom_degree <= ring.n else []
+        self.ext_index = {ext: b for b, ext in enumerate(self.exts)}
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.monos) * len(self.exts)
 
     def vector_of(self, el: KoszulElement) -> dict:
+        index = self.ring.piece_index(self.ring_piece)
+        width = len(self.exts)
         vec = {}
         for key, poly in el.terms.items():
+            b = self.ext_index.get(key)
             for mono, coeff in poly.terms:
-                i = self.index.get((mono, key))
-                if i is None:
+                a = index.get(mono)
+                if a is None or b is None:
                     raise ValueError("element does not lie in this piece")
-                vec[i] = coeff
+                vec[a * width + b] = coeff
         return vec
 
     def element_of(self, vec: dict) -> KoszulElement:
         ring = self.ring
-        acc: dict = {}
-        for i, coeff in vec.items():
-            mono, key = self.coords[i]
-            poly = Polynomial.from_monomial(ring.n, ring.field, ring.order, mono, coeff)
-            cur = acc.get(key)
-            acc[key] = poly if cur is None else cur + poly
-        return KoszulElement(ring, {k: p for k, p in acc.items() if p.terms},
-                             normalize=False)
+        width = len(self.exts)
+        terms: dict = {}
+        for k, coeff in vec.items():
+            terms.setdefault(self.exts[k % width], []).append((self.monos[k // width], coeff))
+        return KoszulElement(ring, {key: Polynomial(ring.n, ring.field, ring.order, t)
+                                    for key, t in terms.items()}, normalize=False)
 
 
 def exterior_monomials(n: int, length: int) -> list[tuple]:
@@ -273,47 +256,31 @@ def component_piece(ring: QuotientRing, i: int, j: int) -> Piece:
     """Basis of the bidegree (i, j) component for a graded ring."""
     if not ring.graded:
         raise PreconditionError("bigraded pieces need a graded ring")
-    coords = []
-    if 0 <= i <= ring.n and j - i >= 0:
-        exts = exterior_monomials(ring.n, i)
-        for mono in ring.std_basis(j - i):
-            for ext in exts:
-                coords.append((mono, ext))
-    return Piece(ring, i, coords)
+    return Piece(ring, i, j - i)
 
 
 def full_piece(ring: QuotientRing, i: int) -> Piece:
     """Basis of all of K_i for an artinian ring."""
     ring.require_artinian("whole Koszul components")
-    coords = []
-    if 0 <= i <= ring.n:
-        exts = exterior_monomials(ring.n, i)
-        for mono in ring.std_monomials:
-            for ext in exts:
-                coords.append((mono, ext))
-    return Piece(ring, i, coords)
+    return Piece(ring, i, ring.whole_piece)
 
 
 def differential_columns(ring: QuotientRing, source: Piece, target: Piece) -> list[dict]:
-    """Matrix of the differential, one sparse column per source coordinate."""
-    columns = []
-    tindex = target.index
-    for mono, key in source.coords:
-        col: dict = {}
-        for pos, idx in enumerate(key):
-            prod = ring.mono_product(ring._var_monomial(idx), mono)
-            sign = -1 if pos % 2 else 1
-            sub = key[:pos] + key[pos + 1:]
-            for m, c in prod.terms:
-                ti = tindex[(m, sub)]
-                v = col.get(ti)
-                v = (sign * c) if v is None else v + sign * c
-                if v:
-                    col[ti] = v
-                elif ti in col:
-                    del col[ti]
-        columns.append(col)
-    return columns
+    """Matrix of the differential, one sparse column per source coordinate.
+
+    d(m T_s) is the sum over the positions of s of the signed x_l m
+    T_(s without l), with x_l m read off the ring's table of x_l; target
+    is the piece of K_(i-1) on the next ring piece.
+    """
+    if not source.dim:
+        return []
+    width = len(target.exts)
+    faces = [[(l, -1 if pos % 2 else 1, target.ext_index[key[:pos] + key[pos + 1:]])
+              for pos, l in enumerate(key)] for key in source.exts]
+    acts = [ring.var_action(l, source.ring_piece) for l in range(ring.n)]
+    return [vec_add_terms({}, ((ti * width + b, sign * c)
+                               for l, sign, b in face for ti, c in acts[l][a]))
+            for a in range(len(source.monos)) for face in faces]
 
 
 class HomologyPiece:
@@ -389,9 +356,8 @@ class HomologyAlgebra:
     def _compute_piece(self, i: int, j: int) -> HomologyPiece:
         ring = self.ring
         piece = component_piece(ring, i, j)
-        below = component_piece(ring, i - 1, j) if i > 0 else Piece(ring, -1, [])
         if i > 0:
-            cols = differential_columns(ring, piece, below)
+            cols = differential_columns(ring, piece, component_piece(ring, i - 1, j))
             cycles = kernel_of_columns(cols, ring.field)
         else:
             cycles = [{k: ring.field.one} for k in range(piece.dim)]
@@ -508,11 +474,10 @@ def homology_h_polynomial(ring: QuotientRing) -> list[int]:
 # -- m-adic filtration slices (local conditions) ----------------------
 
 
-def filtered_cycles(ring: QuotientRing, t: int, i: int,
-                    _cache: bool = True) -> tuple[Piece, list[dict]]:
+def filtered_cycles(ring: QuotientRing, t: int, i: int) -> tuple[Piece, list[dict]]:
     """Cycle space of (m^t K)_i inside the full component K_i."""
     key = ("Z", t, i)
-    cache = _filtration_cache(ring)
+    cache = ring._koszul_filtration
     if key not in cache:
         piece, basis = filtered_component(ring, t, i)
         if i == 0:
@@ -531,17 +496,12 @@ def filtered_cycles(ring: QuotientRing, t: int, i: int,
 def filtered_component(ring: QuotientRing, t: int, i: int) -> tuple[Piece, list[dict]]:
     """Basis of (m^t K)_i as vectors in the full K_i coordinates."""
     key = ("F", t, i)
-    cache = _filtration_cache(ring)
+    cache = ring._koszul_filtration
     if key not in cache:
         piece = full_piece(ring, i)
-        basis = []
-        if 0 <= i <= ring.n:
-            rows = ring.power_ideal_subspace(t).basis_rows()
-            monos = ring.std_monomials
-            for ext in exterior_monomials(ring.n, i):
-                for row in rows:
-                    vec = {piece.index[(monos[c], ext)]: v for c, v in row.items()}
-                    basis.append(vec)
+        width = len(piece.exts)
+        rows = ring.power_ideal_subspace(t).basis_rows() if width else []
+        basis = [{c * width + b: v for c, v in row.items()} for b in range(width) for row in rows]
         cache[key] = (piece, basis)
     return cache[key]
 
@@ -549,7 +509,7 @@ def filtered_component(ring: QuotientRing, t: int, i: int) -> tuple[Piece, list[
 def filtered_boundaries(ring: QuotientRing, t: int, i: int) -> Subspace:
     """The subspace d((m^t K)_{i+1}) of K_i."""
     key = ("B", t, i)
-    cache = _filtration_cache(ring)
+    cache = ring._koszul_filtration
     if key not in cache:
         target = full_piece(ring, i)
         if i + 1 > ring.n:
@@ -559,11 +519,3 @@ def filtered_boundaries(ring: QuotientRing, t: int, i: int) -> Subspace:
             cols = differential_columns(ring, source, target)
             cache[key] = Subspace(ring.field, [vec_combine(vec, cols) for vec in basis])
     return cache[key]
-
-
-def _filtration_cache(ring: QuotientRing) -> dict:
-    cache = getattr(ring, "_koszul_filtration", None)
-    if cache is None:
-        cache = {}
-        ring._koszul_filtration = cache
-    return cache

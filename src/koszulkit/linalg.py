@@ -53,6 +53,22 @@ def vec_add_scaled(dst: dict, scale, src: dict) -> None:
             del dst[c]
 
 
+def vec_add_terms(dst: dict, terms) -> dict:
+    """dst[k] += v for every pair (k, v) of terms, dropping entries that
+    become zero; returns dst.  Values may be field elements or anything
+    else with + and a truth value, such as polynomials."""
+    get = dst.get
+    for k, v in terms:
+        cur = get(k)
+        if cur is not None:
+            v = cur + v
+        if v:
+            dst[k] = v
+        elif cur is not None:
+            del dst[k]
+    return dst
+
+
 def vec_combine(coeffs: dict, vectors) -> dict:
     """The sum of coeffs[k] * vectors[k], dropping zeros."""
     out: dict = {}

@@ -12,6 +12,8 @@ import itertools
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
+from .linalg import vec_add_terms
+
 
 class Monomial:
     """An exponent vector with its total degree cached."""
@@ -105,18 +107,13 @@ class Polynomial:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "order", order)
         if not _sorted:
-            merged = {}
-            for mono, coeff in terms:
+            terms = tuple(terms)
+            for mono, _coeff in terms:
                 if mono.arity != arity:
                     raise ValueError("arity mismatch: %d-variable term in %d-variable polynomial"
                                      % (mono.arity, arity))
-                acc = merged.get(mono)
-                coeff = coeff if acc is None else acc + coeff
-                if coeff:
-                    merged[mono] = coeff
-                elif mono in merged:
-                    del merged[mono]
-            terms = sorted(merged.items(), key=lambda t: order.key(t[0]), reverse=True)
+            terms = sorted(vec_add_terms({}, terms).items(), key=lambda t: order.key(t[0]),
+                           reverse=True)
         object.__setattr__(self, "terms", tuple(terms))
 
     def __setattr__(self, name, value):
@@ -261,16 +258,8 @@ class Polynomial:
             return Polynomial(self.arity, self.field, self.order,
                               tuple((m, c * other) for m, c in self.terms), _sorted=True)
         self._check_compatible(other)
-        acc = {}
-        for ma, ca in self.terms:
-            for mb, cb in other.terms:
-                m = ma * mb
-                c = acc.get(m)
-                c = ca * cb if c is None else c + ca * cb
-                if c:
-                    acc[m] = c
-                elif m in acc:
-                    del acc[m]
+        acc = vec_add_terms({}, ((ma * mb, ca * cb) for ma, ca in self.terms
+                                 for mb, cb in other.terms))
         terms = sorted(acc.items(), key=lambda t: self.order.key(t[0]), reverse=True)
         return Polynomial(self.arity, self.field, self.order, terms, _sorted=True)
 

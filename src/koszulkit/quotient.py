@@ -3,6 +3,20 @@
 A QuotientRing owns the reduced Groebner basis of its defining ideal,
 the standard-monomial basis (for artinian quotients), normal forms with
 memoized monomial reduction, power-ideal subspaces and the socle.
+
+It also owns the one coordinate layer that the exact linear algebra of
+every module reads.  R splits into finite-dimensional pieces: over a
+graded ring piece e is the degree-e component and x_l maps it into
+piece e + 1; an ungraded ring is the single piece 0.  One more key,
+`whole_piece`, stands for all of an artinian R (piece 0 itself when R
+is ungraded), which x_l maps into itself.  A vector of a piece is a
+dict from the position of a standard monomial to its coefficient; per
+piece the ring keeps the positions (`piece_index`) and, per variable,
+the table of multiplication by x_l as position pairs (`var_action`,
+with `int_action` and `divisors` for the resolution sweep).  These
+tables are the only place where products of monomials turn into
+coordinates: Koszul differentials, resolutions, the socle and ideal
+spans all shift vectors through them.
 """
 
 from __future__ import annotations
@@ -11,7 +25,7 @@ from typing import Optional, Sequence
 
 from .errors import InputError, NotArtinianError
 from .groebner import buchberger, normal_form
-from .linalg import Subspace, kernel_of_columns
+from .linalg import Subspace, kernel_of_columns, vec_add_terms
 from .poly import Monomial, MonomialOrder, Polynomial, monomials_of_degree
 
 # attributes that `_enumerate_basis` sets on artinian rings only
@@ -55,9 +69,17 @@ class QuotientRing:
         self._mono_nf: dict[Monomial, Polynomial] = {}
         self._pair_nf: dict[tuple[Monomial, Monomial], Polynomial] = {}
         self._power_subspaces: dict[int, Subspace] = {}
-        self._basis_index: Optional[dict[Monomial, int]] = None
         self._socle = None
         self._homology = None
+        # the coordinate layer, filled per piece on first use
+        self.whole_piece = None if self.graded else 0
+        self._indexes: dict = {}
+        self._actions: dict = {}
+        self._int_actions: dict = {}
+        self._divisors: dict = {}
+        # caches that koszul and resolutions keep on the ring
+        self._koszul_filtration: dict = {}
+        self._ambient_ring: Optional[QuotientRing] = None
         self._artinian = all(
             any(lm.exponents[i] and lm.degree == lm.exponents[i] for lm in self.lead_monomials)
             for i in range(self.n))
@@ -120,7 +142,6 @@ class QuotientRing:
         self.top_degree = degree - 1
         self.std_monomials = tuple(monos)
         self.dim = len(monos)
-        self._basis_index = {m: i for i, m in enumerate(monos)}
 
     def hilbert_coefficients(self) -> list[int]:
         self.require_artinian("the Hilbert function table")
@@ -161,14 +182,80 @@ class QuotientRing:
                 acc = acc + self.mono_product(ma, mb) * (ca * cb)
         return acc
 
-    # -- vector coordinates over the standard basis -------------------
+    # -- the coordinate layer -----------------------------------------
 
-    def basis_index(self) -> dict[Monomial, int]:
-        self.require_artinian("coordinate vectors over the standard basis")
-        return self._basis_index
+    def piece_of(self, degree: int) -> int:
+        """The piece holding the monomials of the given degree."""
+        return degree if self.graded else 0
+
+    def piece(self, e) -> tuple[Monomial, ...]:
+        """Standard monomials of piece e: largest first in a degree, and
+        by ascending degree in the whole ring."""
+        if e == self.whole_piece:
+            return self.std_monomials
+        return self.std_basis(e) if self.graded and e >= 0 else ()
+
+    def _piece_after(self, e, step: int):
+        """Piece e moved by `step` degrees: x_l maps piece e into the
+        piece after it (step 1); the whole ring maps into itself."""
+        return e if e == self.whole_piece else self.piece_of(e + step)
+
+    def piece_index(self, e) -> dict[Monomial, int]:
+        """Monomial -> position in piece e."""
+        index = self._indexes.get(e)
+        if index is None:
+            index = self._indexes[e] = {m: i for i, m in enumerate(self.piece(e))}
+        return index
+
+    def var_action(self, l: int, e) -> tuple:
+        """Multiplication by x_l out of piece e: per monomial of the
+        piece, the (position, coefficient) pairs of its product with x_l
+        in the next piece, in the product's term order."""
+        act = self._actions.get((l, e))
+        if act is None:
+            x = self.variable(l).lead_monomial
+            index = self.piece_index(self._piece_after(e, 1))
+            act = self._actions[(l, e)] = tuple(
+                tuple((index[m], c) for m, c in self.mono_product(x, b).terms)
+                for b in self.piece(e))
+        return act
+
+    def int_action(self, e, scale: int) -> tuple:
+        """Per monomial of piece e, the (l, position, coefficient)
+        triples of x_1 .. x_n times it: coefficients are residues over
+        GF(p) and `scale` times their value over Q."""
+        act = self._int_actions.get((e, scale))
+        if act is None:
+            p = self.field.char
+            out = [[] for _m in self.piece(e)]
+            for l in range(self.n):
+                for entries, pairs in zip(out, self.var_action(l, e)):
+                    entries.extend((l, ti, c.v if p else c.numerator * (scale // c.denominator))
+                                   for ti, c in pairs)
+            act = self._int_actions[(e, scale)] = tuple(map(tuple, out))
+        return act
+
+    def divisors(self, e) -> tuple:
+        """Per monomial m of piece e: None for m = 1, else (l, position of
+        m / x_l in the piece before) for the first variable x_l dividing
+        m.  Standard monomials are closed under division, so m / x_l is
+        standard."""
+        table = self._divisors.get(e)
+        if table is None:
+            index = self.piece_index(self._piece_after(e, -1))
+            out = []
+            for m in self.piece(e):
+                l = next((l for l, a in enumerate(m.exponents) if a), None)
+                out.append(None if l is None else
+                           (l, index[m.quotient_by(self.variable(l).lead_monomial)]))
+            table = self._divisors[e] = tuple(out)
+        return table
+
+    # -- vectors over the whole ring ----------------------------------
 
     def poly_to_vec(self, p: Polynomial) -> dict[int, object]:
-        idx = self.basis_index()
+        self.require_artinian("coordinate vectors over the standard basis")
+        idx = self.piece_index(self.whole_piece)
         vec = {}
         for mono, coeff in p.terms:
             i = idx.get(mono)
@@ -209,7 +296,7 @@ class QuotientRing:
         if self.graded:
             space = Subspace(self.field)
             one = self.field.one
-            idx = self.basis_index()
+            idx = self.piece_index(self.whole_piece)
             for d in range(t, self.top_degree + 1):
                 for m in self.std_basis(d):
                     space.extend({idx[m]: one})
@@ -226,19 +313,26 @@ class QuotientRing:
         return [self.vec_to_poly(row) for row in space.reduced_basis_rows()]
 
     def ideal_span(self, gens: Sequence[Polynomial]) -> Subspace:
-        """Subspace of R spanned by the ideal the given elements generate."""
+        """Subspace of R spanned by the ideal the given elements generate.
+
+        The newest vector is multiplied out first; each product keeps its
+        entries in descending term order, as the polynomial's terms are.
+        """
         self.require_artinian("ideal spans")
+        acts = [self.var_action(l, self.whole_piece) for l in range(self.n)]
+        key, monos = self.order.key, self.std_monomials
         space = Subspace(self.field)
-        queue = [self.normal_form(g) for g in gens]
-        queue = [p for p in queue if p.terms]
+        queue = [self.poly_to_vec(self.normal_form(g)) for g in gens]
+        queue = [v for v in queue if v]
         while queue:
-            p = queue.pop()
-            if not space.extend(self.poly_to_vec(p)):
+            v = queue.pop()
+            if not space.extend(v):
                 continue
-            for i in range(self.n):
-                q = self.multiply(self.variable(i), p)
-                if q.terms:
-                    queue.append(q)
+            for act in acts:
+                q = vec_add_terms({}, ((ti, a * c) for k, a in v.items() for ti, c in act[k]))
+                if q:
+                    queue.append({k: q[k] for k in sorted(
+                        q, key=lambda k: key(monos[k]), reverse=True)})
         return space
 
     def socle(self) -> list[Polynomial]:
@@ -246,14 +340,9 @@ class QuotientRing:
         if self._socle is not None:
             return list(self._socle)
         self.require_artinian("the socle")
-        columns = []
-        for b in self.std_monomials:
-            col = {}
-            for l in range(self.n):
-                prod = self.mono_product(self._var_monomial(l), b)
-                for mono, coeff in prod.terms:
-                    col[l * self.dim + self._basis_index[mono]] = coeff
-            columns.append(col)
+        acts = [self.var_action(l, self.whole_piece) for l in range(self.n)]
+        columns = [{l * self.dim + ti: c for l, act in enumerate(acts) for ti, c in act[k]}
+                   for k in range(self.dim)]
         kernel = kernel_of_columns(columns, self.field)
         space = Subspace(self.field, kernel)
         self._socle = [self.vec_to_poly(row) for row in space.reduced_basis_rows()]
@@ -261,11 +350,6 @@ class QuotientRing:
 
     def socle_dim(self) -> int:
         return len(self.socle())
-
-    def _var_monomial(self, i: int) -> Monomial:
-        exps = [0] * self.n
-        exps[i] = 1
-        return Monomial(exps)
 
     def max_ideal_spans(self) -> list[int]:
         """Dimensions of the powers of the maximal ideal, index t."""

@@ -1,9 +1,10 @@
 """Minimal free resolutions by exact linear algebra.
 
-One engine serves every ring.  R splits into finite-dimensional pieces:
-over a graded ring piece e is the degree-e component and x_l maps piece
-e into piece e+1; an ungraded artinian ring is the single piece 0, which
-holds every standard monomial and which each x_l maps into itself.  A
+One engine serves every ring.  R splits into finite-dimensional pieces,
+with coordinates and x_l tables from the ring (see `quotient`): over a
+graded ring piece e is the degree-e component and x_l maps piece e into
+piece e+1; an ungraded artinian ring is the single piece 0, which holds
+every standard monomial and which each x_l maps into itself.  A
 resolution is swept piece by piece: in each piece the kernel K_j of the
 current differential is computed, and the minimal generators are the
 kernel vectors not reached by the variables times the previous piece
@@ -56,7 +57,7 @@ from .errors import BudgetError, InputError, NotArtinianError, PreconditionError
 # kernel_of_columns is not called here, but stays a name of this module
 # for tools that wrap it in every module that imports it
 from .linalg import (EchelonSolver, int_kernel, kernel_of_columns,  # noqa: F401
-                     kernel_vector, vec_combine)
+                     kernel_vector, vec_add_terms, vec_combine)
 from .poly import Polynomial
 from .quotient import QuotientRing
 from .tables import BettiTable
@@ -119,35 +120,6 @@ class ModulePresentation:
 RESOLUTION_BUDGET = 150000
 
 
-# -- pieces -----------------------------------------------------------
-
-
-def _piece_of(ring: QuotientRing, degree: int) -> int:
-    """The piece of R holding the monomials of the given degree."""
-    return degree if ring.graded else 0
-
-
-def _piece(ring: QuotientRing, e: int) -> tuple:
-    """Standard monomials of piece e of R, largest first."""
-    if ring.graded:
-        return ring.std_basis(e) if e >= 0 else ()
-    return ring.std_monomials if e == 0 else ()
-
-
-def _cached(ring: QuotientRing, key: tuple, build: Callable):
-    """build(), memoized on the ring under key."""
-    cache = ring.__dict__.setdefault("_resolution_cache", {})
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
-
-
-def _piece_index(ring: QuotientRing, e: int) -> dict:
-    """Monomial -> position within piece e."""
-    return _cached(ring, ("index", e),
-                   lambda: {m: i for i, m in enumerate(_piece(ring, e))})
-
-
 # -- free modules -----------------------------------------------------
 
 
@@ -178,7 +150,7 @@ class FreeModule:
             total = 0
             for d in self.degrees:
                 offsets.append(total)
-                total += len(_piece(self.ring, j - d))
+                total += len(self.ring.piece(j - d))
             cached = tuple(offsets)
             self._offsets[j] = cached
         return cached
@@ -190,8 +162,8 @@ class FreeModule:
         if cached is None:
             ring = self.ring
             src = self.offsets(j)
-            tgt = self.offsets(_piece_of(ring, j + 1))
-            cached = (src, [tuple((src[g], tgt[g], _var_action(ring, l, j - d))
+            tgt = self.offsets(ring.piece_of(j + 1))
+            cached = (src, [tuple((src[g], tgt[g], ring.var_action(l, j - d))
                                   for g, d in enumerate(self.degrees))
                             for l in range(ring.n)])
             self._shifts[j] = cached
@@ -199,7 +171,7 @@ class FreeModule:
 
     def dim(self, j: int) -> int:
         """Dimension of piece j."""
-        return sum(len(_piece(self.ring, j - d)) for d in self.degrees)
+        return sum(len(self.ring.piece(j - d)) for d in self.degrees)
 
     def int_shifts(self, j: int):
         """Offsets of piece j and, per generator, (source offset, target
@@ -213,13 +185,13 @@ class FreeModule:
         """
         ring = self.ring
         src = self.offsets(j)
-        tgt = self.offsets(_piece_of(ring, j + 1))
+        tgt = self.offsets(ring.piece_of(j + 1))
         scale = 1
         if not ring.field.char:
             scale = lcm(*(c.denominator for e in set(j - d for d in self.degrees)
-                          for l in range(ring.n) for act in _var_action(ring, l, e)
+                          for l in range(ring.n) for act in ring.var_action(l, e)
                           for _ti, c in act))
-        return src, tuple((src[g], tgt[g], _int_action(ring, j - d, scale))
+        return src, tuple((src[g], tgt[g], ring.int_action(j - d, scale))
                           for g, d in enumerate(self.degrees))
 
     def constant_slots(self, j: int) -> dict:
@@ -235,49 +207,6 @@ class FreeModule:
         return cached
 
 
-# -- cached multiplication index maps ---------------------------------
-
-
-def _var_action(ring: QuotientRing, l: int, e: int):
-    """Multiplication by x_l as index pairs out of piece e."""
-    def build():
-        x = ring.variable(l).lead_monomial
-        index = _piece_index(ring, _piece_of(ring, e + 1))
-        return tuple(tuple((index[bm], bc) for bm, bc in ring.mono_product(x, m).terms)
-                     for m in _piece(ring, e))
-    return _cached(ring, ("x", l, e), build)
-
-
-def _int_action(ring: QuotientRing, e: int, scale: int) -> tuple:
-    """Per monomial of piece e, the (l, target position, coefficient)
-    triples of x_1 .. x_n times it: coefficients are residues over GF(p)
-    and `scale` times their value over Q."""
-    def build():
-        p = ring.field.char
-        out = [[] for _m in _piece(ring, e)]
-        for l in range(ring.n):
-            for entries, act in zip(out, _var_action(ring, l, e)):
-                entries.extend((l, ti, c.v if p else c.numerator * (scale // c.denominator))
-                               for ti, c in act)
-        return tuple(map(tuple, out))
-    return _cached(ring, ("xint", e, scale), build)
-
-
-def _divisors(ring: QuotientRing, e: int) -> tuple:
-    """Per monomial m of piece e: None for m = 1, else (l, position of
-    m / x_l in its piece) for the first variable x_l dividing m.  Standard
-    monomials are closed under division, so m / x_l is standard."""
-    def build():
-        index = _piece_index(ring, _piece_of(ring, e - 1))
-        out = []
-        for m in _piece(ring, e):
-            l = next((l for l, a in enumerate(m.exponents) if a), None)
-            out.append(None if l is None else
-                       (l, index[m.quotient_by(ring.variable(l).lead_monomial)]))
-        return tuple(out)
-    return _cached(ring, ("div", e), build)
-
-
 # -- component plumbing -----------------------------------------------
 
 
@@ -286,14 +215,9 @@ def _shift_vector(vec: dict, offsets: tuple, table: tuple) -> dict:
     out: dict = {}
     for coord, coeff in vec.items():
         src, tgt, act = table[bisect_right(offsets, coord) - 1]
-        for ti, c in act[coord - src]:
-            k = tgt + ti
-            v = out.get(k)
-            v = coeff * c if v is None else v + coeff * c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
+        pairs = act[coord - src]
+        if pairs:  # x_l kills most monomials
+            vec_add_terms(out, ((tgt + ti, coeff * c) for ti, c in pairs))
     return out
 
 
@@ -351,10 +275,10 @@ def _basis_images(source: FreeModule, target: FreeModule, vectors, j: int,
     if out is None:
         ring = source.ring
         out = memo[j] = []
-        below = _piece_of(ring, j - 1)
+        below = ring.piece_of(j - 1)
         prev = None
         for g, d in enumerate(source.degrees):
-            for step in _divisors(ring, j - d):
+            for step in ring.divisors(j - d):
                 if step is None:
                     out.append(vectors[g])
                     continue
@@ -376,7 +300,7 @@ def _vector_to_column(ring, source: FreeModule, vec: dict, j: int) -> dict:
         per_gen.setdefault(g, []).append((coord - offsets[g], coeff))
     out = {}
     for g, entries in sorted(per_gen.items()):
-        basis = _piece(ring, j - source.degrees[g])
+        basis = ring.piece(j - source.degrees[g])
         terms = [(basis[local], coeff) for local, coeff in entries]
         out[g] = Polynomial(ring.n, ring.field, ring.order, terms)
     return out
@@ -390,15 +314,8 @@ def _column_component(ring, target: FreeModule, column: dict, j: int) -> dict:
         e = j - target.degrees[tg]
         if e < 0:
             raise AssertionError("column entry below its generator degree")
-        index = _piece_index(ring, e)
-        for m, c in p.terms:
-            k = offsets[tg] + index[m]
-            v = vec.get(k)
-            v = c if v is None else v + c
-            if v:
-                vec[k] = v
-            elif k in vec:
-                del vec[k]
+        index = ring.piece_index(e)
+        vec_add_terms(vec, ((offsets[tg] + index[m], c) for m, c in p.terms))
     return vec
 
 
@@ -626,12 +543,12 @@ def _sweep(src: FreeModule, jmin: int, jmax: int, images):
     field = ring.field
     gens = []
     log = []
-    below = int_kernel(images(_piece_of(ring, jmin - 1)), field)
+    below = int_kernel(images(ring.piece_of(jmin - 1)), field)
     for j in range(jmin, jmax + 1):
         # an ungraded ring's single piece feeds itself
         kernel = int_kernel(images(j), field) if ring.graded else below
         span = EchelonSolver(field)
-        _saturate(span, src, _piece_of(ring, j - 1), [C for _f, C in below],
+        _saturate(span, src, ring.piece_of(j - 1), [C for _f, C in below],
                   {f: -f for f, _C in kernel})
         new = [(f, C) for f, C in kernel if not span.has_pivot(-f)]
         log.append((j, span.rank, len(new), len(kernel)))
@@ -653,7 +570,7 @@ def _sweep(src: FreeModule, jmin: int, jmax: int, images):
 def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
              window: Callable) -> ResolutionData:
     data = ResolutionData(ring, pres, limit)
-    ambient = FreeModule(ring, [_piece_of(ring, sh) for sh in pres.shifts])
+    ambient = FreeModule(ring, [ring.piece_of(sh) for sh in pres.shifts])
 
     by_piece: dict[int, list] = {}
     for col in pres.columns:
@@ -663,7 +580,7 @@ def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
             p = ring.normal_form(p)
             if p.terms:
                 column[tg] = p
-                pieces.update(_piece_of(ring, m.degree + ambient.degrees[tg])
+                pieces.update(ring.piece_of(m.degree + ambient.degrees[tg])
                               for m, _c in p.terms)
         if len(pieces) > 1:
             raise PreconditionError("graded resolutions need homogeneous columns")
@@ -719,12 +636,10 @@ def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
 
 def polynomial_ambient(ring: QuotientRing) -> QuotientRing:
     """The ambient polynomial ring of a presented quotient, relation free."""
-    cached = getattr(ring, "_ambient_ring", None)
-    if cached is None:
-        cached = QuotientRing(ring.field, ring.var_names, [], ring.order,
-                              label="ambient polynomial ring")
-        ring._ambient_ring = cached
-    return cached
+    if ring._ambient_ring is None:
+        ring._ambient_ring = QuotientRing(ring.field, ring.var_names, [], ring.order,
+                                          label="ambient polynomial ring")
+    return ring._ambient_ring
 
 
 def minimal_resolution(ring: QuotientRing, pres: ModulePresentation,

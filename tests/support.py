@@ -11,13 +11,49 @@ from math import comb
 from koszulkit import corpus
 from koszulkit.conditions import StretchedSpec
 from koszulkit.errors import InputError
+from koszulkit.fields import PrimeField, QQ
 from koszulkit.koszul import KoszulElement, homology_algebra
-from koszulkit.poly import Polynomial
+from koszulkit.poly import MonomialOrder, Polynomial, monomials_of_degree
 from koszulkit.quotient import QuotientRing
 
 GRADED_CORPUS = ("case66", "case54", "case55", "case71v16", "socle4")
 
 SEED = 20260823
+
+
+RANDOM_RING_FIELDS = {
+    # fractions put denominators into the action tables of the sweep
+    "Q": (QQ, [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]),
+    "GF32003": (PrimeField(32003), [0, 0, 1, -1, 2, 16002, 31999]),
+}
+
+
+def artinian_rings(field, coefficients, orders=(MonomialOrder.GREVLEX,)):
+    """Hypothesis strategy: a graded ring in 2-3 variables with 1-3
+    quadrics plus m^3, in one of the given term orders, and its ungraded
+    twin: r0 + r1*x_n replaces r0, which keeps the ideal."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(2, 3))
+        order = draw(st.sampled_from(orders))
+        quads = list(monomials_of_degree(n, 2))
+        coeff = st.sampled_from(coefficients)
+        quadrics = []
+        for _ in range(draw(st.integers(1, 3))):
+            terms = [(m, field.of(c)) for m, c in zip(quads, draw(
+                st.lists(coeff, min_size=len(quads), max_size=len(quads))))]
+            quadrics.append(Polynomial(n, field, order, [(m, c) for m, c in terms if c]))
+        cubes = [Polynomial.from_monomial(n, field, order, m) for m in monomials_of_degree(n, 3)]
+        rels = [q for q in quadrics if q] + cubes
+        names = tuple("xyz"[:n])
+        ring = QuotientRing(field, names, rels, order)
+        twin = QuotientRing(field, names,
+                            [rels[0] + rels[1] * ring.variable(n - 1)] + rels[1:], order)
+        return ring, twin
+
+    return build()
 
 
 def random_polynomial(rng, ring, degree):

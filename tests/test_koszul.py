@@ -2,13 +2,23 @@ from collections import Counter
 
 import pytest
 
+try:
+    from hypothesis import given, settings
+except ImportError:  # only the reference comparison needs it; it skips
+    pass
+
 from koszulkit import corpus
-from koszulkit.errors import PreconditionError
-from koszulkit.koszul import (KoszulElement, filtered_boundaries, filtered_cycles,
-                              full_piece, homology_algebra, homology_h_polynomial,
+from koszulkit.errors import NotACycleError, PreconditionError
+from koszulkit.koszul import (KoszulElement, component_piece, differential_columns,
+                              filtered_boundaries, filtered_cycles, full_piece,
+                              homology_algebra, homology_h_polynomial,
                               internal_degree_bounds)
 from koszulkit.linalg import Subspace
+from koszulkit.poly import MonomialOrder
 from koszulkit.ringdef import parse_koszul_element
+
+import reference_koszul as reference
+from support import RANDOM_RING_FIELDS, artinian_rings
 
 # Nonzero bigraded dimensions of the Koszul homology of each corpus ring.
 DIMS = {
@@ -127,3 +137,80 @@ def test_scalar_and_term_constructors():
     assert KoszulElement.zero(R).is_zero()
     built = KoszulElement.term(R, R.variable(2), (0, 2))
     assert built == el
+
+
+def test_class_of_reads_representative_coordinates():
+    R = corpus.get_ring("case54")
+    alg = homology_algebra(R)
+    one = R.field.one
+    checked = 0
+    for (i, j), hp in sorted(alg.pieces.items()):
+        above = component_piece(R, i + 1, j)
+        boundaries = [above.element_of({k: one}).diff() for k in range(above.dim)]
+        boundary = next((b for b in boundaries if b.terms), None)
+        for k, rep in enumerate(hp.representatives):
+            assert alg.class_of(rep) == ((i, j), {k: one})
+            if boundary is not None:
+                assert alg.class_of(rep + boundary) == ((i, j), {k: one})
+                checked += 1
+    assert checked
+    with pytest.raises(NotACycleError):
+        alg.class_of(parse_koszul_element("y*T1", R))
+
+
+def test_vector_of_rejects_elements_outside_the_piece():
+    R = corpus.get_ring("case54")
+    piece = homology_algebra(R).pieces[(2, 4)].piece
+    # right degree and wrong length, wrong degree and right length, both wrong
+    for text in ("y*z*T1", "x*T1*T2", "x*T1"):
+        with pytest.raises(ValueError):
+            piece.vector_of(parse_koszul_element(text, R))
+
+
+def _literal(vectors):
+    return [list(v.items()) for v in vectors]
+
+
+def _assert_coordinates_match_reference(ring):
+    n = ring.n
+    degrees = [None]
+    if ring.graded:
+        degrees += range(-1, ring.top_degree + 2)
+    for d in degrees:
+        for i in range(1, n + 2):
+            if d is None:
+                source, target = full_piece(ring, i), full_piece(ring, i - 1)
+            else:
+                source, target = component_piece(ring, i, i + d), component_piece(ring, i - 1, i + d)
+            below = None if d is None else d + 1
+            assert source.dim == len(reference.piece_coords(ring, i, d))
+            assert _literal(differential_columns(ring, source, target)) == _literal(
+                reference.differential_columns(ring, reference.piece_coords(ring, i, d),
+                                               reference.piece_coords(ring, i - 1, below)))
+    assert [p.terms for p in ring.socle()] == [p.terms for p in reference.socle(ring)]
+    x = [ring.variable(l) for l in range(n)]
+    c = ring.field.of(2)
+    for gens in ([x[0]], [x[0] + x[n - 1] * c], [x[1] + x[0] * x[n - 1] * c, x[n - 1] * x[n - 1]],
+                 x):
+        assert _literal(ring.ideal_span(gens).basis_rows()) == _literal(
+            reference.ideal_span(ring, gens).basis_rows())
+    for t in range(ring.top_degree + 2):
+        assert _literal(ring.power_ideal_subspace(t).basis_rows()) == _literal(
+            reference.power_ideal_subspace(ring, t).basis_rows())
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
+def test_coordinate_layer_matches_reference(name):
+    # differential columns, socles and ring subspaces read the ring's x_l
+    # tables; the reference builds them from Polynomial products, so values
+    # and entry order must agree literally
+    pytest.importorskip("hypothesis")
+    field, coefficients = RANDOM_RING_FIELDS[name]
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(artinian_rings(field, coefficients, (MonomialOrder.GREVLEX, MonomialOrder.LEX)))
+    def check(rings):
+        for ring in rings:
+            _assert_coordinates_match_reference(ring)
+
+    check()

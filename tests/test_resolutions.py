@@ -1,18 +1,17 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 try:
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import given, settings
 except ImportError:  # only the reference comparison needs it; it skips
     pass
 
 from koszulkit import corpus
 from koszulkit.conditions import StretchedSpec, build_stretched_ring
 from koszulkit.errors import InputError, PreconditionError
-from koszulkit.fields import PrimeField, QQ
-from koszulkit.poly import MonomialOrder, Polynomial, monomials_of_degree
+from koszulkit.fields import QQ
+from koszulkit.poly import MonomialOrder
 from koszulkit.quotient import QuotientRing
 from koszulkit.resolutions import (ModulePresentation, betti_numbers_k,
                                    betti_table_R_over_Q, minimal_resolution,
@@ -22,7 +21,8 @@ from koszulkit.series import poly_mul
 
 from reference_linalg import Subspace
 from reference_resolutions import piece_images, reference_resolution
-from support import GRADED_CORPUS, SEED, random_symmetric_spec
+from support import (GRADED_CORPUS, RANDOM_RING_FIELDS, SEED, artinian_rings,
+                     random_symmetric_spec)
 
 BETTI_K = {
     # ring name -> (limit, betti numbers of k, resolution is linear)
@@ -253,38 +253,6 @@ def _literal(vectors):
     return [[list(v.items()) for v in step] for step in vectors]
 
 
-def _artinian_rings(field, coefficients):
-    """A graded ring in 2-3 variables with 1-3 quadrics plus m^3, and its
-    ungraded twin: r0 + r1*x_n replaces r0, which keeps the ideal."""
-    @st.composite
-    def build(draw):
-        n = draw(st.integers(2, 3))
-        grl = MonomialOrder("grevlex")
-        quads = list(monomials_of_degree(n, 2))
-        coeff = st.sampled_from(coefficients)
-        quadrics = []
-        for _ in range(draw(st.integers(1, 3))):
-            terms = [(m, field.of(c)) for m, c in zip(quads, draw(
-                st.lists(coeff, min_size=len(quads), max_size=len(quads))))]
-            quadrics.append(Polynomial(n, field, grl, [(m, c) for m, c in terms if c]))
-        cubes = [Polynomial.from_monomial(n, field, grl, m) for m in monomials_of_degree(n, 3)]
-        rels = [q for q in quadrics if q] + cubes
-        names = tuple("xyz"[:n])
-        ring = QuotientRing(field, names, rels, grl)
-        twin = QuotientRing(field, names,
-                            [rels[0] + rels[1] * ring.variable(n - 1)] + rels[1:], grl)
-        return ring, twin
-
-    return build()
-
-
-RANDOM_RING_FIELDS = {
-    # fractions put denominators into the action tables of the sweep
-    "Q": (QQ, [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]),
-    "GF32003": (PrimeField(32003), [0, 0, 1, -1, 2, 16002, 31999]),
-}
-
-
 @pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
 def test_pivot_read_off_matches_greedy_reference(name):
     # the engine reads minimal generators off pivots; the reference applies
@@ -294,7 +262,7 @@ def test_pivot_read_off_matches_greedy_reference(name):
     field, coefficients = RANDOM_RING_FIELDS[name]
 
     @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(_artinian_rings(field, coefficients))
+    @given(artinian_rings(field, coefficients))
     def check(rings):
         for ring in rings:
             for pres in (ModulePresentation.residue_field(ring),
