@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 from .errors import InputError, NotACycleError, PreconditionError
 from .fields import QQ
-from .koszul import (KoszulElement, filtered_boundaries, filtered_cycles,
-                     full_piece, homology_algebra)
+from .koszul import (KoszulElement, component_piece, filtered_boundaries, filtered_cycles,
+                     full_piece, homology_algebra, product_ints)
 from .linalg import Subspace
 from .poly import Monomial, MonomialOrder, Polynomial, monomials_of_degree
 from .quotient import QuotientRing
@@ -118,7 +118,10 @@ def _require_bigraded_cycle(el: KoszulElement, what: str) -> tuple[int, int]:
 
 
 def _containment(key, hp, span) -> PieceResult:
-    """Are all cycles of the homology piece inside the given span?"""
+    """Are all cycles of the homology piece inside the given span?  A
+    span of cycles as large as the cycle space is all of it."""
+    if span.dim == len(hp.cycle_vectors):
+        return PieceResult(key, True, len(hp.cycle_vectors), span.dim)
     for vec in hp.cycle_vectors:
         if not span.contains(vec):
             return PieceResult(key, False, len(hp.cycle_vectors), span.dim,
@@ -129,19 +132,23 @@ def _containment(key, hp, span) -> PieceResult:
 def _product_span(algebra, i, j, factors, admit):
     """Boundaries of (i, j) plus products z * (admissible classes).
 
-    factors: [(bidegree, element)]; admit decides which complementary
-    bidegrees may supply cofactors.
+    factors: [(bidegree, element)] with cycles as elements; admit decides
+    which complementary bidegrees may supply cofactors.  The span lies
+    in the cycle space, so it stops growing at its dimension.
     """
     hp = algebra.pieces[(i, j)]
     span = hp.class_span()
+    full = len(hp.cycle_vectors)
     for (a, b), el in factors:
-        c, d = i - a, j - b
-        if (c, d) not in algebra.pieces or not admit(c, d):
+        cofactor = algebra.pieces.get((i - a, j - b))
+        if cofactor is None or not admit(i - a, j - b) or span.dim == full:
             continue
-        for rep in algebra.pieces[(c, d)].representatives:
-            w = el * rep
-            if w.terms:
-                span.extend(hp.piece.vector_of(w))
+        left = component_piece(algebra.ring, a, b)
+        u = left.vector_of(el)
+        for rep in cofactor.rep_vectors:
+            w = product_ints(left, u, cofactor.piece, rep, hp.piece)
+            if w and span.extend_ints(w) and span.dim == full:
+                break
     return hp, span
 
 
@@ -247,15 +254,19 @@ def check_P_local(ring: QuotientRing, t: int, r: int,
     if l.terms and hd != r:
         raise InputError("l has homological degree %s, expected %d" % (hd, r))
     pieces = []
+    if l.terms:
+        lpiece = full_piece(ring, r)
+        lvec = lpiece.vector_of(l)
     for i in range(ring.n + 1):
         target = full_piece(ring, i)
         span = filtered_boundaries(ring, t - 1, i).copy()
         if i - r >= 0 and l.terms:
+            # the span need not lie in Z(m^t K), so no early stop here
             source_piece, zcycles = filtered_cycles(ring, t - 1, i - r)
             for vec in zcycles:
-                w = l * source_piece.element_of(vec)
-                if w.terms:
-                    span.extend(target.vector_of(w))
+                w = product_ints(lpiece, lvec, source_piece, vec, target)
+                if w:
+                    span.extend_ints(w)
         _piece, cycles = filtered_cycles(ring, t, i)
         result = PieceResult(i, True, len(cycles), span.dim)
         for vec in cycles:

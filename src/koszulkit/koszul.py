@@ -9,15 +9,25 @@ Bidegrees (i, j): i is the homological degree (exterior word length),
 j the internal degree (coefficient degree plus i).  The differential
 preserves j; products add bidegrees.  Homology is computed per bidegree
 by exact linear algebra over the coefficient field.
+
+Where only the span of products matters (minimal generators and the
+checks in `conditions`), products of cycles are taken in coordinates:
+`product_ints` reads the ring's structure constants and a table of
+exterior shuffle signs, and returns an int vector that enters the
+echelon through `Subspace.extend_ints`.  Such a span lies inside the
+cycle space of its piece, so it is complete once its dimension reaches
+the number of cycle vectors.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Optional, Sequence
 
 from .errors import NotACycleError, NotArtinianError, PreconditionError
-from .linalg import EchelonSolver, Subspace, kernel_of_columns, vec_add_terms, vec_combine
+from .linalg import (EchelonSolver, Subspace, int_vector, kernel_of_columns, vec_add_terms,
+                     vec_combine)
 from .poly import Polynomial
 from .quotient import QuotientRing
 
@@ -252,6 +262,58 @@ def exterior_monomials(n: int, length: int) -> list[tuple]:
     return list(itertools.combinations(range(n), length))
 
 
+@lru_cache(maxsize=None)
+def _merge_table(n: int, i: int, k: int) -> tuple:
+    """Per exterior monomials s of length i and t of length k, in the
+    order of `exterior_monomials`: None if they overlap, else the
+    position of the merged monomial among those of length i + k and the
+    sign of the shuffle."""
+    index = {ext: c for c, ext in enumerate(exterior_monomials(n, i + k))}
+    rows = []
+    for s in exterior_monomials(n, i):
+        row = []
+        for t in exterior_monomials(n, k):
+            merged, sign = _merge_sign(s, t)
+            row.append(None if merged is None else (index[merged], sign))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def product_ints(left: Piece, u: dict, right: Piece, v: dict, target: Piece) -> dict:
+    """The product of vectors u of left and v of right as an int vector
+    of target, the piece holding the products: residues over GF(p),
+    integers over Q, correct up to a nonzero scale.
+
+    Monomial products come from the ring's structure constants
+    (`QuotientRing.int_mul_table`), merged exterior monomials and their
+    signs from `_merge_table`.
+    """
+    ring = left.ring
+    p = ring.field.char
+    table = ring.int_mul_table(left.ring_piece, right.ring_piece)[1]
+    merges = _merge_table(ring.n, left.hom_degree, right.hom_degree)
+    wl, wr, wt = len(left.exts), len(right.exts), len(target.exts)
+    vs = [(divmod(k, wr), y) for k, y in int_vector(v, p)[0].items()]
+    out: dict = {}
+    get = out.get
+    for k, x in int_vector(u, p)[0].items():
+        a, s = divmod(k, wl)
+        products, merge = table[a], merges[s]
+        for (b, t), y in vs:
+            m = merge[t]
+            entries = products[b]
+            if m is None or not entries:
+                continue
+            pos, sign = m
+            xy = x * y if sign > 0 else -x * y
+            for ti, c in entries:
+                key = ti * wt + pos
+                out[key] = get(key, 0) + xy * c
+    if p:
+        return {k: r for k, x in out.items() if (r := x % p)}
+    return {k: x for k, x in out.items() if x}
+
+
 def component_piece(ring: QuotientRing, i: int, j: int) -> Piece:
     """Basis of the bidegree (i, j) component for a graded ring."""
     if not ring.graded:
@@ -289,11 +351,12 @@ class HomologyPiece:
     def __init__(self, piece: Piece, cycles: list[dict], boundary_space: Subspace):
         self.piece = piece
         self.cycle_vectors = cycles
-        self.cycle_space = Subspace(piece.ring.field, cycles)
         self.boundary_space = boundary_space
         reps = []
         span = boundary_space.copy()
         for v in cycles:
+            if span.dim == len(cycles):  # the span is all of Z
+                break
             if span.extend(v):
                 reps.append(v)
         self.rep_vectors = reps
@@ -303,11 +366,9 @@ class HomologyPiece:
     def dim(self) -> int:
         return len(self.rep_vectors)
 
-    def class_span(self, extra: Iterable[dict] = ()) -> Subspace:
-        """Boundaries plus the given cycle vectors, as a subspace of the piece."""
-        span = self.boundary_space.copy()
-        span.extend_all(extra)
-        return span
+    def class_span(self) -> Subspace:
+        """A copy of the boundary space, to extend by cycles."""
+        return self.boundary_space.copy()
 
 
 def internal_degree_bounds(ring: QuotientRing) -> list[int]:
@@ -348,23 +409,22 @@ class HomologyAlgebra:
         self.bounds = internal_degree_bounds(ring)
         self.pieces: dict[tuple[int, int], HomologyPiece] = {}
         self._generators = None
-        n = ring.n
-        for i in range(n + 1):
+        # the differential out of (i + 1, j) gives the boundaries of
+        # (i, j) and then the cycles of (i + 1, j); it is built once
+        columns: dict = {}
+        for i in range(ring.n + 1):
             for j in range(i, self.bounds[i] + 1):
-                self.pieces[(i, j)] = self._compute_piece(i, j)
-
-    def _compute_piece(self, i: int, j: int) -> HomologyPiece:
-        ring = self.ring
-        piece = component_piece(ring, i, j)
-        if i > 0:
-            cols = differential_columns(ring, piece, component_piece(ring, i - 1, j))
-            cycles = kernel_of_columns(cols, ring.field)
-        else:
-            cycles = [{k: ring.field.one} for k in range(piece.dim)]
-        above = component_piece(ring, i + 1, j)
-        bcols = differential_columns(ring, above, piece)
-        boundary = Subspace(ring.field, bcols)
-        return HomologyPiece(piece, cycles, boundary)
+                piece = component_piece(ring, i, j)
+                if i > 0:
+                    cols = columns.pop((i, j), None)
+                    if cols is None:
+                        cols = differential_columns(ring, piece, component_piece(ring, i - 1, j))
+                    cycles = kernel_of_columns(cols, ring.field)
+                else:
+                    cycles = [{k: ring.field.one} for k in range(piece.dim)]
+                bcols = columns[(i + 1, j)] = differential_columns(
+                    ring, component_piece(ring, i + 1, j), piece)
+                self.pieces[(i, j)] = HomologyPiece(piece, cycles, Subspace(ring.field, bcols))
 
     def dim(self, i: int, j: int) -> int:
         piece = self.pieces.get((i, j))
@@ -405,21 +465,31 @@ class HomologyAlgebra:
         for (i, j) in order:
             hp = self.pieces[(i, j)]
             span = hp.class_span()
-            for (a, b) in list(self.pieces):
-                c, d = i - a, j - b
-                if a < 1 or c < 1 or (c, d) not in self.pieces:
-                    continue
-                for u in self.pieces[(a, b)].representatives:
-                    for v in self.pieces[(c, d)].representatives:
-                        w = u * v
-                        if w.terms:
-                            span.extend(hp.piece.vector_of(w))
+            full = len(hp.cycle_vectors)  # the span lies in Z, so it is done at dim Z
+            for w in self._products(i, j):
+                if w and span.extend_ints(w) and span.dim == full:
+                    break
             for vec in hp.cycle_vectors:
+                if span.dim == full:
+                    break
                 if span.extend(vec):
                     gens.append(((i, j), hp.piece.element_of(vec)))
         labeled = [("g%d" % (k + 1), bd, el) for k, (bd, el) in enumerate(gens)]
         self._generators = labeled
         return list(labeled)
+
+    def _products(self, i: int, j: int):
+        """Int vectors of the products u * v of representatives whose
+        bidegrees add up to (i, j), both of positive homological degree.
+        Each unordered pair is taken once, since v * u = +-u * v."""
+        target = self.pieces[(i, j)].piece
+        for (a, b), left in self.pieces.items():
+            right = self.pieces.get((i - a, j - b))
+            if a < 1 or i - a < 1 or right is None or (a, b) > (i - a, j - b):
+                continue
+            for k, u in enumerate(left.rep_vectors):
+                for v in right.rep_vectors[k:] if right is left else right.rep_vectors:
+                    yield product_ints(left.piece, u, right.piece, v, target)
 
     def class_of(self, el: KoszulElement) -> tuple[tuple[int, int], dict]:
         """Coordinates of a cycle's class in the representative basis."""

@@ -77,6 +77,16 @@ def vec_combine(coeffs: dict, vectors) -> dict:
     return out
 
 
+def int_vector(vec: dict, p: int) -> tuple[dict, int]:
+    """A field vector as ints V over one denominator D, vec = V / D:
+    residues over GF(p) with D = 1, integers over Q with D the lcm of the
+    denominators."""
+    if p:
+        return {c: e.v for c, e in vec.items()}, 1
+    D = lcm(*[e.denominator for e in vec.values()])
+    return {c: e.numerator * (D // e.denominator) for c, e in vec.items()}, D
+
+
 def _sub_scaled(dst: dict, a: int, src: dict, p: int) -> None:
     """dst -= a * src on int dicts, mod p when p, dropping zeros."""
     for t, x in src.items():
@@ -205,13 +215,11 @@ class EchelonSolver:
         if not vec:
             return {}, (None if combo is None else dict(combo)), 1
         p = self._p
+        V, D = int_vector(vec, p)
         if p:
-            V = {c: e.v for c, e in vec.items()}
             C = None if combo is None else dict(combo)
             _eliminate_mod_p(V, C, p, self._rows, self._combos)
             return V, C, 1
-        D = lcm(*[e.denominator for e in vec.values()])
-        V = {c: e.numerator * (D // e.denominator) for c, e in vec.items()}
         C = None if combo is None else {t: x * D for t, x in combo.items()}
         return _eliminate_q(V, C, D, self._rows, self._combos)
 
@@ -317,6 +325,11 @@ class Subspace:
     def extend(self, vec: dict) -> bool:
         """Add a vector; True if the dimension grew."""
         return self._solver.add(vec) is None
+
+    def extend_ints(self, vec: dict) -> bool:
+        """Add an int vector known up to a nonzero scale (residues over
+        GF(p), integers over Q); consumes it.  True if the dimension grew."""
+        return self._solver.add_ints(vec)
 
     def extend_all(self, vectors: Iterable[dict]) -> None:
         for v in vectors:

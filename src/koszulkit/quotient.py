@@ -16,11 +16,14 @@ the table of multiplication by x_l as position pairs (`var_action`,
 with `int_action` and `divisors` for the resolution sweep).  These
 tables are the only place where products of monomials turn into
 coordinates: Koszul differentials, resolutions, the socle and ideal
-spans all shift vectors through them.
+spans all shift vectors through them, and the structure constants of
+a pair of pieces (`int_mul_table`), which products of Koszul cycles
+read, are built from them by the same recursion.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import InputError, NotArtinianError
@@ -77,6 +80,8 @@ class QuotientRing:
         self._actions: dict = {}
         self._int_actions: dict = {}
         self._divisors: dict = {}
+        self._products: dict = {}
+        self._int_products: dict = {}
         # caches that koszul and resolutions keep on the ring
         self._koszul_filtration: dict = {}
         self._ambient_ring: Optional[QuotientRing] = None
@@ -250,6 +255,53 @@ class QuotientRing:
                            (l, index[m.quotient_by(self.variable(l).lead_monomial)]))
             table = self._divisors[e] = tuple(out)
         return table
+
+    def _product_rows(self, e, f) -> list:
+        """Per monomial m_a of piece e, per monomial m_b of piece f, the
+        field vector of m_a * m_b in the product piece.  The row of 1 is
+        the identity; for m_a = x_l * m_a' (see `divisors`) it is the row
+        of m_a' shifted through the table of x_l, and m_a' lies in the
+        piece before e, or precedes m_a in the whole ring."""
+        rows = self._products.get((e, f))
+        if rows is None:
+            rows = self._products[(e, f)] = []
+            whole = e == self.whole_piece
+            below = self._piece_after(e, -1)
+            prev = None
+            for step in self.divisors(e):
+                if step is None:
+                    rows.append([{b: self.field.one} for b in range(len(self.piece(f)))])
+                    continue
+                if prev is None:
+                    prev = rows if whole else self._product_rows(below, f)
+                    after = e if whole else below + f  # the piece of prev's vectors
+                l, i = step
+                act = self.var_action(l, after)
+                rows.append([vec_add_terms({}, ((ti, c * x) for k, c in vec.items()
+                                                for ti, x in act[k]))
+                             for vec in prev[i]])
+        return rows
+
+    def int_mul_table(self, e, f) -> tuple:
+        """Structure constants of pieces e and f: (scale, table) with
+        table[a][b] the (position, coefficient) pairs of m_a * m_b in
+        piece e + f, or in the whole ring when e and f are `whole_piece`.
+        Coefficients are residues over GF(p) (scale 1) and `scale` times
+        their value over Q, one lcm of denominators for the whole table,
+        so a product read off the table is one multiple of its value."""
+        out = self._int_products.get((e, f))
+        if out is None:
+            rows = self._product_rows(e, f)
+            p = self.field.char
+            scale = 1
+            if not p:
+                scale = lcm(*(c.denominator for row in rows for vec in row
+                              for c in vec.values()))
+            out = self._int_products[(e, f)] = (scale, tuple(
+                tuple(tuple((k, c.v if p else c.numerator * (scale // c.denominator))
+                            for k, c in vec.items()) for vec in row)
+                for row in rows))
+        return out
 
     # -- vectors over the whole ring ----------------------------------
 

@@ -8,12 +8,19 @@ pieces as explicit (monomial, exterior monomial) coordinate lists with a
 dict index, differential entries from `mono_product` per entry, the
 socle from a monomial-keyed basis index, and ideal spans saturated with
 `Polynomial` products through `ring.multiply`.
+
+It also keeps the spans of products of Koszul cycles as they were built
+before products were read off the ring's structure constants: every
+product is a `KoszulElement` product, both orders of each pair of
+bidegrees are taken, and no loop stops once the span is full.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from koszulkit.conditions import PieceResult
+from koszulkit.koszul import filtered_boundaries, filtered_cycles, full_piece
 from koszulkit.linalg import Subspace, kernel_of_columns
 from koszulkit.poly import Monomial, monomials_of_degree
 
@@ -114,3 +121,82 @@ def power_ideal_subspace(ring, t):
         seeds = (ring.reduce_monomial(m) for m in monomials_of_degree(ring.n, t))
         space = ideal_span(ring, [p for p in seeds if p.terms])
     return space
+
+
+# -- spans of products of Koszul cycles ---------------------------------
+
+
+def representatives(hp):
+    """Cycle vectors of a homology piece that extend its boundaries."""
+    span = hp.boundary_space.copy()
+    return [v for v in hp.cycle_vectors if span.extend(v)]
+
+
+def generators(algebra):
+    """Minimal algebra generators as (label, bidegree, element)."""
+    gens = []
+    order = sorted((k for k, p in algebra.pieces.items() if p.dim and k != (0, 0)),
+                   key=lambda k: (k[1], k[0]))
+    for (i, j) in order:
+        hp = algebra.pieces[(i, j)]
+        span = hp.class_span()
+        for (a, b) in list(algebra.pieces):
+            c, d = i - a, j - b
+            if a < 1 or c < 1 or (c, d) not in algebra.pieces:
+                continue
+            for u in algebra.pieces[(a, b)].representatives:
+                for v in algebra.pieces[(c, d)].representatives:
+                    w = u * v
+                    if w.terms:
+                        span.extend(hp.piece.vector_of(w))
+        for vec in hp.cycle_vectors:
+            if span.extend(vec):
+                gens.append(((i, j), hp.piece.element_of(vec)))
+    return [("g%d" % (k + 1), bd, el) for k, (bd, el) in enumerate(gens)]
+
+
+def containment(key, hp, span):
+    """Are all cycles of the homology piece inside the given span?"""
+    for vec in hp.cycle_vectors:
+        if not span.contains(vec):
+            return PieceResult(key, False, len(hp.cycle_vectors), span.dim,
+                               hp.piece.element_of(vec))
+    return PieceResult(key, True, len(hp.cycle_vectors), span.dim)
+
+
+def product_span(algebra, i, j, factors, admit):
+    """Boundaries of (i, j) plus products z * (admissible classes)."""
+    hp = algebra.pieces[(i, j)]
+    span = hp.class_span()
+    for (a, b), el in factors:
+        c, d = i - a, j - b
+        if (c, d) not in algebra.pieces or not admit(c, d):
+            continue
+        for rep in algebra.pieces[(c, d)].representatives:
+            w = el * rep
+            if w.terms:
+                span.extend(hp.piece.vector_of(w))
+    return hp, span
+
+
+def check_P_local_pieces(ring, t, r, l):
+    """The pieces of `check_P_local` for valid input."""
+    pieces = []
+    for i in range(ring.n + 1):
+        target = full_piece(ring, i)
+        span = filtered_boundaries(ring, t - 1, i).copy()
+        if i - r >= 0 and l.terms:
+            source_piece, zcycles = filtered_cycles(ring, t - 1, i - r)
+            for vec in zcycles:
+                w = l * source_piece.element_of(vec)
+                if w.terms:
+                    span.extend(target.vector_of(w))
+        _piece, cycles = filtered_cycles(ring, t, i)
+        result = PieceResult(i, True, len(cycles), span.dim)
+        for vec in cycles:
+            if not span.contains(vec):
+                result = PieceResult(i, False, len(cycles), span.dim,
+                                     target.element_of(vec))
+                break
+        pieces.append(result)
+    return tuple(pieces)

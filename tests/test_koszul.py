@@ -1,24 +1,28 @@
+import random
 from collections import Counter
 
 import pytest
 
 try:
-    from hypothesis import given, settings
-except ImportError:  # only the reference comparison needs it; it skips
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # only the reference comparisons need it; they skip
     pass
 
-from koszulkit import corpus
+from koszulkit import conditions, corpus
+from koszulkit.conditions import (CycleSet, build_stretched_ring, check_nonlinear_generated_by,
+                                  check_P_graded, check_P_local, check_Z_graded,
+                                  stretched_F_cycle)
 from koszulkit.errors import NotACycleError, PreconditionError
 from koszulkit.koszul import (KoszulElement, component_piece, differential_columns,
                               filtered_boundaries, filtered_cycles, full_piece,
                               homology_algebra, homology_h_polynomial,
-                              internal_degree_bounds)
+                              internal_degree_bounds, product_ints)
 from koszulkit.linalg import Subspace
 from koszulkit.poly import MonomialOrder
-from koszulkit.ringdef import parse_koszul_element
+from koszulkit.ringdef import format_koszul_element, parse_koszul_element
 
 import reference_koszul as reference
-from support import RANDOM_RING_FIELDS, artinian_rings
+from support import SEED, RANDOM_RING_FIELDS, artinian_rings, random_stretched_spec
 
 # Nonzero bigraded dimensions of the Koszul homology of each corpus ring.
 DIMS = {
@@ -214,3 +218,152 @@ def test_coordinate_layer_matches_reference(name):
             _assert_coordinates_match_reference(ring)
 
     check()
+
+
+def _ring_pieces(ring):
+    """The keys of the ring pieces: every degree and the whole ring of a
+    graded ring, the single piece of an ungraded one."""
+    return list(range(ring.top_degree + 1)) + [ring.whole_piece] if ring.graded else [0]
+
+
+def _product_piece(ring, e, f):
+    return ring.whole_piece if e == ring.whole_piece else e + f
+
+
+def _koszul_piece(ring, i, e):
+    return full_piece(ring, i) if e == ring.whole_piece else component_piece(ring, i, i + e)
+
+
+def _random_vector(rnd, piece, coefficients):
+    of = piece.ring.field.of
+    vec = {}
+    for k in range(piece.dim):
+        c = of(rnd.choice(coefficients))
+        if c and rnd.random() < 0.5:
+            vec[k] = c
+    return vec
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
+def test_structure_constants_and_products_match_polynomial_products(name):
+    # int_mul_table is built from the x_l tables; each row must be the
+    # coordinates of mono_product, and product_ints a multiple of the
+    # KoszulElement product
+    pytest.importorskip("hypothesis")
+    field, coefficients = RANDOM_RING_FIELDS[name]
+    of = field.of
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(artinian_rings(field, coefficients, (MonomialOrder.GREVLEX, MonomialOrder.LEX)),
+           st.randoms(use_true_random=False))
+    def check(rings, rnd):
+        for ring in rings:
+            keys = _ring_pieces(ring)
+            pairs = [(e, f) for e in keys for f in keys
+                     if (e == ring.whole_piece) == (f == ring.whole_piece)]
+            for e, f in pairs:
+                scale, table = ring.int_mul_table(e, f)
+                index = ring.piece_index(_product_piece(ring, e, f))
+                for a, ma in enumerate(ring.piece(e)):
+                    for b, mb in enumerate(ring.piece(f)):
+                        row = {k: of(c) / scale for k, c in table[a][b]}
+                        assert row == {index[m]: c for m, c in ring.mono_product(ma, mb).terms}
+            for _ in range(6):
+                e, f = rnd.choice(pairs)
+                i, k = rnd.randint(0, ring.n), rnd.randint(0, ring.n)
+                left, right = _koszul_piece(ring, i, e), _koszul_piece(ring, k, f)
+                target = _koszul_piece(ring, i + k, _product_piece(ring, e, f))
+                u = _random_vector(rnd, left, coefficients)
+                v = _random_vector(rnd, right, coefficients)
+                w = product_ints(left, u, right, v, target)
+                ref = target.vector_of(left.element_of(u) * right.element_of(v))
+                assert set(w) == set(ref)
+                if ref:
+                    k0 = next(iter(ref))
+                    ratio = ref[k0] / of(w[k0])
+                    assert {k: of(c) * ratio for k, c in w.items()} == ref
+
+    check()
+
+
+def _pieces(report):
+    return [(p.key, p.passed, p.source_dim, p.target_rank,
+             None if p.witness is None else format_koszul_element(p.witness))
+            for p in report.pieces]
+
+
+def _assert_local_matches_reference(ring, t, r, l):
+    assert _pieces(check_P_local(ring, t, r, l)) == _pieces(
+        conditions.ConditionReport("", (), reference.check_P_local_pieces(ring, t, r, l)))
+
+
+def _assert_spans_match_reference(ring, monkeypatch):
+    algebra = homology_algebra(ring)
+    for hp in algebra.pieces.values():
+        assert hp.rep_vectors == reference.representatives(hp)
+    gens = algebra.generators()
+    assert [(lab, bd, format_koszul_element(el)) for lab, bd, el in gens] == [
+        (lab, bd, format_koszul_element(el)) for lab, bd, el in reference.generators(algebra)]
+    classes = [el for _lab, _bd, el in gens]
+    checks = [lambda: check_nonlinear_generated_by(ring, classes),
+              lambda: check_nonlinear_generated_by(ring, classes[:len(classes) // 2])]
+    for _lab, bd, el in gens[:3]:
+        checks += [lambda t=t, bd=bd, el=el: check_P_graded(ring, t, bd[0], el) for t in (1, 2)]
+    if ring.is_artinian:
+        Z = CycleSet(ring, tuple((lab, el) for lab, bd, el in gens if bd[1] - bd[0] >= 1)[:4])
+        checks += [lambda b=b: check_Z_graded(ring, 1, b, 2, Z) for b in (0, 1)]
+    reports = [_pieces(check()) for check in checks]
+    with monkeypatch.context() as patched:
+        patched.setattr(conditions, "_product_span", reference.product_span)
+        patched.setattr(conditions, "_containment", reference.containment)
+        assert reports == [_pieces(check()) for check in checks]
+    if ring.is_artinian:
+        for _lab, bd, el in gens[:3]:
+            for t in (1, 2, 3):
+                _assert_local_matches_reference(ring, t, bd[0], el)
+
+
+def _local_cycles(ring):
+    """(r, cycle of degree r) on an ungraded ring: socle elements times
+    exterior monomials, and a boundary."""
+    T = [KoszulElement.generator(ring, l) for l in range(ring.n)]
+    socle = [KoszulElement.from_polynomial(ring, s) for s in ring.socle()]
+    x0 = KoszulElement.from_polynomial(ring, ring.variable(0))
+    return ([(1, s * T[-1]) for s in socle[:2]] + [(2, s * T[0] * T[1]) for s in socle[:1]]
+            + [(1, (x0 * T[0] * T[1]).diff())])
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
+def test_product_spans_match_reference(name, monkeypatch):
+    # generators, representatives and every condition report built from
+    # structure constants, one order per pair and early stops must equal
+    # the KoszulElement-product code literally, witnesses included
+    pytest.importorskip("hypothesis")
+    field, coefficients = RANDOM_RING_FIELDS[name]
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(artinian_rings(field, coefficients, (MonomialOrder.GREVLEX, MonomialOrder.LEX)))
+    def check(rings):
+        ring, twin = rings
+        _assert_spans_match_reference(ring, monkeypatch)
+        for r, l in _local_cycles(twin):
+            for t in (1, 2):
+                _assert_local_matches_reference(twin, t, r, l)
+
+    check()
+
+
+@pytest.mark.parametrize("name", ["case54", "case66", "case71v16", "socle4"])
+def test_corpus_product_spans_match_reference(name, monkeypatch):
+    # four variables, so squares of classes of degree two can be nonzero
+    _assert_spans_match_reference(corpus.get_definition(name).build(), monkeypatch)
+
+
+def test_stretched_p_local_matches_reference():
+    rng = random.Random(SEED)
+    for _ in range(6):
+        spec = random_stretched_spec(rng)
+        ring = build_stretched_ring(spec)
+        F = stretched_F_cycle(spec, ring)
+        for t in (1, 2, 3):
+            _assert_local_matches_reference(ring, t, 1, F)
