@@ -25,11 +25,22 @@ Pairs are taken smallest lcm first (the normal strategy).  The input
 generators are reduced and inserted sparsest first, and `normal_form`
 reduces by the sparsest basis element that applies.  None of these
 choices changes the result, since the reduced basis is unique.
+
+When every input generator is homogeneous, a popped pair is also dropped
+without reduction when the Hilbert function of the reducing set's leads
+vanishes in the degree D of its lcm: every monomial of degree D is then a
+multiple of a lead, so the S-polynomial, homogeneous of degree D, reduces
+to zero.  This is the simplest case of the Hilbert-driven Buchberger of
+Traverso ("Hilbert functions and the Buchberger algorithm", J. Symb.
+Comput. 1996).  The Hilbert series of the leads comes from the pivot
+recursion of Bayer and Stillman ("Computing the Hilbert function",
+J. Symb. Comput. 1992) and Bigatti (1997), not from enumerating monomials.
 """
 
 from __future__ import annotations
 
 import heapq
+from math import comb
 from operator import le
 
 from .errors import BudgetError
@@ -46,6 +57,62 @@ def _divides(a: tuple, b: tuple) -> bool:
 
 def _lcm(a: tuple, b: tuple) -> tuple:
     return tuple(map(max, a, b))
+
+
+def _minimalise(monomials) -> list[tuple]:
+    """The minimal generators of the monomial ideal the exponent tuples
+    generate, in ascending degree."""
+    kept: list[tuple] = []
+    for m in sorted(set(monomials), key=sum):
+        if not any(_divides(k, m) for k in kept):
+            kept.append(m)
+    return kept
+
+
+def _add_shifted(a: list[int], b: list[int], shift: int, sign: int) -> list[int]:
+    """a + sign * z^shift * b on coefficient lists."""
+    out = a + [0] * max(0, shift + len(b) - len(a))
+    for k, c in enumerate(b):
+        out[shift + k] += sign * c
+    return out
+
+
+def _numerator(gens: list[tuple]) -> list[int]:
+    # a generator coprime to all others is a nonzerodivisor modulo the
+    # rest and contributes a factor 1 - z^deg; the others are split by a
+    # pivot x_i^e, the smallest positive power of the variable most of
+    # them share: K(I) = K(I + x_i^e) + z^e K(I : x_i^e), where
+    # K(I + x_i^e) = (1 - z^e) K(J) and J holds the generators free of x_i
+    counts = [sum(map(bool, column)) for column in zip(*gens)]
+    isolated, shared = [], []
+    for g in gens:
+        coprime = all(counts[i] == 1 for i, e in enumerate(g) if e)
+        (isolated if coprime else shared).append(g)
+    numerator = [1]
+    if shared:
+        i = max(range(len(counts)), key=counts.__getitem__)
+        e = min(g[i] for g in shared if g[i])
+        free = _numerator([g for g in shared if not g[i]])
+        colon = _numerator(_minimalise(
+            g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in shared))
+        numerator = _add_shifted(_add_shifted(free, free, e, -1), colon, e, 1)
+    for g in isolated:
+        numerator = _add_shifted(numerator, numerator, sum(g), -1)
+    return numerator
+
+
+def hilbert_numerator(leads) -> list[int]:
+    """Coefficients of K(z), the numerator of the Hilbert series
+    K(z) / (1 - z)^n of k[x_1..x_n]/L, where L is the monomial ideal the
+    exponent tuples `leads` generate.  Nothing is enumerated."""
+    return _numerator(_minimalise(leads))
+
+
+def hilbert_function(numerator: list[int], n: int, degree: int) -> int:
+    """The number of standard monomials of the given degree, in n
+    variables, from the Hilbert-series numerator."""
+    return sum(c * comb(degree - k + n - 1, n - 1)
+               for k, c in enumerate(numerator[:degree + 1]))
 
 
 def normal_form(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
@@ -99,8 +166,21 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder = None) -> lis
     Gebauer-Moller update described in the module docstring: criteria M
     and F and the coprime test on the new pairs, criterion B on the
     queued ones.  Pair selection follows the normal strategy (smallest
-    lcm in the active order first, ties by basis index).  Raises
-    BudgetError when it needs more than PAIR_BUDGET S-pair reductions.
+    lcm in the active order first, ties by basis index).
+
+    When every generator is homogeneous, so is every basis element and
+    every S-polynomial.  A popped pair whose lcm has a degree D in which
+    the Hilbert function of the reducing set's leads vanishes is then
+    dropped unreduced: each term of its S-polynomial has degree D, hence
+    is a multiple of a lead, and the S-polynomial reduces to zero.  The
+    Hilbert-series numerator is recomputed only when a pair is popped
+    after the reducing set changed.  A vanishing degree stays one for
+    every larger degree and every larger reducing set, so pairs at or
+    above it are dropped without recomputation.  Inhomogeneous input
+    never takes this cutoff.
+
+    Raises BudgetError when it needs more than PAIR_BUDGET S-pair
+    reductions; pairs dropped unreduced do not count.
     """
     gens = [g for g in generators if g and g.terms]
     if not gens:
@@ -110,19 +190,23 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder = None) -> lis
     gens = [g.with_order(order).monic() for g in gens]
     gens.sort(key=lambda g: len(g.terms))
     key = order.key
+    homogeneous = all(g.is_homogeneous() for g in gens)
 
     basis: list[Polynomial] = []
     leads: list[tuple] = []  # exponent tuple of each basis element's lead
     active: list[int] = []  # basis indices that form pairs and reduce
     pairs: list = []  # heap of (lcm order key, i, j, lcm exponents)
+    numerator = None  # Hilbert numerator of the active leads; None when stale
+    cutoff = None  # a degree in which that Hilbert function vanishes
 
     def insert(h: Polynomial):
-        nonlocal pairs
+        nonlocal pairs, numerator
         j = len(basis)
         lh = h.lead_monomial.exponents
         deg_h = sum(lh)
         basis.append(h)
         leads.append(lh)
+        numerator = None
 
         # criterion B on the queued pairs
         kept = [pair for pair in pairs
@@ -166,7 +250,16 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder = None) -> lis
 
     counter = 0
     while pairs:
-        i, j = heapq.heappop(pairs)[1:3]
+        i, j, lcm = heapq.heappop(pairs)[1:]
+        if homogeneous:
+            degree = sum(lcm)
+            if cutoff is None or degree < cutoff:
+                if numerator is None:
+                    numerator = hilbert_numerator(leads[a] for a in active)
+                if hilbert_function(numerator, len(lcm), degree) == 0:
+                    cutoff = degree
+            if cutoff is not None and degree >= cutoff:
+                continue
         s = s_polynomial(basis[i], basis[j])
         r = normal_form(s, [basis[i] for i in active])
         if r.terms:

@@ -1,4 +1,5 @@
 import random
+from operator import le
 
 import pytest
 
@@ -7,14 +8,15 @@ try:
 except ImportError:  # only the reference comparison needs it; it skips
     pass
 
-from koszulkit import groebner
+from koszulkit import corpus, groebner
 from koszulkit.errors import BudgetError
 from koszulkit.fields import PrimeField, QQ
-from koszulkit.groebner import buchberger, normal_form
+from koszulkit.groebner import buchberger, hilbert_function, hilbert_numerator, normal_form
 from koszulkit.poly import Monomial, MonomialOrder, Polynomial, monomials_of_degree
 from koszulkit.ringdef import format_polynomial, parse_polynomial
 
 import reference_groebner as ref
+from support import RANDOM_RING_FIELDS, artinian_rings
 
 LEX = MonomialOrder.LEX
 GRL = MonomialOrder.GREVLEX
@@ -105,6 +107,8 @@ def _literal(basis):
 def _ideals(field):
     """Generator lists in 2-4 variables: homogeneous or not, with monomials,
     zero polynomials and duplicates mixed in, plus an order and probes.
+    Some lists also get every monomial of degree 2 or 3, so that the leads
+    fill a degree and the Hilbert cutoff drops pairs.
 
     Inhomogeneous lex ideals stay in 2-3 variables: in 4 their bases grow
     large enough to take seconds per example.
@@ -138,6 +142,9 @@ def _ideals(field):
         if draw(st.booleans()):
             gens.append(gens[draw(st.integers(0, len(gens) - 1))])
         probes = draw(st.lists(st.builds(poly), max_size=3))
+        if draw(st.booleans()):
+            gens += [Polynomial.from_monomial(n, field, order, m)
+                     for m in monomials_of_degree(n, draw(st.integers(2, 3)))]
         return gens, order, probes
 
     return build()
@@ -185,7 +192,9 @@ def _count_s_pairs(module, monkeypatch, gens, order):
 
 @pytest.mark.parametrize("order", [LEX, GRL], ids=["lex", "grevlex"])
 def test_criteria_skip_s_pair_reductions(monkeypatch, order):
-    """Five random quadrics plus m^3 in five variables over Q."""
+    """Five random quadrics plus m^3 in five variables over Q.  Every pair
+    left by the criteria has degree at least 3, where the leads already
+    hold every monomial, so the Hilbert cutoff drops all of them."""
     rng = random.Random(5)
     n = 5
     quadrics = list(monomials_of_degree(n, 2))
@@ -199,4 +208,61 @@ def test_criteria_skip_s_pair_reductions(monkeypatch, order):
     got, got_pairs = _count_s_pairs(groebner, monkeypatch, gens, order)
     want, want_pairs = _count_s_pairs(ref, monkeypatch, gens, order)
     assert _literal(got) == _literal(want)
-    assert got_pairs < want_pairs
+    assert (got_pairs, want_pairs) == (0, {LEX: 194, GRL: 128}[order])
+    # q + x_1^3 generates the same ideal, but the input is no longer
+    # homogeneous, so no pair may be dropped by the cutoff
+    cube = Polynomial.from_monomial(n, QQ, order, Monomial((3, 0, 0, 0, 0)))
+    twin, twin_pairs = _count_s_pairs(groebner, monkeypatch,
+                                      [gens[0] + cube] + gens[1:], order)
+    assert _literal(twin) == _literal(want)
+    assert twin_pairs > 0
+
+
+# -- the Hilbert function of the leads against counted standard monomials
+
+def _assert_hilbert_counts(ring, top):
+    numerator = hilbert_numerator(lm.exponents for lm in ring.lead_monomials)
+    for d in range(top + 1):
+        assert hilbert_function(numerator, ring.n, d) == len(ring.std_basis(d)), d
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_hilbert_function_counts_corpus_standard_monomials(name):
+    ring = corpus.get_ring(name)
+    _assert_hilbert_counts(ring, ring.top_degree + 2 if ring.is_artinian else 8)
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
+def test_hilbert_function_counts_random_ring_standard_monomials(name):
+    pytest.importorskip("hypothesis")
+    field, coefficients = RANDOM_RING_FIELDS[name]
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(artinian_rings(field, coefficients, (GRL, LEX)))
+    def check(rings):
+        for ring in rings:
+            _assert_hilbert_counts(ring, ring.top_degree + 2)
+
+    check()
+
+
+def test_hilbert_function_counts_random_monomial_ideals():
+    pytest.importorskip("hypothesis")
+
+    @st.composite
+    def ideals(draw):
+        n = draw(st.integers(1, 5))
+        exponents = st.lists(st.integers(0, 4), min_size=n, max_size=n).map(tuple)
+        return n, draw(st.lists(exponents, max_size=8))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ideals())
+    def check(case):
+        n, gens = case
+        numerator = hilbert_numerator(gens)
+        for d in range(11):
+            count = sum(1 for m in monomials_of_degree(n, d)
+                        if not any(all(map(le, g, m.exponents)) for g in gens))
+            assert hilbert_function(numerator, n, d) == count, d
+
+    check()
