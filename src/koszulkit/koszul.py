@@ -112,12 +112,6 @@ class KoszulElement:
             return None
         return (i, i + degrees.pop())
 
-    def strand_degree(self) -> Optional[int]:
-        bd = self.bidegree()
-        if bd is None:
-            return None
-        return bd[1] - bd[0]
-
     # -- arithmetic ---------------------------------------------------
 
     def _check_ring(self, other: "KoszulElement"):

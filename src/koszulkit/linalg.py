@@ -25,9 +25,9 @@ A vector that matters only up to a nonzero scale, such as one spanning
 a saturation, can skip the field altogether: `EchelonSolver.add_ints`
 takes an int dict (residues over GF(p), integers over Q) and stores it
 with the same elimination and the same normalised rows as `add`.
-`int_kernel` returns the null basis as int vectors known up to scale;
-`kernel_of_columns` is a thin wrapper that turns them into field
-vectors.
+`int_kernel` takes column j as ints over its own denominator, V_j / S_j,
+and returns the null basis as int vectors known up to scale;
+`kernel_of_columns` is a thin wrapper on field vectors.
 """
 
 from __future__ import annotations
@@ -212,10 +212,11 @@ class EchelonSolver:
         dicts and D = 1 over GF(p).  Tracking invariant: remainder -
         sum(C[t] / D * original_t) equals vec - sum(combo[t] * original_t).
         """
-        if not vec:
-            return {}, (None if combo is None else dict(combo)), 1
+        return self._reduce_ints(*int_vector(vec, self._p), combo)
+
+    def _reduce_ints(self, V: dict, D: int, combo: Optional[dict]):
+        """`reduce` of the int vector V / D (D = 1 over GF(p)); consumes V."""
         p = self._p
-        V, D = int_vector(vec, p)
         if p:
             C = None if combo is None else dict(combo)
             _eliminate_mod_p(V, C, p, self._rows, self._combos)
@@ -225,7 +226,7 @@ class EchelonSolver:
 
     def _to_field(self, vec: dict, D: int, sign: int = 1) -> dict:
         """The field vector sign * vec / D."""
-        return _field_vector(self._p, vec, D, sign)
+        return field_vector(self._p, vec, D, sign)
 
     def _store(self, V: dict, C) -> None:
         """Normalise a nonzero remainder V (and its combination C) and
@@ -385,7 +386,7 @@ class Subspace:
         return s
 
 
-def _field_vector(p: int, vec: dict, D: int, sign: int = 1) -> dict:
+def field_vector(p: int, vec: dict, D: int, sign: int = 1) -> dict:
     """The field vector sign * vec / D of an int vector, over GF(p) for
     p > 0 and over Q for p = 0."""
     if p:
@@ -395,19 +396,24 @@ def _field_vector(p: int, vec: dict, D: int, sign: int = 1) -> dict:
     return {c: rational(sign * x, D) for c, x in vec.items()}
 
 
-def int_kernel(columns: list[dict], field) -> list[tuple[int, dict]]:
-    """Null space of the linear map whose j-th column is columns[j], as
-    pairs (f, C) in ascending order of the free index f.
+def int_kernel(columns: Iterable[tuple[dict, int]], field) -> list[tuple[int, dict]]:
+    """Null space of the linear map whose j-th column is V_j / S_j, for
+    the int pairs (V_j, S_j) of columns (S_j = 1 over GF(p)), as pairs
+    (f, C) in ascending order of the free index f.
 
     C is an int vector (residues over GF(p), integers without common
     factor over Q) whose field value C / C[f] is the reduced-echelon null
     vector of free column f: coefficient one at f, zero at every other
-    free column.
+    free column.  Column j's combination starts at S_j, as it would for
+    V_j / S_j, so no C depends on the scale of a column.
     """
     solver = EchelonSolver(field, track=True)
     kernel = []
-    for f, col in enumerate(columns):
-        V, C, _D = solver.reduce(col, {f: 1})
+    for f, (V, S) in enumerate(columns):
+        if not V:  # most columns of a resolution sweep
+            kernel.append((f, {f: 1}))
+            continue
+        V, C, _D = solver._reduce_ints(dict(V), S, {f: 1})
         if V:
             solver._store(V, C)
         else:
@@ -418,7 +424,7 @@ def int_kernel(columns: list[dict], field) -> list[tuple[int, dict]]:
 def kernel_vector(f: int, C: dict, field) -> dict:
     """The field vector of an `int_kernel` pair: entries in the order of
     C, except that the coefficient one at f comes last."""
-    vec = _field_vector(field.char, C, C[f])
+    vec = field_vector(field.char, C, C[f])
     del vec[f]
     vec[f] = field.one
     return vec
@@ -431,4 +437,5 @@ def kernel_of_columns(columns: list[dict], field) -> list[dict]:
     their leading (free) index; each has coefficient one there.  This is
     the reduced-echelon null basis with free variables set to zero.
     """
-    return [kernel_vector(f, C, field) for f, C in int_kernel(columns, field)]
+    pairs = (int_vector(col, field.char) for col in columns)
+    return [kernel_vector(f, C, field) for f, C in int_kernel(pairs, field)]

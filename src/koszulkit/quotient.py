@@ -403,19 +403,6 @@ class QuotientRing:
     def socle_dim(self) -> int:
         return len(self.socle())
 
-    def max_ideal_spans(self) -> list[int]:
-        """Dimensions of the powers of the maximal ideal, index t."""
-        self.require_artinian("power dimensions")
-        dims = []
-        t = 0
-        while True:
-            d = self.power_ideal_subspace(t).dim
-            dims.append(d)
-            if d == 0:
-                break
-            t += 1
-        return dims
-
     def embedding_dimension(self) -> int:
         """dim of m/m^2; equals n because I sits inside n^2."""
         return self.n

@@ -25,15 +25,18 @@ The feed of that saturation is all ints: a kernel vector matters only up
 to scale, so it stays an int vector (residues over GF(p), a primitive
 integer vector over Q), and one pass over its coordinates yields all n
 products from int action tables, scaled over Q by one common
-denominator per piece.  Field vectors are built only for the generators.
-The first step resolves the given columns; it keeps the greedy test
-against the same saturation.
+denominator per piece.  The first step resolves the given columns, as
+ints, against the same saturation.
 
-A differential is kept as the coordinate vectors the sweep found: the
-image of each generator as a vector of the target.  The image of x_l*m
-times a generator is x_l times the image of m, so the images of a whole
-piece's basis follow by shifting vectors; polynomial columns are built
-only when `ResolutionData.differential` is asked for them.
+A differential is kept as the image of each generator: a vector V / S of
+the target, as an int vector V over its own denominator S (the
+`int_kernel` pair C over C[f] for a kernel vector; S = 1 over GF(p)).
+The image of x_l*m times a generator is x_l times the image of m, so the
+images of a whole piece's basis follow by shifting int vectors through
+int x_l tables, each keeping its own denominator, and `int_kernel` takes
+them as they are.  Field vectors are built only where they are read:
+`ResolutionData.maps`, `ResolutionData.differential` and the solves of a
+chain-map lift.
 
 Every sweep needs a certified stopping degree.  Over an artinian ring
 components vanish above maxgen + top degree.  Over the polynomial ring
@@ -49,15 +52,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import BudgetError, InputError, NotArtinianError, PreconditionError
 # kernel_of_columns is not called here, but stays a name of this module
 # for tools that wrap it in every module that imports it
-from .linalg import (EchelonSolver, int_kernel, kernel_of_columns,  # noqa: F401
-                     kernel_vector, vec_add_terms, vec_combine)
+from .linalg import (EchelonSolver, field_vector, int_kernel, int_vector,
+                     kernel_of_columns, vec_add_terms, vec_combine)  # noqa: F401
 from .poly import Polynomial
 from .quotient import QuotientRing
 from .tables import BettiTable
@@ -135,7 +138,6 @@ class FreeModule:
         self.ring = ring
         self.degrees = list(degrees)
         self._offsets: dict[int, tuple] = {}
-        self._shifts: dict[int, tuple] = {}
         self._constant_slots: dict[int, dict] = {}
 
     @property
@@ -155,33 +157,19 @@ class FreeModule:
             self._offsets[j] = cached
         return cached
 
-    def shifts(self, j: int):
-        """Offsets of piece j and, for each variable x_l, a table of
-        (source offset, target offset, x_l action) per generator."""
-        cached = self._shifts.get(j)
-        if cached is None:
-            ring = self.ring
-            src = self.offsets(j)
-            tgt = self.offsets(ring.piece_of(j + 1))
-            cached = (src, [tuple((src[g], tgt[g], ring.var_action(l, j - d))
-                                  for g, d in enumerate(self.degrees))
-                            for l in range(ring.n)])
-            self._shifts[j] = cached
-        return cached
-
     def dim(self, j: int) -> int:
         """Dimension of piece j."""
         return sum(len(self.ring.piece(j - d)) for d in self.degrees)
 
     def int_shifts(self, j: int):
-        """Offsets of piece j and, per generator, (source offset, target
-        offset, int action of all variables) for `_shift_all`.
+        """Offsets of piece j, the scale of its int x_l tables and, per
+        generator, (source offset, target offset, their int action).
 
         Over Q all blocks share one scale, the lcm of the denominators of
         every block's action, so x_l times an int vector is one integer
         multiple of its true value; a scale per block would break that
-        proportionality.  Over GF(p) the tables hold residues.  A sweep
-        saturates each piece once, so the result is not cached.
+        proportionality.  Over GF(p) the tables hold residues.  Each call
+        serves a whole piece, so the result is not cached.
         """
         ring = self.ring
         src = self.offsets(j)
@@ -191,8 +179,8 @@ class FreeModule:
             scale = lcm(*(c.denominator for e in set(j - d for d in self.degrees)
                           for l in range(ring.n) for act in ring.var_action(l, e)
                           for _ti, c in act))
-        return src, tuple((src[g], tgt[g], ring.int_action(j - d, scale))
-                          for g, d in enumerate(self.degrees))
+        return src, scale, tuple((src[g], tgt[g], ring.int_action(j - d, scale))
+                                 for g, d in enumerate(self.degrees))
 
     def constant_slots(self, j: int) -> dict:
         """Coordinate of the constant monomial in piece j -> its generator.
@@ -210,15 +198,23 @@ class FreeModule:
 # -- component plumbing -----------------------------------------------
 
 
-def _shift_vector(vec: dict, offsets: tuple, table: tuple) -> dict:
-    """x_l times a vector, given one variable's table from FreeModule.shifts."""
+def _nonzero(vec: dict, p: int) -> dict:
+    """An int vector without its zero entries, reduced mod p when p."""
+    if p:
+        return {k: r for k, x in vec.items() if (r := x % p)}
+    return vec if all(vec.values()) else {k: x for k, x in vec.items() if x}
+
+
+def _shift_ints(vec: dict, offsets: tuple, blocks: tuple, l: int, p: int) -> dict:
+    """x_l times an int vector, up to the scale of FreeModule.int_shifts."""
     out: dict = {}
     for coord, coeff in vec.items():
-        src, tgt, act = table[bisect_right(offsets, coord) - 1]
-        pairs = act[coord - src]
-        if pairs:  # x_l kills most monomials
-            vec_add_terms(out, ((tgt + ti, coeff * c) for ti, c in pairs))
-    return out
+        src, tgt, act = blocks[bisect_right(offsets, coord) - 1]
+        for x, ti, c in act[coord - src]:
+            if x == l:
+                k = tgt + ti
+                out[k] = out.get(k, 0) + coeff * c
+    return _nonzero(out, p) if out else out
 
 
 def _shift_all(vec: dict, offsets: tuple, blocks: tuple, p: int,
@@ -240,10 +236,7 @@ def _shift_all(vec: dict, offsets: tuple, blocks: tuple, p: int,
     for out in outs.values():
         if keep is not None:
             out = {keep[k]: x for k, x in out.items() if k in keep}
-        if p:
-            out = {k: r for k, x in out.items() if (r := x % p)}
-        else:
-            out = {k: x for k, x in out.items() if x}
+        out = _nonzero(out, p)
         if out:
             result.append(out)
     return result
@@ -255,25 +248,31 @@ def _saturate(span: EchelonSolver, module: FreeModule, piece: int, feed,
     of vectors of the given piece of module, and every variable x_l."""
     if not feed:
         return
-    offsets, blocks = module.int_shifts(piece)
+    offsets, _scale, blocks = module.int_shifts(piece)
     p = module.ring.field.char
     for v in feed:
         for w in _shift_all(v, offsets, blocks, p, keep):
             span.add_ints(w)
 
 
+_ZERO = ({}, 1)  # shared by the many zero images; no caller changes a pair
+
+
 def _basis_images(source: FreeModule, target: FreeModule, vectors, j: int,
-                  memo: dict) -> list[dict]:
+                  memo: dict) -> list[tuple]:
     """Images of the piece-j basis of source under the map sending
-    generator g to vectors[g], a vector of target; memo maps j -> images.
+    generator g to the int pair vectors[g], as int pairs (V, S) for the
+    vectors V / S of target; memo maps j -> images.
 
     The image of (g, m) with m = x_l * m' is x_l times the image of
     (g, m'): one shift of an image found before, since m' precedes m in
     an ungraded piece and lies in the previous piece of a graded ring.
+    The shift's int table is `scale` times x_l, and so is S.
     """
     out = memo.get(j)
     if out is None:
         ring = source.ring
+        p = ring.field.char
         out = memo[j] = []
         below = ring.piece_of(j - 1)
         prev = None
@@ -285,9 +284,11 @@ def _basis_images(source: FreeModule, target: FreeModule, vectors, j: int,
                 if prev is None:  # over an ungraded ring, `out` itself
                     prev = _basis_images(source, target, vectors, below, memo)
                     prev_offsets = source.offsets(below)
-                    offsets, tables = target.shifts(below)
+                    offsets, scale, blocks = target.int_shifts(below)
                 l, i = step
-                out.append(_shift_vector(prev[prev_offsets[g] + i], offsets, tables[l]))
+                V, S = prev[prev_offsets[g] + i]
+                W = _shift_ints(V, offsets, blocks, l, p)
+                out.append((W, S * scale) if W else _ZERO)
     return out
 
 
@@ -306,8 +307,8 @@ def _vector_to_column(ring, source: FreeModule, vec: dict, j: int) -> dict:
     return out
 
 
-def _column_component(ring, target: FreeModule, column: dict, j: int) -> dict:
-    """Polynomial column -> piece-j vector."""
+def _column_component(ring, target: FreeModule, column: dict, j: int) -> tuple:
+    """Polynomial column -> piece-j vector, as an int pair (V, S)."""
     offsets = target.offsets(j)
     vec: dict = {}
     for tg, p in column.items():
@@ -316,7 +317,7 @@ def _column_component(ring, target: FreeModule, column: dict, j: int) -> dict:
             raise AssertionError("column entry below its generator degree")
         index = ring.piece_index(e)
         vec_add_terms(vec, ((offsets[tg] + index[m], c) for m, c in p.terms))
-    return vec
+    return int_vector(vec, ring.field.char)
 
 
 # -- certified sweep windows ------------------------------------------
@@ -422,10 +423,12 @@ class ResolutionData:
 
     `chain` starts at the ambient free module; `maps[p][g]` is the image
     of generator g of chain[p+1], a coordinate vector of chain[p] in the
-    piece of that generator's degree.  `differential` turns these into
-    polynomial columns when called.  For a cokernel the resolved module
-    has chain[0] as its zeroth step; for a submodule the chain is shifted
-    by one and maps[0] is the evaluation into the ambient module.
+    piece of that generator's degree, built on first read from the int
+    pair (V, S) = `int_maps[p][g]` of the sweep, the vector V / S.
+    `differential` turns maps into polynomial columns when called.  For a
+    cokernel the resolved module has chain[0] as its zeroth step; for a
+    submodule the chain is shifted by one and maps[0] is the evaluation
+    into the ambient module.
     """
 
     def __init__(self, ring: QuotientRing, pres: ModulePresentation, limit: int):
@@ -433,8 +436,13 @@ class ResolutionData:
         self.presentation = pres
         self.limit = limit
         self.chain: list[FreeModule] = []
-        self.maps: list[list[dict]] = []
+        self.int_maps: list[list[tuple]] = []
         self.exactness_log: list[tuple] = []
+
+    @cached_property
+    def maps(self) -> list[list[dict]]:
+        p = self.ring.field.char
+        return [[field_vector(p, V, S) for V, S in step] for step in self.int_maps]
 
     @property
     def graded(self) -> bool:
@@ -495,9 +503,9 @@ def _extract(module: FreeModule, jmin: int, jmax: int, vectors_at, seed):
     Piece j is first saturated with x_l times a spanning set of the
     previous piece's span, or for piece jmin with x_l times the int
     vectors of `seed`, which lie in piece jmin itself.  The generators
-    are the vectors of vectors_at(j) that still grow the span.  Returns
-    (piece, vector) pairs plus a per-piece log of (j, saturated dim, new,
-    total).
+    are the int pairs (V, S) of vectors_at(j) whose V still grows the
+    span.  Returns (piece, pair) pairs plus a per-piece log of (j,
+    saturated dim, new, total).
     """
     gens = []
     log = []
@@ -506,7 +514,7 @@ def _extract(module: FreeModule, jmin: int, jmax: int, vectors_at, seed):
         span = EchelonSolver(module.ring.field)
         _saturate(span, module, feed_piece, feed)
         sat_dim = span.rank
-        new = [v for v in vectors_at(j) if span.add(v) is None]
+        new = [v for v in vectors_at(j) if span.add_ints(dict(v[0]))]
         gens.extend((j, v) for v in new)
         log.append((j, sat_dim, len(new), span.rank))
         feed, feed_piece = span.int_rows(), j
@@ -514,11 +522,11 @@ def _extract(module: FreeModule, jmin: int, jmax: int, vectors_at, seed):
 
 
 def _closure(module: FreeModule, vectors) -> list[dict]:
-    """Independent int vectors spanning the submodule that `vectors`
-    generate inside the single piece 0 of an ungraded ring."""
+    """Independent int vectors spanning the submodule generated by the int
+    pairs (V, S) of `vectors` in the single piece 0 of an ungraded ring."""
     span = EchelonSolver(module.ring.field)
-    for v in vectors:
-        span.add(v)
+    for V, _S in vectors:
+        span.add_ints(dict(V))
     done = 0
     while done < span.rank:
         rows = span.int_rows()
@@ -537,7 +545,8 @@ def _sweep(src: FreeModule, jmin: int, jmax: int, images):
     restrict x_l times a basis of the previous piece's kernel to them
     and name free column f by -f: the echelon then pivots on the largest
     free column, and f is a new generator iff it is not a pivot.
-    Returns (piece, field vector) pairs plus the per-piece log.
+    Returns (piece, int pair) pairs plus the per-piece log; the pair of
+    kernel vector f is (C, C[f]), with f moved last as in `kernel_vector`.
     """
     ring = src.ring
     field = ring.field
@@ -552,18 +561,15 @@ def _sweep(src: FreeModule, jmin: int, jmax: int, images):
                   {f: -f for f, _C in kernel})
         new = [(f, C) for f, C in kernel if not span.has_pivot(-f)]
         log.append((j, span.rank, len(new), len(kernel)))
-        # keep only the next piece's feed, and drop each int vector once
-        # its generator's field vector is built
+        # free the saturation and all but the next feed before storing
         below = kernel if j < jmax else ()
         del span, kernel
-        new.reverse()
         constants = src.constant_slots(j)
-        while new:
-            f, C = new.pop()
-            vec = kernel_vector(f, C, field)
-            if any(k in constants for k in vec):
+        for f, C in new:
+            if any(k in constants for k in C):
                 raise AssertionError("resolution lost minimality")
-            gens.append((j, vec))
+            C[f] = C.pop(f)
+            gens.append((j, (C, C[f])))
     return gens, log
 
 
@@ -606,7 +612,7 @@ def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
             if seed and log[-1][3] != len(seed):
                 raise AssertionError("given columns fail to generate their span")
         data.chain.append(FreeModule(ring, [d for d, _v in gens]))
-        data.maps.append([v for _d, v in gens])
+        data.int_maps.append([v for _d, v in gens])
         data.exactness_log.append((tor_of(1), log))
 
     while len(data.chain) - 1 < positions:
@@ -614,7 +620,7 @@ def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
         pos = len(data.chain)
         if src.rank == 0:
             data.chain.append(FreeModule(ring, []))
-            data.maps.append([])
+            data.int_maps.append([])
             continue
         jmin = min(src.degrees)
         jmax = window(tor_of(pos), max(src.degrees))
@@ -623,11 +629,11 @@ def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
             raise BudgetError(
                 "resolution budget of %d source coordinates per step exceeded: "
                 "step %d needs %d" % (RESOLUTION_BUDGET, tor_of(pos), source_dim))
-        images = partial(_basis_images, src, data.chain[-2], data.maps[-1], memo={})
+        images = partial(_basis_images, src, data.chain[-2], data.int_maps[-1], memo={})
         gens, log = _sweep(src, jmin, jmax, images)
         data.exactness_log.append((tor_of(pos), log))
         data.chain.append(FreeModule(ring, [d for d, _v in gens]))
-        data.maps.append([v for _d, v in gens])
+        data.int_maps.append([v for _d, v in gens])
     return data
 
 
@@ -719,7 +725,7 @@ def tor_map_vanishes(ring: QuotientRing, s: int, b: int, limit: int) -> TorMapRe
     for i in range(limit + 1):
         target = res_b.chain[i + 1]
         ok = True
-        for gi, (d, vec) in enumerate(zip(res_s.chain[i + 1].degrees, lifts[i + 1])):
+        for gi, (d, vec) in enumerate(zip(res_s.chain[i + 1].degrees, lifts[i])):
             constants = target.constant_slots(d)
             for k in sorted(k for k in vec if k in constants):
                 ok = False
@@ -730,32 +736,37 @@ def tor_map_vanishes(ring: QuotientRing, s: int, b: int, limit: int) -> TorMapRe
 
 def _lift(ring, res_s, res_b, limit):
     """Chain map between the two resolutions over the inclusion, as the
-    vectors lifts[p][g] of res_b.chain[p], one per generator g of
-    res_s.chain[p]."""
+    field vectors lifts[p - 1][g] of res_b.chain[p], one per generator g
+    of res_s.chain[p], p >= 1.  Basis images are shifted as int pairs and
+    turn into field vectors only for the solves."""
+    p = ring.field.char
     # position 0 is the shared ambient copy of R; the lift starts as
     # the identity and is pushed up the two chains one step at a time
-    lifts = [[_column_component(ring, res_b.chain[0], {0: ring.one_poly()}, 0)]]
-    for p in range(1, limit + 2):
-        # lift_{p-1} of the piece-d basis, and the differential of res_b
-        composed = partial(_basis_images, res_s.chain[p - 1], res_b.chain[p - 1],
-                           lifts[p - 1], memo={})
-        images = partial(_basis_images, res_b.chain[p], res_b.chain[p - 1],
-                         res_b.maps[p - 1], memo={})
+    prev = [_column_component(ring, res_b.chain[0], {0: ring.one_poly()}, 0)]
+    lifts = []
+    for q in range(1, limit + 2):
+        # lift_{q-1} of the piece-d basis, and the differential of res_b
+        composed = partial(_basis_images, res_s.chain[q - 1], res_b.chain[q - 1],
+                           prev, memo={})
+        images = partial(_basis_images, res_b.chain[q], res_b.chain[q - 1],
+                         res_b.int_maps[q - 1], memo={})
         systems: dict = {}
         cur = []
-        for d, v in zip(res_s.chain[p].degrees, res_s.maps[p - 1]):
-            tvec = vec_combine(v, composed(d))
+        for d, v in zip(res_s.chain[q].degrees, res_s.maps[q - 1]):
+            basis = composed(d)
+            tvec = vec_combine(v, {k: field_vector(p, *basis[k]) for k in v})
             if not tvec:
                 cur.append({})
                 continue
             system = systems.get(d)
             if system is None:
                 system = systems[d] = EchelonSolver(ring.field, track=True)
-                for j, col in enumerate(images(d)):
-                    system.add(col, tag=j)
+                for j, (V, S) in enumerate(images(d)):
+                    system.add(field_vector(p, V, S), tag=j)
             sol = system.solve(tvec)
             if sol is None:
                 raise AssertionError("chain map lift failed; resolution not exact")
             cur.append(sol)
         lifts.append(cur)
+        prev = [int_vector(v, p) for v in cur]
     return lifts

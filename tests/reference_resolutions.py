@@ -1,4 +1,4 @@
-"""Reference extraction of minimal generators, for tests only.
+"""Reference resolutions and chain-map lifts, for tests only.
 
 The resolution engine reads each step's minimal generators off the
 pivots of an echelon form on the free coordinates of the kernel.  This
@@ -6,13 +6,23 @@ module keeps the literal greedy rule that reading replaces: piece by
 piece, a span is saturated with x_l times the vectors that grew the
 previous piece's span, then extended by the kernel vectors in order; the
 kernel vectors that still grow it are the generators.  Everything is
-computed from the `differential()` Polynomial columns through
-`ring.multiply`, with the field-element solver of `reference_linalg`.
+computed from Polynomial columns through `ring.multiply`, with the
+field-element solver of `reference_linalg`.
+
+The engine also shifts the basis images of a map as int vectors, each
+over its own denominator.  `reference_tor_map_vanishes` keeps the field
+path that replaces: the images are field vectors shifted through the
+field x_l tables of the ring, and the lift of a chain map solves on them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import partial
+
+from koszulkit.linalg import EchelonSolver, vec_add_terms, vec_combine
 from koszulkit.poly import Polynomial
+from koszulkit.resolutions import ModulePresentation, TorMapReport, minimal_resolution
 
 from reference_linalg import Subspace, kernel_of_columns
 
@@ -116,13 +126,17 @@ def _closure(ring, coords, vectors):
 
 
 def reference_resolution(data):
-    """(maps, exactness_log) of a cokernel resolution recomputed by the
-    greedy rule from the presentation and the `differential()` columns."""
+    """(maps, exactness_log) of a resolution over an artinian ring,
+    recomputed by the greedy rule from the presentation; each step's
+    Polynomial columns come from the maps found before it."""
     ring, pres = data.ring, data.presentation
-    if pres.mode != "cokernel" or not ring.is_artinian:
-        raise ValueError("the reference covers cokernels over artinian rings")
+    if not ring.is_artinian:
+        raise ValueError("the reference covers artinian rings")
     top = ring.top_degree if ring.graded else 0
     piece_of = (lambda d: d) if ring.graded else (lambda d: 0)
+    # a submodule resolution has one more step: the evaluation map
+    positions = data.limit + (0 if pres.mode == "cokernel" else 1)
+    tor_of = (lambda p: p) if pres.mode == "cokernel" else (lambda p: p - 1)
 
     # step one: the presentation's columns, piece by piece
     ambient = [piece_of(sh) for sh in pres.shifts]
@@ -139,13 +153,13 @@ def reference_resolution(data):
                                            by_piece.get(0, ()))
     gens, log = ([], []) if not by_piece else _greedy(
         ring, ambient, min(by_piece), max(by_piece), lambda j: by_piece.get(j, ()), seed)
-    maps, logs = [[v for _j, v in gens]], [(1, log)]
-    degrees = [piece_of(j) for j, _v in gens]
+    maps, logs = [[v for _j, v in gens]], [(tor_of(1), log)]
+    chain = [ambient, [piece_of(j) for j, _v in gens]]
 
     # later steps: generators of the kernel of the previous differential
-    for i in range(1, data.limit):
-        outer = data.differential(i)
-        target = [piece_of(d) for d in data.module(i - 1).degrees]
+    for p in range(1, positions):
+        target, degrees = chain[p - 1], chain[p]
+        outer = [_Coordinates(ring, target, j).column(v) for j, v in zip(degrees, maps[-1])]
         gens, log = [], []
         if degrees:
             def kernel_at(j, degrees=degrees, outer=outer, target=target):
@@ -156,7 +170,103 @@ def reference_resolution(data):
             seed = () if ring.graded else kernel_at(0)
             gens, log = _greedy(ring, degrees, jmin, jmax,
                                 (lambda j: seed) if seed else kernel_at, seed)
-            logs.append((i + 1, log))
+            logs.append((tor_of(p + 1), log))
         maps.append([v for _j, v in gens])
-        degrees = [j for j, _v in gens]
+        chain.append([j for j, _v in gens])
     return maps, logs
+
+
+# -- the field path of chain-map lifts ---------------------------------
+
+
+def _shift_vector(vec: dict, offsets: tuple, table: tuple) -> dict:
+    """x_l times a field vector, given one variable's table from `_shifts`."""
+    out: dict = {}
+    for coord, coeff in vec.items():
+        src, tgt, act = table[bisect_right(offsets, coord) - 1]
+        pairs = act[coord - src]
+        if pairs:  # x_l kills most monomials
+            vec_add_terms(out, ((tgt + ti, coeff * c) for ti, c in pairs))
+    return out
+
+
+def _shifts(module, j):
+    """Offsets of piece j of a free module and, for each variable x_l, a
+    table of (source offset, target offset, field x_l action) per
+    generator."""
+    ring = module.ring
+    src = module.offsets(j)
+    tgt = module.offsets(ring.piece_of(j + 1))
+    return src, [tuple((src[g], tgt[g], ring.var_action(l, j - d))
+                       for g, d in enumerate(module.degrees))
+                 for l in range(ring.n)]
+
+
+def _basis_images(source, target, vectors, j, memo) -> list[dict]:
+    """Field images of the piece-j basis of source under the map sending
+    generator g to the field vector vectors[g] of target; the image of
+    (g, x_l * m') is x_l times that of (g, m')."""
+    out = memo.get(j)
+    if out is None:
+        ring = source.ring
+        out = memo[j] = []
+        below = ring.piece_of(j - 1)
+        prev = None
+        for g, d in enumerate(source.degrees):
+            for step in ring.divisors(j - d):
+                if step is None:
+                    out.append(vectors[g])
+                    continue
+                if prev is None:  # over an ungraded ring, `out` itself
+                    prev = _basis_images(source, target, vectors, below, memo)
+                    prev_offsets = source.offsets(below)
+                    offsets, tables = _shifts(target, below)
+                l, i = step
+                out.append(_shift_vector(prev[prev_offsets[g] + i], offsets, tables[l]))
+    return out
+
+
+def reference_lift(ring, res_s, res_b, limit):
+    """The chain map over the inclusion, lifts[p][g] a field vector of
+    res_b.chain[p], from the field `maps` of the two resolutions."""
+    lifts = [[{0: ring.field.one}]]  # the identity of R: 1 is coordinate 0
+    for p in range(1, limit + 2):
+        composed = partial(_basis_images, res_s.chain[p - 1], res_b.chain[p - 1],
+                           lifts[p - 1], memo={})
+        images = partial(_basis_images, res_b.chain[p], res_b.chain[p - 1],
+                         res_b.maps[p - 1], memo={})
+        systems: dict = {}
+        cur = []
+        for d, v in zip(res_s.chain[p].degrees, res_s.maps[p - 1]):
+            tvec = vec_combine(v, composed(d))
+            if not tvec:
+                cur.append({})
+                continue
+            system = systems.get(d)
+            if system is None:
+                system = systems[d] = EchelonSolver(ring.field, track=True)
+                for j, col in enumerate(images(d)):
+                    system.add(col, tag=j)
+            sol = system.solve(tvec)
+            assert sol is not None, "chain map lift failed"
+            cur.append(sol)
+        lifts.append(cur)
+    return lifts
+
+
+def reference_tor_map_vanishes(ring, s: int, b: int, limit: int) -> TorMapReport:
+    """`tor_map_vanishes` with the lift of `reference_lift`."""
+    res_s = minimal_resolution(ring, ModulePresentation.power_module(ring, s), limit)
+    res_b = minimal_resolution(ring, ModulePresentation.power_module(ring, b), limit)
+    lifts = reference_lift(ring, res_s, res_b, limit)
+    degrees, witnesses = [], []
+    for i in range(limit + 1):
+        target = res_b.chain[i + 1]
+        ok = True
+        for gi, (d, vec) in enumerate(zip(res_s.chain[i + 1].degrees, lifts[i + 1])):
+            constants = target.constant_slots(d)
+            for k in sorted(k for k in vec if k in constants):
+                ok = False
+                witnesses.append((i, gi, constants[k], repr(vec[k])))
+        degrees.append(ok)
+    return TorMapReport(s, b, limit, all(degrees), tuple(degrees), tuple(witnesses))

@@ -20,7 +20,8 @@ from koszulkit.ringdef import format_polynomial, parse_polynomial
 from koszulkit.series import poly_mul
 
 from reference_linalg import Subspace
-from reference_resolutions import piece_images, reference_resolution
+from reference_resolutions import (piece_images, reference_resolution,
+                                   reference_tor_map_vanishes)
 from support import (GRADED_CORPUS, RANDOM_RING_FIELDS, SEED, artinian_rings,
                      random_symmetric_spec)
 
@@ -250,7 +251,7 @@ def test_tor_map_reports_pinned():
 
 
 def _literal(vectors):
-    return [[list(v.items()) for v in step] for step in vectors]
+    return [[[(k, type(c), c) for k, c in v.items()] for v in step] for step in vectors]
 
 
 @pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
@@ -271,6 +272,31 @@ def test_pivot_read_off_matches_greedy_reference(name):
                 maps, log = reference_resolution(data)
                 assert _literal(data.maps) == _literal(maps)
                 assert data.exactness_log == log
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
+def test_int_images_match_field_reference(name):
+    # the engine shifts basis images as int vectors over per-column
+    # denominators; the references work on field vectors: the greedy rule
+    # for a submodule resolution, and the field path of the chain-map lift
+    # for Tor reports, whose witnesses are reprs of lift coefficients
+    pytest.importorskip("hypothesis")
+    field, coefficients = RANDOM_RING_FIELDS[name]
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(artinian_rings(field, coefficients))
+    def check(rings):
+        for ring in rings:
+            data = minimal_resolution(ring, ModulePresentation.power_module(ring, 2), 3)
+            maps, log = reference_resolution(data)
+            assert _literal(data.maps) == _literal(maps)
+            assert data.exactness_log == log
+            # m^3 = 0 in these rings, so only m^2 -> m has witnesses
+            for s, b in ((3, 2), (2, 1)):
+                assert tor_map_vanishes(ring, s, b, 2) == \
+                    reference_tor_map_vanishes(ring, s, b, 2)
 
     check()
 
