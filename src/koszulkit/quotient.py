@@ -68,7 +68,11 @@ class QuotientRing:
         self.groebner_basis = tuple(buchberger(list(rels), order))
         self.lead_monomials = tuple(g.lead_monomial for g in self.groebner_basis)
         self.is_monomial_ideal = all(g.is_monomial() for g in self.groebner_basis)
-        self._std_cache: dict[int, tuple[Monomial, ...]] = {}
+        # standard monomials and power layers by degree, from degree 0 up;
+        # the monomial 1 is position 0 of an artinian ring
+        one = Monomial((0,) * self.n)
+        self._std_layers: list[tuple[Monomial, ...]] = [(one,)]
+        self._power_layers: list[dict] = [{one: {0: field.one}}]
         self._mono_nf: dict[Monomial, Polynomial] = {}
         self._pair_nf: dict[tuple[Monomial, Monomial], Polynomial] = {}
         self._power_subspaces: dict[int, Subspace] = {}
@@ -79,6 +83,7 @@ class QuotientRing:
         self._indexes: dict = {}
         self._actions: dict = {}
         self._int_actions: dict = {}
+        self._action_scales: dict = {}
         self._divisors: dict = {}
         self._products: dict = {}
         self._int_products: dict = {}
@@ -125,15 +130,20 @@ class QuotientRing:
     # -- standard monomials -------------------------------------------
 
     def std_basis(self, degree: int) -> tuple[Monomial, ...]:
-        """Standard monomials of the given total degree, largest first."""
-        cached = self._std_cache.get(degree)
-        if cached is None:
-            monos = [m for m in monomials_of_degree(self.n, degree)
+        """Standard monomials of the given total degree, largest first.
+
+        They form an order ideal, so degree d is walked out of degree
+        d - 1 rather than filtered from all monomials of degree d: the
+        candidates are the `_later_multiples` of the standard monomials
+        one degree down, each monomial once, less the multiples of a
+        lead monomial."""
+        layers = self._std_layers
+        while len(layers) <= degree:
+            monos = [m for prev in layers[-1] for _l, m in _later_multiples(prev)
                      if not any(lm.divides(m) for lm in self.lead_monomials)]
             monos.sort(key=self.order.key, reverse=True)
-            cached = tuple(monos)
-            self._std_cache[degree] = cached
-        return cached
+            layers.append(tuple(monos))
+        return layers[degree] if degree >= 0 else ()
 
     def _enumerate_basis(self):
         degree = 0
@@ -240,6 +250,16 @@ class QuotientRing:
             act = self._int_actions[(e, scale)] = tuple(map(tuple, out))
         return act
 
+    def action_scale(self, e) -> int:
+        """The lcm of the denominators in the x_l tables out of piece e
+        over Q; 1 over GF(p)."""
+        scale = self._action_scales.get(e)
+        if scale is None:
+            scale = self._action_scales[e] = 1 if self.field.char else lcm(
+                *(c.denominator for l in range(self.n) for act in self.var_action(l, e)
+                  for _ti, c in act))
+        return scale
+
     def divisors(self, e) -> tuple:
         """Per monomial m of piece e: None for m = 1, else (l, position of
         m / x_l in the piece before) for the first variable x_l dividing
@@ -335,7 +355,13 @@ class QuotientRing:
         return min(r.min_term_degree() for r in self.relations)
 
     def power_ideal_subspace(self, t: int) -> Subspace:
-        """The image of the t-th power of the maximal ideal, as a subspace of R."""
+        """The image of the t-th power of the maximal ideal, as a subspace of R.
+
+        Over a graded ring it is spanned by the standard monomials of
+        degree t and up.  Otherwise the nonzero normal forms of the
+        degree-t monomials (`_power_layer`, no Groebner reduction) seed
+        the ideal span in `monomials_of_degree` order (ascending
+        exponent vectors)."""
         self.require_artinian("powers of the maximal ideal")
         if t <= 0:
             space = Subspace(self.field)
@@ -353,38 +379,65 @@ class QuotientRing:
                 for m in self.std_basis(d):
                     space.extend({idx[m]: one})
         else:
-            # the ideal the degree-t monomials generate; most of them are
-            # zero in R, so only the nonzero normal forms are handed over
-            seeds = (self.reduce_monomial(m) for m in monomials_of_degree(self.n, t))
-            space = self.ideal_span([p for p in seeds if p.terms])
+            layer = self._power_layer(t)
+            space = self._span([layer[m] for m in sorted(layer, key=lambda m: m.exponents)])
         self._power_subspaces[t] = space
         return space
+
+    def _power_layer(self, t: int) -> dict:
+        """Each degree-t monomial that is nonzero in R -> the vector of
+        its normal form, entries in descending term order.
+
+        Layer t is built from layer t - 1: the vector of x_l * m' is the
+        vector of m' shifted through the table of x_l, and a monomial with
+        normal form 0 has only zero multiples, so the nonzero entries of
+        layer t - 1 generate all of layer t (`_later_multiples`, each
+        monomial once)."""
+        layers = self._power_layers
+        acts = [self.var_action(l, self.whole_piece) for l in range(self.n)]
+        while len(layers) <= t:
+            layer = {}
+            for prev, v in layers[-1].items():
+                for l, m in _later_multiples(prev):
+                    q = self._shift(v, acts[l])
+                    if q:
+                        layer[m] = q
+            layers.append(layer)
+        return layers[t]
 
     def power_ideal_basis(self, t: int) -> list[Polynomial]:
         space = self.power_ideal_subspace(t)
         return [self.vec_to_poly(row) for row in space.reduced_basis_rows()]
 
     def ideal_span(self, gens: Sequence[Polynomial]) -> Subspace:
-        """Subspace of R spanned by the ideal the given elements generate.
+        """Subspace of R spanned by the ideal the given elements generate."""
+        self.require_artinian("ideal spans")
+        return self._span([self.poly_to_vec(self.normal_form(g)) for g in gens])
+
+    def _shift(self, vec: dict, act) -> dict:
+        """x_l * vec for a vector of the whole ring and the table `act` of
+        x_l, entries in descending term order as a polynomial's terms are."""
+        q = vec_add_terms({}, ((ti, a * c) for k, a in vec.items() for ti, c in act[k]))
+        key, monos = self.order.key, self.std_monomials
+        return {k: q[k] for k in sorted(q, key=lambda k: key(monos[k]), reverse=True)}
+
+    def _span(self, queue: list) -> Subspace:
+        """Subspace of R spanned by the ideal the given vectors generate.
 
         The newest vector is multiplied out first; each product keeps its
-        entries in descending term order, as the polynomial's terms are.
+        entries in descending term order.
         """
-        self.require_artinian("ideal spans")
         acts = [self.var_action(l, self.whole_piece) for l in range(self.n)]
-        key, monos = self.order.key, self.std_monomials
         space = Subspace(self.field)
-        queue = [self.poly_to_vec(self.normal_form(g)) for g in gens]
         queue = [v for v in queue if v]
         while queue:
             v = queue.pop()
             if not space.extend(v):
                 continue
             for act in acts:
-                q = vec_add_terms({}, ((ti, a * c) for k, a in v.items() for ti, c in act[k]))
+                q = self._shift(v, act)
                 if q:
-                    queue.append({k: q[k] for k in sorted(
-                        q, key=lambda k: key(monos[k]), reverse=True)})
+                    queue.append(q)
         return space
 
     def socle(self) -> list[Polynomial]:
@@ -406,6 +459,17 @@ class QuotientRing:
     def embedding_dimension(self) -> int:
         """dim of m/m^2; equals n because I sits inside n^2."""
         return self.n
+
+
+def _later_multiples(m: Monomial):
+    """(l, x_l * m) for x_l the last variable of m and every later one
+    (every variable when m = 1): each monomial of the next degree arises
+    this way from exactly one monomial, its quotient by its last
+    variable."""
+    e = m.exponents
+    last = max((l for l, a in enumerate(e) if a), default=0)
+    for l in range(last, len(e)):
+        yield l, Monomial(e[:l] + (e[l] + 1,) + e[l + 1:])
 
 
 def truncated_ring(ring: QuotientRing, s: int) -> QuotientRing:

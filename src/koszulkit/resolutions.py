@@ -138,6 +138,7 @@ class FreeModule:
         self.ring = ring
         self.degrees = list(degrees)
         self._offsets: dict[int, tuple] = {}
+        self._int_shifts: dict[int, tuple] = {}
         self._constant_slots: dict[int, dict] = {}
 
     @property
@@ -168,19 +169,19 @@ class FreeModule:
         Over Q all blocks share one scale, the lcm of the denominators of
         every block's action, so x_l times an int vector is one integer
         multiple of its true value; a scale per block would break that
-        proportionality.  Over GF(p) the tables hold residues.  Each call
-        serves a whole piece, so the result is not cached.
+        proportionality.  Over GF(p) the tables hold residues.  Cached per
+        piece: the sweep asks for a piece as source and as target.
         """
-        ring = self.ring
-        src = self.offsets(j)
-        tgt = self.offsets(ring.piece_of(j + 1))
-        scale = 1
-        if not ring.field.char:
-            scale = lcm(*(c.denominator for e in set(j - d for d in self.degrees)
-                          for l in range(ring.n) for act in ring.var_action(l, e)
-                          for _ti, c in act))
-        return src, scale, tuple((src[g], tgt[g], ring.int_action(j - d, scale))
-                                 for g, d in enumerate(self.degrees))
+        cached = self._int_shifts.get(j)
+        if cached is None:
+            ring = self.ring
+            src = self.offsets(j)
+            tgt = self.offsets(ring.piece_of(j + 1))
+            scale = lcm(*(ring.action_scale(j - d) for d in self.degrees))
+            cached = self._int_shifts[j] = (
+                src, scale, tuple((src[g], tgt[g], ring.int_action(j - d, scale))
+                                  for g, d in enumerate(self.degrees)))
+        return cached
 
     def constant_slots(self, j: int) -> dict:
         """Coordinate of the constant monomial in piece j -> its generator.

@@ -130,15 +130,16 @@ def homology_dims_in_order(name, order):
     return _ORDER_DIMS[key]
 
 
-def random_stretched_spec(rng):
+def random_stretched_spec(rng, field=QQ):
     """p >= 1 so the distinguished cycle exists; resamples singular a."""
     v = rng.randint(2, 4)
     r = rng.randint(1, v - 1)
-    return random_symmetric_spec(rng, v, r, rng.choice((3, 4)))
+    return random_symmetric_spec(rng, v, r, rng.choice((3, 4)), field)
 
 
-def random_symmetric_spec(rng, v, r, h):
-    """The stretched spec (v, r, h) with a random invertible symmetric a."""
+def random_symmetric_spec(rng, v, r, h, field=QQ):
+    """The stretched spec (v, r, h) over the field with a random
+    invertible symmetric a."""
     p = v - r
     while True:
         rows = [[0] * p for _ in range(p)]
@@ -147,6 +148,6 @@ def random_symmetric_spec(rng, v, r, h):
                 rows[i][j] = rows[j][i] = rng.randint(-2, 2)
         a = tuple(tuple(Fraction(x) for x in row) for row in rows)
         try:
-            return StretchedSpec(v, r, h, a=a)
+            return StretchedSpec(v, r, h, a=a, field=field)
         except InputError:
             continue

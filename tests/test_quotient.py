@@ -1,11 +1,24 @@
+import random
+
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # only the reference comparisons need it; they skip
+    pass
+
 from koszulkit import corpus
+from koszulkit.conditions import build_stretched_ring
 from koszulkit.errors import InputError, NotArtinianError
 from koszulkit.fields import QQ
 from koszulkit.linalg import Subspace
+from koszulkit.poly import MonomialOrder
 from koszulkit.quotient import QuotientRing, truncated_ring
 from koszulkit.ringdef import parse_polynomial, parse_ring_definition
+
+import reference_koszul
+import reference_quotient
+from support import RANDOM_RING_FIELDS, artinian_rings, random_stretched_spec
 
 
 def ring_of(text):
@@ -127,3 +140,53 @@ def test_stretched_corpus_rings_are_inhomogeneous():
 def test_embedding_dimension():
     assert corpus.get_ring("socle4").embedding_dimension() == 4
     assert corpus.get_ring("stretched22").embedding_dimension() == 2
+
+
+def _assert_std_basis_matches_reference(ring, top):
+    for d in range(top + 1):
+        assert ring.std_basis(d) == reference_quotient.std_basis(ring, d), (ring, d)
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_std_basis_walk_matches_filter_of_all_monomials(name):
+    for order in (MonomialOrder.GREVLEX, MonomialOrder.LEX):
+        ring = corpus.get_definition(name).build(order=order)
+        _assert_std_basis_matches_reference(ring, ring.top_degree + 1 if ring.is_artinian else 8)
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
+def test_std_basis_walk_matches_filter_on_random_rings(name):
+    pytest.importorskip("hypothesis")
+    field, coefficients = RANDOM_RING_FIELDS[name]
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(artinian_rings(field, coefficients, (MonomialOrder.GREVLEX, MonomialOrder.LEX)))
+    def check(rings):
+        for ring in rings:  # graded and ungraded
+            _assert_std_basis_matches_reference(ring, ring.top_degree + 1)
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
+def test_stretched_powers_match_normal_form_seeds(name):
+    # the m-adic layers come from shifting the layer below; the reference
+    # seeds the same span with the normal form of every degree-t monomial,
+    # so basis rows, entry order included, must agree literally up to
+    # m^(h+2), past m^(h+1) = 0
+    pytest.importorskip("hypothesis")
+    field = RANDOM_RING_FIELDS[name][0]
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32))
+    def check(seed):
+        spec = random_stretched_spec(random.Random(seed), field)
+        ring = build_stretched_ring(spec)
+        for t in range(spec.h + 3):
+            ref = reference_koszul.power_ideal_subspace(ring, t)
+            rows = ring.power_ideal_subspace(t).basis_rows()
+            assert [list(v.items()) for v in rows] == [list(v.items()) for v in ref.basis_rows()]
+            assert [p.terms for p in ring.power_ideal_basis(t)] == [
+                ring.vec_to_poly(row).terms for row in ref.reduced_basis_rows()]
+
+    check()
