@@ -21,7 +21,7 @@ from .errors import InputError, NotACycleError, PreconditionError
 from .fields import QQ
 from .koszul import (KoszulElement, component_piece, filtered_boundaries, filtered_cycles,
                      full_piece, homology_algebra, product_ints)
-from .linalg import Subspace
+from .linalg import Subspace, int_vector
 from .poly import Monomial, MonomialOrder, Polynomial, monomials_of_degree
 from .quotient import QuotientRing
 
@@ -118,36 +118,39 @@ def _require_bigraded_cycle(el: KoszulElement, what: str) -> tuple[int, int]:
 
 
 def _containment(key, hp, span) -> PieceResult:
-    """Are all cycles of the homology piece inside the given span?  A
-    span of cycles as large as the cycle space is all of it."""
-    if span.dim == len(hp.cycle_vectors):
-        return PieceResult(key, True, len(hp.cycle_vectors), span.dim)
-    for vec in hp.cycle_vectors:
-        if not span.contains(vec):
-            return PieceResult(key, False, len(hp.cycle_vectors), span.dim,
-                               hp.piece.element_of(vec))
-    return PieceResult(key, True, len(hp.cycle_vectors), span.dim)
+    """Are all cycles of the homology piece inside the given span, an
+    echelon in its cycle coordinates?  A span of cycles as large as the
+    cycle space is all of it; otherwise the witness is the first cycle
+    z_f whose unit vector the span misses."""
+    full = len(hp.cycle_vectors)
+    if span.rank < full:
+        for f, vec in zip(hp.free, hp.cycle_vectors):
+            if not span.contains_ints({-f: 1}):
+                return PieceResult(key, False, full, span.rank, hp.piece.element_of(vec))
+    return PieceResult(key, True, full, span.rank)
 
 
 def _product_span(algebra, i, j, factors, admit):
-    """Boundaries of (i, j) plus products z * (admissible classes).
+    """Boundaries of (i, j) plus products z * (admissible classes), in
+    the cycle coordinates of (i, j).
 
     factors: [(bidegree, element)] with cycles as elements; admit decides
     which complementary bidegrees may supply cofactors.  The span lies
     in the cycle space, so it stops growing at its dimension.
     """
     hp = algebra.pieces[(i, j)]
-    span = hp.class_span()
+    span = hp.cycle_span()
     full = len(hp.cycle_vectors)
+    p = algebra.ring.field.char
     for (a, b), el in factors:
         cofactor = algebra.pieces.get((i - a, j - b))
-        if cofactor is None or not admit(i - a, j - b) or span.dim == full:
+        if cofactor is None or not admit(i - a, j - b) or span.rank == full:
             continue
         left = component_piece(algebra.ring, a, b)
-        u = left.vector_of(el)
-        for rep in cofactor.rep_vectors:
-            w = product_ints(left, u, cofactor.piece, rep, hp.piece)
-            if w and span.extend_ints(w) and span.dim == full:
+        u = int_vector(left.vector_of(el), p)[0]
+        for rep in cofactor.rep_ints:
+            w = hp.restrict(product_ints(left, u, cofactor.piece, rep, hp.piece))
+            if w and span.add_ints(w) and span.rank == full:
                 break
     return hp, span
 
@@ -254,9 +257,10 @@ def check_P_local(ring: QuotientRing, t: int, r: int,
     if l.terms and hd != r:
         raise InputError("l has homological degree %s, expected %d" % (hd, r))
     pieces = []
+    p = ring.field.char
     if l.terms:
         lpiece = full_piece(ring, r)
-        lvec = lpiece.vector_of(l)
+        lvec = int_vector(lpiece.vector_of(l), p)[0]
     for i in range(ring.n + 1):
         target = full_piece(ring, i)
         span = filtered_boundaries(ring, t - 1, i).copy()
@@ -264,7 +268,7 @@ def check_P_local(ring: QuotientRing, t: int, r: int,
             # the span need not lie in Z(m^t K), so no early stop here
             source_piece, zcycles = filtered_cycles(ring, t - 1, i - r)
             for vec in zcycles:
-                w = product_ints(lpiece, lvec, source_piece, vec, target)
+                w = product_ints(lpiece, lvec, source_piece, int_vector(vec, p)[0], target)
                 if w:
                     span.extend_ints(w)
         _piece, cycles = filtered_cycles(ring, t, i)

@@ -14,20 +14,31 @@ Where only the span of products matters (minimal generators and the
 checks in `conditions`), products of cycles are taken in coordinates:
 `product_ints` reads the ring's structure constants and a table of
 exterior shuffle signs, and returns an int vector that enters the
-echelon through `Subspace.extend_ints`.  Such a span lies inside the
+echelon through `EchelonSolver.add_ints`.  Such a span lies inside the
 cycle space of its piece, so it is complete once its dimension reaches
-the number of cycle vectors.
+the number of cycles.
+
+Spans inside the cycle space are kept in cycle coordinates.  The cycles
+of a piece are the reduced-echelon null basis of `kernel_of_columns`: z_f
+has coefficient one at its free column f and zero at every other free
+column.  So keeping only the free columns F of a cycle w is an exact
+isomorphism Z -> k^F, with w = sum of w[f] z_f, and boundaries, products
+of cycles and class coordinates all live in k^F.  Free column f is named
+-f there, so an echelon pivots on the largest free column, and z_f lies
+outside span + span(z_g : g < f) exactly when -f is not a pivot: that is
+how representatives and generators are chosen, with the same choices as
+inserting the cycles one by one in full coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .errors import NotACycleError, NotArtinianError, PreconditionError
-from .linalg import (EchelonSolver, Subspace, int_vector, kernel_of_columns, vec_add_terms,
-                     vec_combine)
+from .linalg import (EchelonSolver, Subspace, field_vector, int_vector, kernel_of_columns,
+                     vec_add_terms, vec_combine)
 from .poly import Polynomial
 from .quotient import QuotientRing
 
@@ -275,8 +286,9 @@ def _merge_table(n: int, i: int, k: int) -> tuple:
 
 def product_ints(left: Piece, u: dict, right: Piece, v: dict, target: Piece) -> dict:
     """The product of vectors u of left and v of right as an int vector
-    of target, the piece holding the products: residues over GF(p),
-    integers over Q, correct up to a nonzero scale.
+    of target, the piece holding the products.  All three vectors are
+    ints known up to a nonzero scale: residues over GF(p), integers over
+    Q (an `int_vector` or an `int_kernel` vector).
 
     Monomial products come from the ring's structure constants
     (`QuotientRing.int_mul_table`), merged exterior monomials and their
@@ -287,10 +299,10 @@ def product_ints(left: Piece, u: dict, right: Piece, v: dict, target: Piece) -> 
     table = ring.int_mul_table(left.ring_piece, right.ring_piece)[1]
     merges = _merge_table(ring.n, left.hom_degree, right.hom_degree)
     wl, wr, wt = len(left.exts), len(right.exts), len(target.exts)
-    vs = [(divmod(k, wr), y) for k, y in int_vector(v, p)[0].items()]
+    vs = [(divmod(k, wr), y) for k, y in v.items()]
     out: dict = {}
     get = out.get
-    for k, x in int_vector(u, p)[0].items():
+    for k, x in u.items():
         a, s = divmod(k, wl)
         products, merge = table[a], merges[s]
         for (b, t), y in vs:
@@ -340,29 +352,63 @@ def differential_columns(ring: QuotientRing, source: Piece, target: Piece) -> li
 
 
 class HomologyPiece:
-    """Cycles, boundaries and chosen representatives in one bidegree."""
+    """Cycles, boundaries and chosen representatives in one bidegree.
 
-    def __init__(self, piece: Piece, cycles: list[dict], boundary_space: Subspace):
+    cycles are the `kernel_of_columns` vectors of the differential out of
+    piece, and boundaries the columns of the differential into it, out of
+    source.  The boundaries are kept as an echelon in cycle coordinates
+    (see the module docstring); cycle z_f is a representative when -f is
+    not one of its pivots.
+    """
+
+    def __init__(self, piece: Piece, cycles: list[dict], source: Piece,
+                 boundaries: list[dict]):
         self.piece = piece
+        self.source = source
         self.cycle_vectors = cycles
-        self.boundary_space = boundary_space
-        reps = []
-        span = boundary_space.copy()
-        for v in cycles:
-            if span.dim == len(cycles):  # the span is all of Z
+        # free column f -> its name -f, which every echelon row shares;
+        # the free column of a cycle is its largest coordinate
+        self.free = {f: -f for f in map(max, cycles)}
+        p = piece.ring.field.char
+        span = self.boundary_span = EchelonSolver(piece.ring.field)
+        for col in boundaries:
+            if span.rank == len(cycles):  # the span is all of Z
                 break
-            if span.extend(v):
-                reps.append(v)
-        self.rep_vectors = reps
-        self.representatives = [piece.element_of(v) for v in reps]
+            span.add_ints(int_vector(self.restrict(col), p)[0])
+        reps = [(f, v) for f, v in zip(self.free, cycles) if not span.has_pivot(-f)]
+        self.rep_free = [f for f, _v in reps]
+        self.rep_vectors = [v for _f, v in reps]
+        self.rep_ints = [int_vector(v, p)[0] for v in self.rep_vectors]
+
+    @cached_property
+    def representatives(self) -> list[KoszulElement]:
+        """The representatives as elements, built on first read."""
+        return [self.piece.element_of(v) for v in self.rep_vectors]
 
     @property
     def dim(self) -> int:
         return len(self.rep_vectors)
 
+    def restrict(self, w: dict) -> dict:
+        """Cycle coordinates of a cycle w of the piece: its entries at the
+        free columns, column f renamed -f."""
+        free = self.free
+        return {free[k]: x for k, x in w.items() if k in free}
+
+    def cycle_span(self) -> EchelonSolver:
+        """A copy of the boundary echelon in cycle coordinates, to extend
+        by cycles with `add_ints`."""
+        return self.boundary_span.copy()
+
+    @property
+    def boundary_space(self) -> Subspace:
+        """The boundaries in full coordinates, rebuilt on each read."""
+        return Subspace(self.piece.ring.field,
+                        differential_columns(self.piece.ring, self.source, self.piece))
+
     def class_span(self) -> Subspace:
-        """A copy of the boundary space, to extend by cycles."""
-        return self.boundary_space.copy()
+        """A fresh full-coordinate boundary space, to extend by cycles."""
+        return self.boundary_space
 
 
 def internal_degree_bounds(ring: QuotientRing) -> list[int]:
@@ -416,9 +462,9 @@ class HomologyAlgebra:
                     cycles = kernel_of_columns(cols, ring.field)
                 else:
                     cycles = [{k: ring.field.one} for k in range(piece.dim)]
-                bcols = columns[(i + 1, j)] = differential_columns(
-                    ring, component_piece(ring, i + 1, j), piece)
-                self.pieces[(i, j)] = HomologyPiece(piece, cycles, Subspace(ring.field, bcols))
+                source = component_piece(ring, i + 1, j)
+                bcols = columns[(i + 1, j)] = differential_columns(ring, source, piece)
+                self.pieces[(i, j)] = HomologyPiece(piece, cycles, source, bcols)
 
     def dim(self, i: int, j: int) -> int:
         piece = self.pieces.get((i, j))
@@ -449,7 +495,9 @@ class HomologyAlgebra:
         Bidegrees are swept by total degree then homological degree; in
         each one the span of boundaries and products of lower-bidegree
         representatives is completed to the cycle space.  The count is
-        basis independent; the chosen cycles follow deterministic pivots.
+        basis independent; the chosen cycles follow deterministic pivots:
+        in cycle coordinates, z_f is a generator when -f is not a pivot
+        of the span.
         """
         if self._generators is not None:
             return list(self._generators)
@@ -458,35 +506,39 @@ class HomologyAlgebra:
                        key=lambda k: (k[1], k[0]))
         for (i, j) in order:
             hp = self.pieces[(i, j)]
-            span = hp.class_span()
+            span = hp.cycle_span()
             full = len(hp.cycle_vectors)  # the span lies in Z, so it is done at dim Z
             for w in self._products(i, j):
-                if w and span.extend_ints(w) and span.dim == full:
+                if w and span.add_ints(w) and span.rank == full:
                     break
-            for vec in hp.cycle_vectors:
-                if span.dim == full:
-                    break
-                if span.extend(vec):
-                    gens.append(((i, j), hp.piece.element_of(vec)))
+            gens += [((i, j), hp.piece.element_of(v))
+                     for f, v in zip(hp.free, hp.cycle_vectors)
+                     if not span.has_pivot(-f)]
         labeled = [("g%d" % (k + 1), bd, el) for k, (bd, el) in enumerate(gens)]
         self._generators = labeled
         return list(labeled)
 
     def _products(self, i: int, j: int):
-        """Int vectors of the products u * v of representatives whose
-        bidegrees add up to (i, j), both of positive homological degree.
-        Each unordered pair is taken once, since v * u = +-u * v."""
-        target = self.pieces[(i, j)].piece
+        """Int vectors, in the cycle coordinates of (i, j), of the
+        products u * v of representatives whose bidegrees add up to
+        (i, j), both of positive homological degree.  Each unordered pair
+        is taken once, since v * u = +-u * v."""
+        hp = self.pieces[(i, j)]
         for (a, b), left in self.pieces.items():
             right = self.pieces.get((i - a, j - b))
             if a < 1 or i - a < 1 or right is None or (a, b) > (i - a, j - b):
                 continue
-            for k, u in enumerate(left.rep_vectors):
-                for v in right.rep_vectors[k:] if right is left else right.rep_vectors:
-                    yield product_ints(left.piece, u, right.piece, v, target)
+            for k, u in enumerate(left.rep_ints):
+                for v in right.rep_ints[k:] if right is left else right.rep_ints:
+                    yield hp.restrict(product_ints(left.piece, u, right.piece, v, hp.piece))
 
     def class_of(self, el: KoszulElement) -> tuple[tuple[int, int], dict]:
-        """Coordinates of a cycle's class in the representative basis."""
+        """Coordinates of a cycle's class in the representative basis.
+
+        In cycle coordinates the representatives are the unit vectors at
+        the non-pivots of the boundary echelon, so reducing el there
+        leaves exactly the class coordinates, which are unique.
+        """
         bd = el.bidegree()
         if bd is None:
             raise PreconditionError("class coordinates need a bihomogeneous element")
@@ -497,15 +549,9 @@ class HomologyAlgebra:
             if el.is_zero():
                 return bd, {}
             raise PreconditionError("bidegree %r is outside the certified support" % (bd,))
-        columns = hp.boundary_space.basis_rows() + hp.rep_vectors
-        nb = hp.boundary_space.dim
-        system = EchelonSolver(self.ring.field, track=True)
-        for j, col in enumerate(columns):
-            system.add(col, tag=j)
-        sol = system.solve(hp.piece.vector_of(el))
-        if sol is None:
-            raise AssertionError("cycle failed to reduce against its own piece")
-        return bd, {k - nb: c for k, c in sol.items() if k >= nb and c}
+        V, _C, D = hp.boundary_span.reduce(hp.restrict(hp.piece.vector_of(el)))
+        rest = field_vector(self.ring.field.char, V, D)
+        return bd, {k: rest[-f] for k, f in enumerate(hp.rep_free) if -f in rest}
 
 
 def homology_algebra(ring: QuotientRing) -> HomologyAlgebra:

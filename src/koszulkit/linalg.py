@@ -275,19 +275,28 @@ class EchelonSolver:
         self._store(V, C)
         return None
 
+    def _remainder_ints(self, V: dict) -> dict:
+        """The untracked remainder of an int vector known up to scale;
+        consumes V."""
+        p = self._p
+        if p:
+            _eliminate_mod_p(V, None, p, self._rows, self._combos)
+            return V
+        return _eliminate_q(V, None, 1, self._rows, self._combos)[0]
+
     def add_ints(self, V: dict) -> bool:
         """Insert an int vector that matters only up to a nonzero scale:
         residues over GF(p), integers over Q.  Consumes V; True if it was
         independent.  Only for untracked solvers."""
-        p = self._p
-        if p:
-            _eliminate_mod_p(V, None, p, self._rows, self._combos)
-        else:
-            V = _eliminate_q(V, None, 1, self._rows, self._combos)[0]
+        V = self._remainder_ints(V)
         if not V:
             return False
         self._store(V, None)
         return True
+
+    def contains_ints(self, V: dict) -> bool:
+        """Is the int vector V (as for `add_ints`) in the span?  Consumes V."""
+        return not self._remainder_ints(V)
 
     def has_pivot(self, c: int) -> bool:
         return c in self._rows
@@ -299,6 +308,18 @@ class EchelonSolver:
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)[0]
+
+    def copy(self) -> "EchelonSolver":
+        """An independent untracked solver with the same rows.
+
+        The int rows are shared, not copied: the solver never changes a
+        stored row, it only replaces or adds rows.
+        """
+        if self.track:
+            raise ValueError("only untracked solvers are copied")
+        s = EchelonSolver(self.field)
+        s._rows = dict(self._rows)
+        return s
 
     def solve(self, target: dict):
         """Express target in the inserted vectors: {tag: coeff} or None."""
@@ -371,13 +392,9 @@ class Subspace:
         return [s._to_field(out[q], out[q][q]) for q in pivots]
 
     def copy(self) -> "Subspace":
-        """An independent subspace with the same rows.
-
-        The int rows are shared, not copied: the solver never changes a
-        stored row, it only replaces or adds rows.
-        """
+        """An independent subspace with the same (shared) rows."""
         s = Subspace(self.field)
-        s._solver._rows = dict(self._solver._rows)
+        s._solver = self._solver.copy()
         return s
 
     def sum(self, other: "Subspace") -> "Subspace":

@@ -12,7 +12,9 @@ socle from a monomial-keyed basis index, and ideal spans saturated with
 It also keeps the spans of products of Koszul cycles as they were built
 before products were read off the ring's structure constants: every
 product is a `KoszulElement` product, both orders of each pair of
-bidegrees are taken, and no loop stops once the span is full.
+bidegrees are taken, and no loop stops once the span is full.  These
+spans, the representatives and `class_of` work in the full coordinates
+of each piece, where the production code works in cycle coordinates.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from __future__ import annotations
 import itertools
 
 from koszulkit.conditions import PieceResult
+from koszulkit.errors import NotACycleError, PreconditionError
 from koszulkit.koszul import filtered_boundaries, filtered_cycles, full_piece
-from koszulkit.linalg import Subspace, kernel_of_columns
+from koszulkit.linalg import EchelonSolver, Subspace, kernel_of_columns
 from koszulkit.poly import Monomial, monomials_of_degree
 
 
@@ -126,6 +129,12 @@ def power_ideal_subspace(ring, t):
 # -- spans of products of Koszul cycles ---------------------------------
 
 
+def boundary_space(ring, i, j):
+    """The boundaries of bidegree (i, j) as a subspace of K_(i,j)."""
+    return Subspace(ring.field, differential_columns(
+        ring, piece_coords(ring, i + 1, j - i - 1), piece_coords(ring, i, j - i)))
+
+
 def representatives(hp):
     """Cycle vectors of a homology piece that extend its boundaries."""
     span = hp.boundary_space.copy()
@@ -200,3 +209,28 @@ def check_P_local_pieces(ring, t, r, l):
                 break
         pieces.append(result)
     return tuple(pieces)
+
+
+def class_of(algebra, el):
+    """`HomologyAlgebra.class_of` in full coordinates: el solved against
+    the boundary basis rows plus the representatives."""
+    bd = el.bidegree()
+    if bd is None:
+        raise PreconditionError("class coordinates need a bihomogeneous element")
+    if not el.is_cycle():
+        raise NotACycleError("element has nonzero differential")
+    hp = algebra.pieces.get(bd)
+    if hp is None:
+        if el.is_zero():
+            return bd, {}
+        raise PreconditionError("bidegree %r is outside the certified support" % (bd,))
+    boundaries = hp.boundary_space
+    columns = boundaries.basis_rows() + hp.rep_vectors
+    nb = boundaries.dim
+    system = EchelonSolver(algebra.ring.field, track=True)
+    for j, col in enumerate(columns):
+        system.add(col, tag=j)
+    sol = system.solve(hp.piece.vector_of(el))
+    if sol is None:
+        raise AssertionError("cycle failed to reduce against its own piece")
+    return bd, {k - nb: c for k, c in sol.items() if k >= nb and c}

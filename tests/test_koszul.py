@@ -17,7 +17,7 @@ from koszulkit.koszul import (KoszulElement, component_piece, differential_colum
                               filtered_boundaries, filtered_cycles, full_piece,
                               homology_algebra, homology_h_polynomial,
                               internal_degree_bounds, product_ints)
-from koszulkit.linalg import Subspace
+from koszulkit.linalg import Subspace, int_vector, vec_combine
 from koszulkit.poly import MonomialOrder
 from koszulkit.ringdef import format_koszul_element, parse_koszul_element
 
@@ -275,7 +275,8 @@ def test_structure_constants_and_products_match_polynomial_products(name):
                 target = _koszul_piece(ring, i + k, _product_piece(ring, e, f))
                 u = _random_vector(rnd, left, coefficients)
                 v = _random_vector(rnd, right, coefficients)
-                w = product_ints(left, u, right, v, target)
+                p = ring.field.char
+                w = product_ints(left, int_vector(u, p)[0], right, int_vector(v, p)[0], target)
                 ref = target.vector_of(left.element_of(u) * right.element_of(v))
                 assert set(w) == set(ref)
                 if ref:
@@ -297,10 +298,35 @@ def _assert_local_matches_reference(ring, t, r, l):
         conditions.ConditionReport("", (), reference.check_P_local_pieces(ring, t, r, l)))
 
 
+def _assert_classes_match_reference(algebra):
+    # class coordinates of sum c_k rep_k + a boundary are the c_k, in
+    # cycle coordinates and in the full-coordinate reference alike
+    ring = algebra.ring
+    rnd = random.Random(SEED)
+    of = ring.field.of
+    for (i, j), hp in algebra.pieces.items():
+        assert hp.boundary_space.dim == reference.boundary_space(ring, i, j).dim
+        boundaries = differential_columns(ring, hp.source, hp.piece)
+        for _ in range(3):
+            coeffs = {k: of(rnd.randint(-3, 3)) for k in range(hp.dim)}
+            mixed = dict(coeffs)
+            mixed.update((hp.dim + k, of(rnd.randint(-3, 3))) for k in range(len(boundaries)))
+            vec = vec_combine(mixed, hp.rep_vectors + boundaries)
+            if not vec:
+                continue
+            el = hp.piece.element_of(vec)
+            bd, got = algebra.class_of(el)
+            ref_bd, ref = reference.class_of(algebra, el)
+            assert bd == ref_bd == (i, j)
+            assert got == ref == {k: c for k, c in coeffs.items() if c}
+            assert {k: type(c) for k, c in got.items()} == {k: type(c) for k, c in ref.items()}
+
+
 def _assert_spans_match_reference(ring, monkeypatch):
     algebra = homology_algebra(ring)
     for hp in algebra.pieces.values():
         assert hp.rep_vectors == reference.representatives(hp)
+    _assert_classes_match_reference(algebra)
     gens = algebra.generators()
     assert [(lab, bd, format_koszul_element(el)) for lab, bd, el in gens] == [
         (lab, bd, format_koszul_element(el)) for lab, bd, el in reference.generators(algebra)]

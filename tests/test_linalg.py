@@ -60,6 +60,18 @@ def test_subspace_copy_equals_rebuilt_subspace(field):
     assert not s.contains({5: f(1), 4: f(1)})
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF(7)"])
+def test_solver_copy_and_int_membership(field):
+    s = EchelonSolver(field)
+    assert s.add_ints({0: 2, 3: 4}) and s.add_ints({1: 3, 2: 5})
+    assert s.contains_ints({0: 2, 1: 3, 2: 5, 3: 4}) and not s.contains_ints({0: 1})
+    c = s.copy()
+    assert c.add_ints({0: 1}) and (c.rank, s.rank) == (3, 2)
+    assert c.contains_ints({0: 1}) and not s.contains_ints({0: 1})
+    with pytest.raises(ValueError):
+        EchelonSolver(field, track=True).copy()
+
+
 def test_reduce_returns_canonical_remainder():
     s = Subspace(QQ, [{0: q(1), 1: q(1)}])
     rem = s.reduce({0: q(1), 1: q(3)})
