@@ -263,7 +263,7 @@ def check_P_local(ring: QuotientRing, t: int, r: int,
         lvec = int_vector(lpiece.vector_of(l), p)[0]
     for i in range(ring.n + 1):
         target = full_piece(ring, i)
-        span = filtered_boundaries(ring, t - 1, i).copy()
+        span = filtered_boundaries(ring, t - 1, i)
         if i - r >= 0 and l.terms:
             # the span need not lie in Z(m^t K), so no early stop here
             source_piece, zcycles = filtered_cycles(ring, t - 1, i - r)

@@ -179,6 +179,15 @@ class KoszulElement:
             return _coerce(self.ring, other) * self
         return NotImplemented
 
+    def __pow__(self, exponent: int) -> "KoszulElement":
+        """The product of `exponent` copies, from the scalar 1."""
+        if exponent < 0:
+            raise ValueError("negative exponent")
+        out = KoszulElement.scalar(self.ring, 1)
+        for _ in range(exponent):
+            out = out * self
+        return out
+
     def diff(self) -> "KoszulElement":
         """The Koszul differential: d(Ti) = xi, extended by Leibniz."""
         ring = self.ring
@@ -355,16 +364,14 @@ class HomologyPiece:
     """Cycles, boundaries and chosen representatives in one bidegree.
 
     cycles are the `kernel_of_columns` vectors of the differential out of
-    piece, and boundaries the columns of the differential into it, out of
-    source.  The boundaries are kept as an echelon in cycle coordinates
-    (see the module docstring); cycle z_f is a representative when -f is
-    not one of its pivots.
+    piece, and boundaries the columns of the differential into it.  The
+    boundaries are kept as an echelon in cycle coordinates (see the
+    module docstring); cycle z_f is a representative when -f is not one
+    of its pivots.
     """
 
-    def __init__(self, piece: Piece, cycles: list[dict], source: Piece,
-                 boundaries: list[dict]):
+    def __init__(self, piece: Piece, cycles: list[dict], boundaries: list[dict]):
         self.piece = piece
-        self.source = source
         self.cycle_vectors = cycles
         # free column f -> its name -f, which every echelon row shares;
         # the free column of a cycle is its largest coordinate
@@ -399,16 +406,6 @@ class HomologyPiece:
         """A copy of the boundary echelon in cycle coordinates, to extend
         by cycles with `add_ints`."""
         return self.boundary_span.copy()
-
-    @property
-    def boundary_space(self) -> Subspace:
-        """The boundaries in full coordinates, rebuilt on each read."""
-        return Subspace(self.piece.ring.field,
-                        differential_columns(self.piece.ring, self.source, self.piece))
-
-    def class_span(self) -> Subspace:
-        """A fresh full-coordinate boundary space, to extend by cycles."""
-        return self.boundary_space
 
 
 def internal_degree_bounds(ring: QuotientRing) -> list[int]:
@@ -464,7 +461,7 @@ class HomologyAlgebra:
                     cycles = [{k: ring.field.one} for k in range(piece.dim)]
                 source = component_piece(ring, i + 1, j)
                 bcols = columns[(i + 1, j)] = differential_columns(ring, source, piece)
-                self.pieces[(i, j)] = HomologyPiece(piece, cycles, source, bcols)
+                self.pieces[(i, j)] = HomologyPiece(piece, cycles, bcols)
 
     def dim(self, i: int, j: int) -> int:
         piece = self.pieces.get((i, j))
@@ -565,17 +562,8 @@ def homology_h_polynomial(ring: QuotientRing) -> list[int]:
     if ring.graded:
         return homology_algebra(ring).h_polynomial()
     ring.require_artinian("homology of an inhomogeneous quotient")
-    dims = []
-    pieces = [full_piece(ring, i) for i in range(ring.n + 2)]
-    for i in range(ring.n + 1):
-        if i > 0:
-            cols = differential_columns(ring, pieces[i], pieces[i - 1])
-            zdim = len(kernel_of_columns(cols, ring.field))
-        else:
-            zdim = pieces[0].dim
-        bcols = differential_columns(ring, pieces[i + 1], pieces[i])
-        bdim = Subspace(ring.field, bcols).dim
-        dims.append(zdim - bdim)
+    dims = [len(filtered_cycles(ring, 0, i)[1]) - filtered_boundaries(ring, 0, i).dim
+            for i in range(ring.n + 1)]
     while len(dims) > 1 and dims[-1] == 0:
         dims.pop()
     return dims
@@ -586,21 +574,11 @@ def homology_h_polynomial(ring: QuotientRing) -> list[int]:
 
 def filtered_cycles(ring: QuotientRing, t: int, i: int) -> tuple[Piece, list[dict]]:
     """Cycle space of (m^t K)_i inside the full component K_i."""
-    key = ("Z", t, i)
-    cache = ring._koszul_filtration
-    if key not in cache:
-        piece, basis = filtered_component(ring, t, i)
-        if i == 0:
-            cycles = basis
-        else:
-            below = full_piece(ring, i - 1)
-            cols = differential_columns(ring, piece, below)
-            # restrict the differential to the filtered subspace
-            sub_cols = [vec_combine(vec, cols) for vec in basis]
-            combos = kernel_of_columns(sub_cols, ring.field)
-            cycles = [vec_combine(combo, basis) for combo in combos]
-        cache[key] = (piece, cycles)
-    return cache[key]
+    piece, basis = filtered_component(ring, t, i)
+    if i == 0:
+        return piece, basis
+    combos = kernel_of_columns(_filtered_differential(ring, t, i), ring.field)
+    return piece, [vec_combine(combo, basis) for combo in combos]
 
 
 def filtered_component(ring: QuotientRing, t: int, i: int) -> tuple[Piece, list[dict]]:
@@ -618,14 +596,17 @@ def filtered_component(ring: QuotientRing, t: int, i: int) -> tuple[Piece, list[
 
 def filtered_boundaries(ring: QuotientRing, t: int, i: int) -> Subspace:
     """The subspace d((m^t K)_{i+1}) of K_i."""
-    key = ("B", t, i)
+    return Subspace(ring.field, _filtered_differential(ring, t, i + 1))
+
+
+def _filtered_differential(ring: QuotientRing, t: int, i: int) -> list[dict]:
+    """d of each basis vector of (m^t K)_i, in the coordinates of K_(i-1):
+    the kernel gives the filtered cycles of degree i, the span the
+    filtered boundaries of degree i - 1.  Empty for i > n."""
+    key = ("d", t, i)
     cache = ring._koszul_filtration
     if key not in cache:
-        target = full_piece(ring, i)
-        if i + 1 > ring.n:
-            cache[key] = Subspace(ring.field)
-        else:
-            source, basis = filtered_component(ring, t, i + 1)
-            cols = differential_columns(ring, source, target)
-            cache[key] = Subspace(ring.field, [vec_combine(vec, cols) for vec in basis])
+        piece, basis = filtered_component(ring, t, i)
+        cols = differential_columns(ring, piece, full_piece(ring, i - 1))
+        cache[key] = [vec_combine(vec, cols) for vec in basis]
     return cache[key]

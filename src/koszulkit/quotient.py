@@ -1,8 +1,9 @@
 """Quotient rings R = k[x1..xn]/I with finite-dimensional tooling.
 
 A QuotientRing owns the reduced Groebner basis of its defining ideal,
-the standard-monomial basis (for artinian quotients), normal forms with
-memoized monomial reduction, power-ideal subspaces and the socle.
+the standard-monomial basis (for artinian quotients, enumerated on
+first read), normal forms with memoized monomial reduction, power-ideal
+subspaces and the socle.
 
 It also owns the one coordinate layer that the exact linear algebra of
 every module reads.  R splits into finite-dimensional pieces: over a
@@ -23,6 +24,7 @@ read, are built from them by the same recursion.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence
 
@@ -30,9 +32,6 @@ from .errors import InputError, NotArtinianError
 from .groebner import buchberger, normal_form
 from .linalg import Subspace, kernel_of_columns, vec_add_terms
 from .poly import Monomial, MonomialOrder, Polynomial, monomials_of_degree
-
-# attributes that `_enumerate_basis` sets on artinian rings only
-_ARTINIAN_ATTRIBUTES = frozenset(("dim", "top_degree", "std_monomials"))
 
 
 class QuotientRing:
@@ -74,7 +73,6 @@ class QuotientRing:
         self._std_layers: list[tuple[Monomial, ...]] = [(one,)]
         self._power_layers: list[dict] = [{one: {0: field.one}}]
         self._mono_nf: dict[Monomial, Polynomial] = {}
-        self._pair_nf: dict[tuple[Monomial, Monomial], Polynomial] = {}
         self._power_subspaces: dict[int, Subspace] = {}
         self._socle = None
         self._homology = None
@@ -93,20 +91,12 @@ class QuotientRing:
         self._artinian = all(
             any(lm.exponents[i] and lm.degree == lm.exponents[i] for lm in self.lead_monomials)
             for i in range(self.n))
-        if self._artinian:
-            self._enumerate_basis()
 
     # -- basics -------------------------------------------------------
 
     def __repr__(self):
         tag = self.label or ",".join(self.var_names)
         return "<QuotientRing %s (%d relations)>" % (tag, len(self.relations))
-
-    def __getattr__(self, name):
-        # only reached when normal lookup fails, so artinian rings never get here
-        if name in _ARTINIAN_ATTRIBUTES and self.__dict__.get("_artinian") is False:
-            self.require_artinian("`%s`" % name)
-        raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
 
     @property
     def is_artinian(self) -> bool:
@@ -145,18 +135,27 @@ class QuotientRing:
             layers.append(tuple(monos))
         return layers[degree] if degree >= 0 else ()
 
-    def _enumerate_basis(self):
-        degree = 0
+    @cached_property
+    def std_monomials(self) -> tuple[Monomial, ...]:
+        """All standard monomials of an artinian ring, by ascending
+        degree, enumerated on first read."""
+        self.require_artinian("`std_monomials`")
         monos = []
-        while True:
-            layer = self.std_basis(degree)
-            if not layer:
-                break
+        degree = 0
+        while layer := self.std_basis(degree):
             monos.extend(layer)
             degree += 1
-        self.top_degree = degree - 1
-        self.std_monomials = tuple(monos)
-        self.dim = len(monos)
+        return tuple(monos)
+
+    @cached_property
+    def dim(self) -> int:
+        self.require_artinian("`dim`")
+        return len(self.std_monomials)
+
+    @cached_property
+    def top_degree(self) -> int:
+        self.require_artinian("`top_degree`")
+        return self.std_monomials[-1].degree
 
     def hilbert_coefficients(self) -> list[int]:
         self.require_artinian("the Hilbert function table")
@@ -174,28 +173,19 @@ class QuotientRing:
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         p = p.with_order(self.order)
-        acc = Polynomial.zero(self.n, self.field, self.order)
-        for mono, coeff in p.terms:
-            acc = acc + self.reduce_monomial(mono) * coeff
-        return acc
+        return Polynomial(self.n, self.field, self.order,
+                          ((m, c * coeff) for mono, coeff in p.terms
+                           for m, c in self.reduce_monomial(mono).terms))
 
     def mono_product(self, a: Monomial, b: Monomial) -> Polynomial:
         """Normal form of the product of two monomials, memoized."""
-        # the product commutes, so any canonical order of the pair will do
-        key = (a, b) if a.exponents >= b.exponents else (b, a)
-        nf = self._pair_nf.get(key)
-        if nf is None:
-            nf = self.reduce_monomial(a * b)
-            self._pair_nf[key] = nf
-        return nf
+        return self.reduce_monomial(a * b)
 
     def multiply(self, p: Polynomial, q: Polynomial) -> Polynomial:
         """Product in R of two normal forms."""
-        acc = Polynomial.zero(self.n, self.field, self.order)
-        for ma, ca in p.terms:
-            for mb, cb in q.terms:
-                acc = acc + self.mono_product(ma, mb) * (ca * cb)
-        return acc
+        return Polynomial(self.n, self.field, self.order,
+                          ((m, c * (ca * cb)) for ma, ca in p.terms for mb, cb in q.terms
+                           for m, c in self.mono_product(ma, mb).terms))
 
     # -- the coordinate layer -----------------------------------------
 

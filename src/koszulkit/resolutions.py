@@ -327,10 +327,7 @@ def _column_component(ring, target: FreeModule, column: dict, j: int) -> tuple:
 def _taylor_bounds(degs: list, n: int) -> list:
     """Taylor-complex degree caps for a monomial ideal with those gens."""
     degs = sorted(degs, reverse=True)
-    out = []
-    for i in range(n + 2):
-        out.append(sum(degs[:i]) if i <= len(degs) else sum(degs))
-    return out
+    return [sum(degs[:i]) for i in range(n + 2)]
 
 
 def _serre_window(ring: QuotientRing, pres: ModulePresentation,
@@ -385,10 +382,9 @@ def _serre_window(ring: QuotientRing, pres: ModulePresentation,
     return lambda tor_i, prev_maxgen: bounds[tor_i]
 
 
-def _q_mode_window(ring: QuotientRing, pres: ModulePresentation,
-                   module_top: Optional[int] = None) -> Callable:
+def _q_mode_window(ring: QuotientRing, pres: ModulePresentation) -> Callable:
     """Degree cutoffs for resolutions over the polynomial ring itself."""
-    top = module_top
+    top = None
     taylor = None
     if pres.kind == "k":
         top = 0
@@ -396,10 +392,9 @@ def _q_mode_window(ring: QuotientRing, pres: ModulePresentation,
         gens = [c[0] for c in pres.columns if c[0].terms]
         if all(p.is_monomial() for p in gens):
             taylor = _taylor_bounds([p.lead_monomial.degree for p in gens], ring.n)
-        if top is None:
-            probe = QuotientRing(ring.field, ring.var_names, gens, ring.order)
-            if probe.is_artinian:
-                top = probe.top_degree
+        probe = QuotientRing(ring.field, ring.var_names, gens, ring.order)
+        if probe.is_artinian:
+            top = probe.top_degree
     if top is None and taylor is None:
         raise PreconditionError(
             "resolution over the polynomial ring needs a finite-length "

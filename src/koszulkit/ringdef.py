@@ -17,6 +17,7 @@ generators, as in ``z*T1 + (y+u)*T2`` or ``c^2*T1*T4``.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -132,29 +133,25 @@ class _ExprParser:
         raise ParseError("expected a number, name or parenthesis", self.line_no, col)
 
 
-def _eval_poly(node, arity, field, order, name_index, line_no):
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def _evaluate(node, leaf):
+    """The value of a parsed expression: `leaf` builds the value of each
+    ("num", value) and ("var", name, column) node, and the operators of
+    those values do the rest."""
     kind = node[0]
-    if kind == "num":
-        return Polynomial.constant(arity, field, order, node[1])
-    if kind == "var":
-        idx = name_index.get(node[1])
-        if idx is None:
-            raise ParseError("unknown variable %r" % node[1], line_no, node[2])
-        return Polynomial.variable(arity, field, order, idx)
+    if kind in ("num", "var"):
+        return leaf(node)
     if kind == "neg":
-        return -_eval_poly(node[1], arity, field, order, name_index, line_no)
-    if kind == "add":
-        return (_eval_poly(node[1], arity, field, order, name_index, line_no)
-                + _eval_poly(node[2], arity, field, order, name_index, line_no))
-    if kind == "sub":
-        return (_eval_poly(node[1], arity, field, order, name_index, line_no)
-                - _eval_poly(node[2], arity, field, order, name_index, line_no))
-    if kind == "mul":
-        return (_eval_poly(node[1], arity, field, order, name_index, line_no)
-                * _eval_poly(node[2], arity, field, order, name_index, line_no))
+        return -_evaluate(node[1], leaf)
     if kind == "pow":
-        return _eval_poly(node[1], arity, field, order, name_index, line_no) ** node[2]
-    raise AssertionError(kind)
+        return _evaluate(node[1], leaf) ** node[2]
+    return _BINARY[kind](_evaluate(node[1], leaf), _evaluate(node[2], leaf))
+
+
+def _unknown_variable(node, line_no):
+    return ParseError("unknown variable %r" % node[1], line_no, node[2])
 
 
 def parse_polynomial(text: str, var_names: Sequence[str], field=QQ,
@@ -162,7 +159,17 @@ def parse_polynomial(text: str, var_names: Sequence[str], field=QQ,
                      line_no: int = 1) -> Polynomial:
     node = _ExprParser(text, line_no).parse()
     name_index = {name: i for i, name in enumerate(var_names)}
-    return _eval_poly(node, len(var_names), field, order, name_index, line_no)
+    arity = len(var_names)
+
+    def leaf(nd) -> Polynomial:
+        if nd[0] == "num":
+            return Polynomial.constant(arity, field, order, nd[1])
+        idx = name_index.get(nd[1])
+        if idx is None:
+            raise _unknown_variable(nd, line_no)
+        return Polynomial.variable(arity, field, order, idx)
+
+    return _evaluate(node, leaf)
 
 
 def parse_koszul_element(text: str, ring: QuotientRing, line_no: int = 1):
@@ -172,39 +179,22 @@ def parse_koszul_element(text: str, ring: QuotientRing, line_no: int = 1):
     node = _ExprParser(text, line_no).parse()
     name_index = {name: i for i, name in enumerate(ring.var_names)}
 
-    def ev(nd) -> KoszulElement:
-        kind = nd[0]
-        if kind == "num":
+    def leaf(nd) -> KoszulElement:
+        if nd[0] == "num":
             return KoszulElement.scalar(ring, nd[1])
-        if kind == "var":
-            m = _KOSZUL_RE.match(nd[1])
-            if m:
-                k = int(m.group(1))
-                if not 1 <= k <= ring.n:
-                    raise ParseError("T%d is out of range; the ring has %d variables"
-                                     % (k, ring.n), line_no, nd[2])
-                return KoszulElement.generator(ring, k - 1)
-            idx = name_index.get(nd[1])
-            if idx is None:
-                raise ParseError("unknown variable %r" % nd[1], line_no, nd[2])
-            return KoszulElement.from_polynomial(ring, ring.variable(idx))
-        if kind == "neg":
-            return -ev(nd[1])
-        if kind == "add":
-            return ev(nd[1]) + ev(nd[2])
-        if kind == "sub":
-            return ev(nd[1]) - ev(nd[2])
-        if kind == "mul":
-            return ev(nd[1]) * ev(nd[2])
-        if kind == "pow":
-            base = ev(nd[1])
-            out = KoszulElement.scalar(ring, 1)
-            for _ in range(nd[2]):
-                out = out * base
-            return out
-        raise AssertionError(kind)
+        m = _KOSZUL_RE.match(nd[1])
+        if m:
+            k = int(m.group(1))
+            if not 1 <= k <= ring.n:
+                raise ParseError("T%d is out of range; the ring has %d variables"
+                                 % (k, ring.n), line_no, nd[2])
+            return KoszulElement.generator(ring, k - 1)
+        idx = name_index.get(nd[1])
+        if idx is None:
+            raise _unknown_variable(nd, line_no)
+        return KoszulElement.from_polynomial(ring, ring.variable(idx))
 
-    return ev(node)
+    return _evaluate(node, leaf)
 
 
 # -- ring definitions ------------------------------------------------

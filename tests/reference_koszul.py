@@ -15,16 +15,24 @@ product is a `KoszulElement` product, both orders of each pair of
 bidegrees are taken, and no loop stops once the span is full.  These
 spans, the representatives and `class_of` work in the full coordinates
 of each piece, where the production code works in cycle coordinates.
+
+The m-adic filtration slices are kept as they were before one cached
+differential served both the filtered cycles and the filtered
+boundaries: each of the three functions keeps its own result per
+(t, i) and builds its own restricted differential, and the ungraded
+homology dimensions run their own kernel and span per degree.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 
+from koszulkit import koszul
 from koszulkit.conditions import PieceResult
 from koszulkit.errors import NotACycleError, PreconditionError
-from koszulkit.koszul import filtered_boundaries, filtered_cycles, full_piece
-from koszulkit.linalg import EchelonSolver, Subspace, kernel_of_columns
+from koszulkit.koszul import differential_columns as piece_differential, full_piece
+from koszulkit.linalg import EchelonSolver, Subspace, kernel_of_columns, vec_combine
 from koszulkit.poly import Monomial, monomials_of_degree
 
 
@@ -135,9 +143,15 @@ def boundary_space(ring, i, j):
         ring, piece_coords(ring, i + 1, j - i - 1), piece_coords(ring, i, j - i)))
 
 
+def _boundaries(hp):
+    """The boundaries of a homology piece as a fresh subspace."""
+    i = hp.piece.hom_degree
+    return boundary_space(hp.piece.ring, i, i + hp.piece.ring_piece)
+
+
 def representatives(hp):
     """Cycle vectors of a homology piece that extend its boundaries."""
-    span = hp.boundary_space.copy()
+    span = _boundaries(hp)
     return [v for v in hp.cycle_vectors if span.extend(v)]
 
 
@@ -148,7 +162,7 @@ def generators(algebra):
                    key=lambda k: (k[1], k[0]))
     for (i, j) in order:
         hp = algebra.pieces[(i, j)]
-        span = hp.class_span()
+        span = _boundaries(hp)
         for (a, b) in list(algebra.pieces):
             c, d = i - a, j - b
             if a < 1 or c < 1 or (c, d) not in algebra.pieces:
@@ -176,7 +190,7 @@ def containment(key, hp, span):
 def product_span(algebra, i, j, factors, admit):
     """Boundaries of (i, j) plus products z * (admissible classes)."""
     hp = algebra.pieces[(i, j)]
-    span = hp.class_span()
+    span = _boundaries(hp)
     for (a, b), el in factors:
         c, d = i - a, j - b
         if (c, d) not in algebra.pieces or not admit(c, d):
@@ -224,7 +238,7 @@ def class_of(algebra, el):
         if el.is_zero():
             return bd, {}
         raise PreconditionError("bidegree %r is outside the certified support" % (bd,))
-    boundaries = hp.boundary_space
+    boundaries = _boundaries(hp)
     columns = boundaries.basis_rows() + hp.rep_vectors
     nb = boundaries.dim
     system = EchelonSolver(algebra.ring.field, track=True)
@@ -234,3 +248,80 @@ def class_of(algebra, el):
     if sol is None:
         raise AssertionError("cycle failed to reduce against its own piece")
     return bd, {k - nb: c for k, c in sol.items() if k >= nb and c}
+
+
+# -- m-adic filtration slices --------------------------------------------
+
+_FILTRATION = weakref.WeakKeyDictionary()
+
+
+def _filtration_cache(ring):
+    return _FILTRATION.setdefault(ring, {})
+
+
+def filtered_cycles(ring, t, i):
+    """Cycle space of (m^t K)_i inside the full component K_i."""
+    key = ("Z", t, i)
+    cache = _filtration_cache(ring)
+    if key not in cache:
+        piece, basis = filtered_component(ring, t, i)
+        if i == 0:
+            cycles = basis
+        else:
+            below = full_piece(ring, i - 1)
+            cols = piece_differential(ring, piece, below)
+            # restrict the differential to the filtered subspace
+            sub_cols = [vec_combine(vec, cols) for vec in basis]
+            combos = kernel_of_columns(sub_cols, ring.field)
+            cycles = [vec_combine(combo, basis) for combo in combos]
+        cache[key] = (piece, cycles)
+    return cache[key]
+
+
+def filtered_component(ring, t, i):
+    """Basis of (m^t K)_i as vectors in the full K_i coordinates."""
+    key = ("F", t, i)
+    cache = _filtration_cache(ring)
+    if key not in cache:
+        piece = full_piece(ring, i)
+        width = len(piece.exts)
+        rows = ring.power_ideal_subspace(t).basis_rows() if width else []
+        basis = [{c * width + b: v for c, v in row.items()} for b in range(width) for row in rows]
+        cache[key] = (piece, basis)
+    return cache[key]
+
+
+def filtered_boundaries(ring, t, i):
+    """The subspace d((m^t K)_{i+1}) of K_i; the cached object itself."""
+    key = ("B", t, i)
+    cache = _filtration_cache(ring)
+    if key not in cache:
+        target = full_piece(ring, i)
+        if i + 1 > ring.n:
+            cache[key] = Subspace(ring.field)
+        else:
+            source, basis = filtered_component(ring, t, i + 1)
+            cols = piece_differential(ring, source, target)
+            cache[key] = Subspace(ring.field, [vec_combine(vec, cols) for vec in basis])
+    return cache[key]
+
+
+def homology_h_polynomial(ring):
+    """dim H_i for i = 0..n, for graded or local artinian rings."""
+    if ring.graded:
+        return koszul.homology_algebra(ring).h_polynomial()
+    ring.require_artinian("homology of an inhomogeneous quotient")
+    dims = []
+    pieces = [full_piece(ring, i) for i in range(ring.n + 2)]
+    for i in range(ring.n + 1):
+        if i > 0:
+            cols = piece_differential(ring, pieces[i], pieces[i - 1])
+            zdim = len(kernel_of_columns(cols, ring.field))
+        else:
+            zdim = pieces[0].dim
+        bcols = piece_differential(ring, pieces[i + 1], pieces[i])
+        bdim = Subspace(ring.field, bcols).dim
+        dims.append(zdim - bdim)
+    while len(dims) > 1 and dims[-1] == 0:
+        dims.pop()
+    return dims

@@ -156,10 +156,9 @@ def test_criterion_07_71v16_square_obstruction():
         w = el * el
         if w.is_zero():
             continue
-        piece = algebra.pieces.get((2 * i, 2 * j))
-        if piece is None:
+        if (2 * i, 2 * j) not in algebra.pieces:
             continue
-        if not piece.class_span().contains(piece.piece.vector_of(w)):
+        if algebra.class_of(w)[1]:  # [w] has a nonzero coordinate
             squares.append(label)
     assert squares  # some linear-strand class of even degree with [g]^2 != 0
     everything = [el for _l, _b, el in gens]

@@ -244,6 +244,17 @@ def test_huge_prime_modulus_is_decided_fast(capsys, monkeypatch):
     assert rc == 3 and "bound of the proven primality test" in err
 
 
+def test_gb_builds_no_standard_basis(monkeypatch):
+    # R = Q[x,y]/(x^2, y^200000) has dimension 400000; building it for
+    # `gb` enumerates no standard monomial, so the basis prints at once
+    _child_imports_this_koszulkit(monkeypatch)
+    proc = subprocess.run([sys.executable, "-m", "koszulkit", "gb", "-"],
+                          input="field Q\nvars x,y\nideal:\nx^2\ny^200000\n",
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["x^2", "y^200000"]
+
+
 def test_resolution_budget_stops_a_huge_sweep(monkeypatch):
     # step 12 of k over case54 has 221184 source coordinates; the step is
     # refused before its kernel is computed, so the run ends well inside

@@ -12,7 +12,7 @@ from koszulkit.conditions import build_stretched_ring
 from koszulkit.errors import InputError, NotArtinianError
 from koszulkit.fields import QQ
 from koszulkit.linalg import Subspace
-from koszulkit.poly import MonomialOrder
+from koszulkit.poly import MonomialOrder, Polynomial, monomials_of_degree
 from koszulkit.quotient import QuotientRing, truncated_ring
 from koszulkit.ringdef import parse_polynomial, parse_ring_definition
 
@@ -188,5 +188,40 @@ def test_stretched_powers_match_normal_form_seeds(name):
             assert [list(v.items()) for v in rows] == [list(v.items()) for v in ref.basis_rows()]
             assert [p.terms for p in ring.power_ideal_basis(t)] == [
                 ring.vec_to_poly(row).terms for row in ref.reduced_basis_rows()]
+
+    check()
+
+
+def _literal_terms(p):
+    return [(m, c, type(c)) for m, c in p.terms]
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
+def test_normal_forms_and_products_match_reference(name):
+    # normal_form and multiply build one Polynomial from all their scaled
+    # monomial normal forms; the reference merges them one at a time, so
+    # terms, their order and the coefficient types must agree
+    pytest.importorskip("hypothesis")
+    field, coefficients = RANDOM_RING_FIELDS[name]
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(artinian_rings(field, coefficients, (MonomialOrder.GREVLEX, MonomialOrder.LEX)),
+           st.randoms(use_true_random=False))
+    def check(rings, rnd):
+        for ring in rings:
+            # every monomial of degree <= 3 may appear, so that several of
+            # them reduce onto the same standard monomials
+            monos = [m for d in range(4) for m in monomials_of_degree(ring.n, d)]
+            polys = []
+            for _ in range(4):
+                terms = [(m, field.of(rnd.choice(coefficients))) for m in monos]
+                p = Polynomial(ring.n, field, ring.order, [(m, c) for m, c in terms if c])
+                nf = ring.normal_form(p)
+                assert _literal_terms(nf) == _literal_terms(reference_quotient.normal_form(ring, p))
+                polys.append(nf)
+            for p in polys:
+                for q in polys:
+                    assert _literal_terms(ring.multiply(p, q)) == _literal_terms(
+                        reference_quotient.multiply(ring, p, q))
 
     check()

@@ -78,6 +78,15 @@ def test_koszul_exterior_relations():
     assert t1 * t2 == -(t2 * t1)
 
 
+def test_koszul_powers_are_repeated_products():
+    R = corpus.get_ring("case54")
+    assert parse_koszul_element("T1^2", R).is_zero()
+    for base in ("x*T1 + y*T2", "x + y*T1*T2", "z - 2*u*T3"):
+        square = parse_koszul_element("(%s)^2" % base, R)
+        assert square == parse_koszul_element("(%s)*(%s)" % (base, base), R)
+    assert parse_koszul_element("(x*T1)^0", R) == parse_koszul_element("1", R)
+
+
 def test_koszul_index_out_of_range():
     R = corpus.get_ring("case54")
     with pytest.raises(ParseError):
