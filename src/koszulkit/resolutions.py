@@ -16,10 +16,14 @@ Generators are read off pivots.  The kernel comes as the reduced null
 basis: vector f has coefficient one at its free column f and zero at the
 other free columns, so a vector of K_j is fixed by its free coordinates.
 The products x_l * k for k in a basis of the previous piece's kernel are
-restricted to those coordinates and echeloned with the largest free
-column as pivot; kernel vector f is a new generator exactly when f is not
-a pivot, which is the greedy rule "f lies outside span(m K) plus the
-span of the kernel vectors before it".
+restricted to those coordinates, and their span is given the echelon
+form with the largest free column as pivot; kernel vector f is a new
+generator exactly when f is not a pivot, which is the greedy rule "f
+lies outside span(m K) plus the span of the kernel vectors before it".
+Only that pivot set is computed, and it depends only on the span: a
+product that is a unit vector after the restriction puts its coordinate
+in the set, and only the few others, projected off those coordinates,
+are echeloned (`_saturated_pivots`).
 
 The feed of that saturation is all ints: a kernel vector matters only up
 to scale, so it stays an int vector (residues over GF(p), a primitive
@@ -243,8 +247,7 @@ def _shift_all(vec: dict, offsets: tuple, blocks: tuple, p: int,
     return result
 
 
-def _saturate(span: EchelonSolver, module: FreeModule, piece: int, feed,
-              keep: Optional[dict] = None) -> None:
+def _saturate(span: EchelonSolver, module: FreeModule, piece: int, feed) -> None:
     """Insert x_l * v into span for every int vector v of feed, a list
     of vectors of the given piece of module, and every variable x_l."""
     if not feed:
@@ -252,8 +255,52 @@ def _saturate(span: EchelonSolver, module: FreeModule, piece: int, feed,
     offsets, _scale, blocks = module.int_shifts(piece)
     p = module.ring.field.char
     for v in feed:
-        for w in _shift_all(v, offsets, blocks, p, keep):
+        for w in _shift_all(v, offsets, blocks, p):
             span.add_ints(w)
+
+
+def _saturated_pivots(module: FreeModule, piece: int, feed, keep: dict) -> set:
+    """The pivots of the echelon form (smallest coordinate first) that
+    `_saturate` builds from the same feed and keep, without building it.
+
+    The pivot set of an echelon form depends only on the span.  Let U be
+    the unit products and D the others, each as restricted by keep.  The
+    span is span(U) plus the projection of D off the coordinates of U,
+    whose vectors miss those coordinates; so the pivots are the unit
+    coordinates plus the pivots of an echelon of the projected D, which
+    is small in a resolution sweep.
+    """
+    units: set = set()
+    dense = []
+    if feed:
+        offsets, _scale, blocks = module.int_shifts(piece)
+        p = module.ring.field.char
+        for v in feed:
+            if len(v) == 1:
+                # one action row, grouped by variable: x_l * v up to scale
+                coord = next(iter(v))
+                src, tgt, act = blocks[bisect_right(offsets, coord) - 1]
+                outs: dict = {}
+                for l, ti, c in act[coord - src]:
+                    k = keep.get(tgt + ti)
+                    if k is not None:
+                        outs.setdefault(l, {})[k] = c
+                products = outs.values()
+            else:
+                products = _shift_all(v, offsets, blocks, p, keep)
+            for w in products:
+                if len(w) == 1:
+                    units.update(w)
+                else:
+                    dense.append(w)
+    span = EchelonSolver(module.ring.field)
+    for w in dense:
+        w = {k: x for k, x in w.items() if k not in units}
+        if w:
+            span.add_ints(w)
+    # a stored row's pivot is its smallest coordinate
+    units.update(map(min, span.int_rows()))
+    return units
 
 
 _ZERO = ({}, 1)  # shared by the many zero images; no caller changes a pair
@@ -539,8 +586,9 @@ def _sweep(src: FreeModule, jmin: int, jmax: int, images):
     generator iff it lies outside span(m K_j) + span(kernel vectors
     before f).  A kernel vector is fixed by its free coordinates, so
     restrict x_l times a basis of the previous piece's kernel to them
-    and name free column f by -f: the echelon then pivots on the largest
-    free column, and f is a new generator iff it is not a pivot.
+    and name free column f by -f: an echelon of their span then pivots on
+    the largest free column, and f is a new generator iff it is not one
+    of the pivots that `_saturated_pivots` returns.
     Returns (piece, int pair) pairs plus the per-piece log; the pair of
     kernel vector f is (C, C[f]), with f moved last as in `kernel_vector`.
     """
@@ -552,14 +600,13 @@ def _sweep(src: FreeModule, jmin: int, jmax: int, images):
     for j in range(jmin, jmax + 1):
         # an ungraded ring's single piece feeds itself
         kernel = int_kernel(images(j), field) if ring.graded else below
-        span = EchelonSolver(field)
-        _saturate(span, src, ring.piece_of(j - 1), [C for _f, C in below],
-                  {f: -f for f, _C in kernel})
-        new = [(f, C) for f, C in kernel if not span.has_pivot(-f)]
-        log.append((j, span.rank, len(new), len(kernel)))
-        # free the saturation and all but the next feed before storing
+        pivots = _saturated_pivots(src, ring.piece_of(j - 1), [C for _f, C in below],
+                                   {f: -f for f, _C in kernel})
+        new = [(f, C) for f, C in kernel if -f not in pivots]
+        log.append((j, len(pivots), len(new), len(kernel)))
+        # free all but the next feed before storing
         below = kernel if j < jmax else ()
-        del span, kernel
+        del kernel
         constants = src.constant_slots(j)
         for f, C in new:
             if any(k in constants for k in C):

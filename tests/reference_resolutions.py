@@ -9,6 +9,10 @@ kernel vectors that still grow it are the generators.  Everything is
 computed from Polynomial columns through `ring.multiply`, with the
 field-element solver of `reference_linalg`.
 
+The engine saturates each piece of a later step only as far as its
+pivot set.  `reference_sweep` keeps the full echelon saturation that
+replaces, with the test "f is not a pivot" read from the echelon.
+
 The engine also shifts the basis images of a map as int vectors, each
 over its own denominator.  `reference_tor_map_vanishes` keeps the field
 path that replaces: the images are field vectors shifted through the
@@ -20,9 +24,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import partial
 
-from koszulkit.linalg import EchelonSolver, vec_add_terms, vec_combine
+from koszulkit.linalg import EchelonSolver, int_kernel, vec_add_terms, vec_combine
 from koszulkit.poly import Polynomial
-from koszulkit.resolutions import ModulePresentation, TorMapReport, minimal_resolution
+from koszulkit.resolutions import (ModulePresentation, TorMapReport, _shift_all,
+                                   minimal_resolution)
 
 from reference_linalg import Subspace, kernel_of_columns
 
@@ -174,6 +179,50 @@ def reference_resolution(data):
         maps.append([v for _j, v in gens])
         chain.append([j for j, _v in gens])
     return maps, logs
+
+
+# -- the echelon saturation of the sweep ---------------------------------
+
+
+def _saturation(module, piece, feed, keep) -> EchelonSolver:
+    """The full echelon of x_l * v for v in feed and every variable x_l,
+    each product restricted by keep."""
+    span = EchelonSolver(module.ring.field)
+    if feed:
+        offsets, _scale, blocks = module.int_shifts(piece)
+        for v in feed:
+            for w in _shift_all(v, offsets, blocks, module.ring.field.char, keep):
+                span.add_ints(w)
+    return span
+
+
+def saturation_pivots(module, piece, feed, keep) -> set:
+    """The pivots of `_saturation`."""
+    span = _saturation(module, piece, feed, keep)
+    return {k for k in keep.values() if span.has_pivot(k)}
+
+
+def reference_sweep(src, jmin, jmax, images):
+    """`resolutions._sweep` on a full echelon saturation per piece."""
+    ring = src.ring
+    field = ring.field
+    gens = []
+    log = []
+    below = int_kernel(images(ring.piece_of(jmin - 1)), field)
+    for j in range(jmin, jmax + 1):
+        kernel = int_kernel(images(j), field) if ring.graded else below
+        span = _saturation(src, ring.piece_of(j - 1), [C for _f, C in below],
+                           {f: -f for f, _C in kernel})
+        new = [(f, C) for f, C in kernel if not span.has_pivot(-f)]
+        log.append((j, span.rank, len(new), len(kernel)))
+        below = kernel if j < jmax else ()
+        constants = src.constant_slots(j)
+        for f, C in new:
+            if any(k in constants for k in C):
+                raise AssertionError("resolution lost minimality")
+            C[f] = C.pop(f)
+            gens.append((j, (C, C[f])))
+    return gens, log
 
 
 # -- the field path of chain-map lifts ---------------------------------

@@ -137,6 +137,30 @@ def random_stretched_spec(rng, field=QQ):
     return random_symmetric_spec(rng, v, r, rng.choice((3, 4)), field)
 
 
+def stretched_specs(field=QQ):
+    """Hypothesis strategy: the specs of `random_stretched_spec`, with
+    the entries of the symmetric a drawn; a singular a is rejected."""
+    from hypothesis import assume, strategies as st
+
+    @st.composite
+    def build(draw):
+        v = draw(st.integers(2, 4))
+        r = draw(st.integers(1, v - 1))
+        h = draw(st.sampled_from((3, 4)))
+        p = v - r
+        rows = [[0] * p for _ in range(p)]
+        for i in range(p):
+            for j in range(i, p):
+                rows[i][j] = rows[j][i] = draw(st.integers(-2, 2))
+        try:
+            return StretchedSpec(v, r, h, a=tuple(tuple(Fraction(x) for x in row)
+                                                  for row in rows), field=field)
+        except InputError:
+            assume(False)
+
+    return build()
+
+
 def random_symmetric_spec(rng, v, r, h, field=QQ):
     """The stretched spec (v, r, h) over the field with a random
     invertible symmetric a."""

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,23 +8,24 @@ try:
 except ImportError:  # only the reference comparison needs it; it skips
     pass
 
-from koszulkit import corpus
+from koszulkit import corpus, resolutions
 from koszulkit.conditions import StretchedSpec, build_stretched_ring
 from koszulkit.errors import InputError, PreconditionError
-from koszulkit.fields import QQ
+from koszulkit.fields import PrimeField, QQ
 from koszulkit.poly import MonomialOrder
 from koszulkit.quotient import QuotientRing
 from koszulkit.resolutions import (ModulePresentation, betti_numbers_k,
                                    betti_table_R_over_Q, minimal_resolution,
-                                   TorMapReport, tor_map_vanishes)
+                                   TorMapReport, _saturated_pivots, _shift_all,
+                                   tor_map_vanishes)
 from koszulkit.ringdef import format_polynomial, parse_polynomial
 from koszulkit.series import poly_mul
 
 from reference_linalg import Subspace
-from reference_resolutions import (piece_images, reference_resolution,
-                                   reference_tor_map_vanishes)
+from reference_resolutions import (piece_images, reference_resolution, reference_sweep,
+                                   reference_tor_map_vanishes, saturation_pivots)
 from support import (GRADED_CORPUS, RANDOM_RING_FIELDS, SEED, artinian_rings,
-                     random_symmetric_spec)
+                     random_symmetric_spec, stretched_specs)
 
 BETTI_K = {
     # ring name -> (limit, betti numbers of k, resolution is linear)
@@ -334,3 +336,109 @@ def test_resolutions_are_exact(name, module, limit):
             rank_next, _ = _piece_rank(ring, degrees[2], degrees[1],
                                        data.differential(i + 1), j)
             assert rank_next == dim - rank_i, (i, j)
+
+
+class _Table:
+    """One block of a free module with a hand-written int x_l table:
+    rows[k] lists the (l, target, coefficient) triples of x_l * e_k."""
+
+    def __init__(self, field, rows):
+        self.ring = SimpleNamespace(field=field)
+        self.rows = rows
+
+    def int_shifts(self, piece):
+        return (0,), 1, ((0, 0, self.rows),)
+
+
+# x_0 and x_1 on six source and six target coordinates; e_1, e_2 and e_3
+# have a product with two terms
+_ROWS = (
+    ((0, 0, 1), (1, 1, 1)),
+    ((0, 1, 1), (0, 2, 1), (1, 3, 1)),
+    ((1, 2, 1), (1, 4, 1)),
+    ((0, 0, 1), (0, 5, 1)),
+    ((0, 5, 1),),
+    ((1, 4, 1),),
+)
+_ALL = {t: -t for t in range(6)}  # the sweep's naming: largest first
+
+PIVOT_FEEDS = {
+    # name -> (feed, keep, products of a unit after keep, of more terms)
+    "all_units": ([{0: 1}, {4: 1}, {5: 1}], _ALL, 4, 0),
+    "dense_only": ([{3: 1}, {1: 1}], _ALL, 1, 2),
+    "projection_vanishes": ([{3: 1}, {0: 1}, {4: 1}], _ALL, 3, 1),
+    "projection_pivots_below_a_unit": ([{2: 1}, {5: 1}], _ALL, 1, 1),
+    "keep_cuts_to_one_coordinate": ([{3: 1}, {2: 1}], {5: -5, 2: -2}, 2, 0),
+    "dense_feed_vectors": ([{0: 1, 3: 1}, {1: 2, 2: 1}, {4: 1}], _ALL, None, None),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["Q", "GF2"])
+@pytest.mark.parametrize("case", sorted(PIVOT_FEEDS))
+def test_saturated_pivots_match_the_echelon(case, field):
+    # the pivot set of the sweep's saturation equals the pivots of an
+    # echelon form fed the same products; each feed is ordered so that a
+    # product with more terms comes before the unit products it meets
+    feed, keep, units, dense = PIVOT_FEEDS[case]
+    table = _Table(field, _ROWS)
+    offsets, _scale, blocks = table.int_shifts(0)
+    products = [w for v in feed for w in _shift_all(v, offsets, blocks, field.char, keep)]
+    if units is not None:
+        assert [len(w) == 1 for w in products].count(True) == units
+        assert len(products) - units == dense
+    pivots = _saturated_pivots(table, 0, [dict(v) for v in feed], keep)
+    assert pivots == saturation_pivots(table, 0, [dict(v) for v in feed], keep)
+    assert _saturated_pivots(table, 0, [], keep) == set()
+
+
+def _literal_ints(int_maps):
+    return [[([(k, type(x), x) for k, x in V.items()], S) for V, S in step]
+            for step in int_maps]
+
+
+def _assert_sweep_matches_reference(ring, modules, limit, monkeypatch):
+    # int_maps (values, entry order and types), the exactness log and the
+    # Betti numbers equal those of the full echelon saturation
+    for pres in modules:
+        data = minimal_resolution(ring, pres, limit)
+        with monkeypatch.context() as patched:
+            patched.setattr(resolutions, "_sweep", reference_sweep)
+            ref = minimal_resolution(ring, pres, limit)
+        assert _literal_ints(data.int_maps) == _literal_ints(ref.int_maps)
+        assert data.exactness_log == ref.exactness_log
+        assert data.betti_numbers() == ref.betti_numbers()
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
+def test_sweep_matches_reference_on_stretched_rings(name, monkeypatch):
+    pytest.importorskip("hypothesis")
+    field = RANDOM_RING_FIELDS[name][0]
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(stretched_specs(field))
+    def check(spec):
+        ring = build_stretched_ring(spec)
+        modules = (ModulePresentation.residue_field(ring),
+                   ModulePresentation.power_module(ring, 2),
+                   ModulePresentation.cyclic_quotient(ring, [ring.variable(0)]))
+        _assert_sweep_matches_reference(ring, modules, 4, monkeypatch)
+
+    check()
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_sweep_matches_reference_on_corpus(name, monkeypatch):
+    # each graded artinian corpus ring also through the ungraded engine,
+    # by the twin of test_graded_and_ungraded_engines_agree
+    ring = corpus.get_ring(name)
+    rings = [ring]
+    if ring.graded and ring.is_artinian:
+        r0, r1 = ring.relations[:2]
+        rings.append(QuotientRing(ring.field, ring.var_names,
+                                  (r0 + r1 * ring.variable(ring.n - 1),) + ring.relations[1:],
+                                  ring.order))
+    for r in rings:
+        modules = [ModulePresentation.residue_field(r)]
+        if r.is_artinian:
+            modules.append(ModulePresentation.power_module(r, 2))
+        _assert_sweep_matches_reference(r, modules, 3, monkeypatch)
