@@ -1,8 +1,42 @@
-"""Buchberger's algorithm and normal forms.
+"""Groebner bases: a degree phase for homogeneous input, Buchberger's
+pair loop for the rest, and normal forms.
 
 Produces the reduced Groebner basis, which is the unique canonical basis
 for an ideal under a fixed monomial order: leading coefficients one, no
 term of any element divisible by the leading monomial of another.
+
+The degree phase (Lazard, "Groebner bases, Gaussian elimination and
+resolution of systems of algebraic equations", EUROCAL 1983) runs when
+every generator is homogeneous.  From the lowest generator degree up it
+builds I_d = x * I_{d-1} + span(generators of degree d) on the int
+`EchelonSolver`, in coordinates the monomials of degree d sorted
+descending in the order, so a row's pivot is its leading monomial.  The
+generators go in first, then the products x_l * row of the rows of
+I_{d-1}, and the products stop once I_d is all of degree d.  The pivots
+are the leading monomials of I_d.  A pivot no lead of degree d - 1 times
+a variable reaches is not a multiple of an earlier lead, so it is the
+lead of a new basis element: its row, reduced against the other pivot
+rows of the degree, is that element, since every other term then sits
+on a standard monomial.  Its value is the reduced-echelon row of I_d,
+which is unique, so it is the element of the unique reduced basis.
+
+After degree d the elements found so far form a d-truncated Groebner
+basis: every S-pair of degree at most d reduces to zero by them.  The
+phase stops with the whole basis when
+- I_d is all of degree d, so every larger degree is full too;
+- d is at least the largest generator degree and the largest lcm degree
+  of a non-coprime pair of leads: every generator and every S-pair then
+  reduces to zero (Buchberger's criterion, by degree, as in Faugere's
+  F4, J. Pure Appl. Algebra 1999);
+- the leads found so far already fill degree d + 1.
+It builds degree d + 1 only if that degree holds a generator, or lies
+within both that pair bound and the largest generator degree, or the
+leads are artinian and their Hilbert function vanishes by a degree whose
+monomial count fits DEGREE_BUDGET; and never if degree d + 1 has more
+than DEGREE_BUDGET monomials.  Otherwise it hands off: the pair loop
+starts from the d-truncated basis and the generators above degree d,
+and drops every popped pair of lcm degree at most d unreduced.  Without
+the hand-off a non-artinian lex ideal would climb degree after degree.
 
 Pairs are handled by the Gebauer-Moller update (Gebauer and Moller, "On
 an installation of Buchberger's algorithm", J. Symb. Comput. 1988).  When
@@ -42,12 +76,17 @@ from __future__ import annotations
 import heapq
 from math import comb
 from operator import le
+from typing import Optional
 
 from .errors import BudgetError
-from .poly import Monomial, MonomialOrder, Polynomial
+from .linalg import EchelonSolver, field_vector, int_vector
+from .poly import Monomial, MonomialOrder, Polynomial, monomials_of_degree
 
 # S-pairs `buchberger` may reduce before it gives up with BudgetError
 PAIR_BUDGET = 100000
+# monomials a degree of the degree phase may have; a larger degree is left
+# to the pair loop
+DEGREE_BUDGET = 3000
 
 
 def _divides(a: tuple, b: tuple) -> bool:
@@ -160,13 +199,20 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 def buchberger(generators: list[Polynomial], order: MonomialOrder = None) -> list[Polynomial]:
     """Reduced Groebner basis of the ideal spanned by `generators`.
 
-    The generators are reduced and inserted in order of term count,
-    fewest first (a stable sort, so ties keep input order), which puts
-    monomial relations ahead of dense ones.  Each insertion runs the
-    Gebauer-Moller update described in the module docstring: criteria M
-    and F and the coprime test on the new pairs, criterion B on the
-    queued ones.  Pair selection follows the normal strategy (smallest
-    lcm in the active order first, ties by basis index).
+    All-homogeneous input first goes through the degree phase
+    (`_by_degree`, see the module docstring).  It either returns the
+    whole basis or hands the pair loop a d-truncated basis and the
+    generators above degree d.
+
+    The pair loop reduces the generators and inserts them in order of
+    term count, fewest first (a stable sort, so ties keep input order),
+    which puts monomial relations ahead of dense ones.  Each insertion
+    runs the Gebauer-Moller update described in the module docstring:
+    criteria M and F and the coprime test on the new pairs, criterion B
+    on the queued ones.  Pair selection follows the normal strategy
+    (smallest lcm in the active order first, ties by basis index).
+    After a hand-off at degree d a popped pair of lcm degree at most d
+    is dropped unreduced: the truncated basis already reduces it to zero.
 
     When every generator is homogeneous, so is every basis element and
     every S-polynomial.  A popped pair whose lcm has a degree D in which
@@ -191,6 +237,12 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder = None) -> lis
     gens.sort(key=lambda g: len(g.terms))
     key = order.key
     homogeneous = all(g.is_homogeneous() for g in gens)
+    truncated, done = [], -1
+    if homogeneous:
+        truncated, done = _by_degree(gens, order)
+        if done is None:
+            return sorted(truncated, key=lambda g: key(g.lead_monomial))
+        gens = [g for g in gens if g.lead_monomial.degree > done]
 
     basis: list[Polynomial] = []
     leads: list[tuple] = []  # exponent tuple of each basis element's lead
@@ -243,6 +295,8 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder = None) -> lis
         active[:] = [i for i in active if not _divides(lh, leads[i])]
         active.append(j)
 
+    for h in truncated:
+        insert(h)
     for g in gens:
         r = normal_form(g, [basis[i] for i in active])
         if r.terms:
@@ -253,6 +307,8 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder = None) -> lis
         i, j, lcm = heapq.heappop(pairs)[1:]
         if homogeneous:
             degree = sum(lcm)
+            if degree <= done:
+                continue
             if cutoff is None or degree < cutoff:
                 if numerator is None:
                     numerator = hilbert_numerator(leads[a] for a in active)
@@ -270,14 +326,103 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder = None) -> lis
                               % PAIR_BUDGET)
 
     # the reducing set is a minimal Groebner basis by now
-    return reduce_basis([basis[i] for i in active], order)
+    return reduce_basis([basis[i] for i in active], order, done)
 
 
-def reduce_basis(basis: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
+def _by_degree(gens: list[Polynomial],
+               order: MonomialOrder) -> tuple[list[Polynomial], Optional[int]]:
+    """The degree phase on homogeneous monic generators.
+
+    Returns the reduced-basis elements it found, in no particular order,
+    and the degree d up to which they form a d-truncated Groebner basis,
+    or None when they are the whole reduced basis.
+    """
+    n, field = gens[0].arity, gens[0].field
+    p = field.char
+    key = order.key
+    by_degree: dict[int, list[Polynomial]] = {}
+    for g in gens:
+        by_degree.setdefault(g.lead_monomial.degree, []).append(g)
+    top = max(by_degree)
+    d = min(by_degree)
+    basis: list[Polynomial] = []
+    leads: list[tuple] = []
+    pure = set()  # the variables with a pure power among the leads
+    pair_bound = -1  # largest lcm degree of a non-coprime pair of leads
+    horizon = -1  # once the leads are artinian, the degree where their
+    # Hilbert function vanishes, if that degree fits DEGREE_BUDGET
+    below = None  # (exponents of the monomials, int rows, pivots) of I_{d-1}
+    while comb(d + n - 1, n - 1) <= DEGREE_BUDGET:
+        monos = sorted(monomials_of_degree(n, d), key=key, reverse=True)
+        index = {m.exponents: c for c, m in enumerate(monos)}
+        full = len(monos)
+        solver = EchelonSolver(field)
+        for g in by_degree.get(d, ()):
+            solver.add_ints(int_vector({index[m.exponents]: c for m, c in g.terms}, p)[0])
+        covered = set()  # x * the leads of degree d - 1
+        if below is not None:
+            old_monos, old_rows, old_pivots = below
+            ups = [[index[e[:i] + (e[i] + 1,) + e[i + 1:]] for e in old_monos]
+                   for i in range(n)]
+            for up in ups:
+                covered.update(up[q] for q in old_pivots)
+            for row in old_rows:
+                for up in ups:
+                    if solver.rank == full:
+                        break
+                    solver.add_ints({up[c]: x for c, x in row.items()})
+        rows = solver.int_rows()
+        pivots = [min(row) for row in rows]
+        for q in sorted(pivots):
+            if q in covered:
+                continue
+            V = solver.reduced_ints(q)
+            coeffs = field_vector(p, V, V[q])
+            basis.append(Polynomial(n, field, order, [(monos[c], coeffs[c]) for c in sorted(V)],
+                                    _sorted=True))
+            lead = monos[q].exponents
+            for u in leads:
+                if any(map(min, u, lead)):
+                    pair_bound = max(pair_bound, sum(map(max, u, lead)))
+            leads.append(lead)
+            if sum(map(bool, lead)) == 1:
+                pure.add(lead.index(d))
+        if len(pivots) == full or (d >= top and d >= pair_bound):
+            return basis, None
+        d += 1
+        if len(pure) == n and horizon < d:
+            horizon = _vanishing_degree(hilbert_numerator(leads), n, d)
+        if horizon == d:  # every monomial of degree d is a multiple of a lead
+            return basis, None
+        if not (d in by_degree or d <= min(pair_bound, top) or d <= horizon):
+            break
+        below = ([m.exponents for m in monos], rows, pivots)
+    return basis, d - 1
+
+
+def _vanishing_degree(numerator: list[int], n: int, d: int) -> int:
+    """The first degree from d on in which the Hilbert function vanishes,
+    or -1 if it does not vanish before the monomials of a degree exceed
+    DEGREE_BUDGET."""
+    while comb(d + n - 1, n - 1) <= DEGREE_BUDGET:
+        if not hilbert_function(numerator, n, d):
+            return d
+        d += 1
+    return -1
+
+
+def reduce_basis(basis: list[Polynomial], order: MonomialOrder,
+                 done: int) -> list[Polynomial]:
     """Tail-reduce a minimal Groebner basis (no leading monomial divides
-    another); sort ascending by LM."""
+    another); sort ascending by LM.
+
+    Elements of degree at most `done` are taken as reduced already, as
+    those of a reduced d-truncated basis are: a lead of larger degree
+    divides no term of theirs."""
     reduced = []
     for i, g in enumerate(basis):
-        reduced.append(normal_form(g, basis[:i] + basis[i + 1:]).monic())
+        if g.lead_monomial.degree > done:
+            g = normal_form(g, basis[:i] + basis[i + 1:]).monic()
+        reduced.append(g)
     reduced.sort(key=lambda g: order.key(g.lead_monomial))
     return reduced

@@ -301,6 +301,18 @@ class EchelonSolver:
     def has_pivot(self, c: int) -> bool:
         return c in self._rows
 
+    def reduced_ints(self, pivot: int) -> dict:
+        """The row of `pivot` with every other pivot coordinate
+        eliminated: its reduced-echelon row, as ints up to scale (pivot
+        residue 1 over GF(p), a positive pivot entry over Q)."""
+        tail = dict(self._rows[pivot])
+        lead = tail.pop(pivot)
+        if self._p:
+            _eliminate_mod_p(tail, None, self._p, self._rows, self._combos)
+            return {pivot: lead, **tail}
+        tail, _, D = _eliminate_q(tail, None, 1, self._rows, self._combos)
+        return {pivot: lead * D, **tail}
+
     def int_rows(self) -> list[dict]:
         """The stored int rows in insertion order; each is the field row
         up to scale, and none is ever changed once stored."""

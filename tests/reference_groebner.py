@@ -1,18 +1,26 @@
-"""Reference Buchberger algorithm and normal form, for tests only.
+"""Reference Buchberger algorithms and normal form, for tests only.
 
-This is the `koszulkit.groebner` that ran before the Gebauer-Moller pair
-criteria: every non-coprime S-pair is reduced, generators are inserted in
-input order, and `normal_form` reduces by the first basis element (in
-list order) whose leading monomial divides the term.  It is slow but
-obviously right.  `tests/test_groebner.py` checks that the production
-code returns literally equal reduced bases.
+`buchberger` is the `koszulkit.groebner` that ran before the
+Gebauer-Moller pair criteria: every non-coprime S-pair is reduced,
+generators are inserted in input order, and `normal_form` reduces by the
+first basis element (in list order) whose leading monomial divides the
+term.  It is slow but obviously right.
+
+`buchberger_pairs` is the production pair loop as it ran before the
+degree phase: Gebauer-Moller criteria and the Hilbert cutoff, with no
+linear algebra by degree, on the production `normal_form`.
+
+`tests/test_groebner.py` checks that the production code returns
+literally equal reduced bases.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from koszulkit.poly import MonomialOrder, Polynomial
+from koszulkit import groebner
+from koszulkit.errors import BudgetError
+from koszulkit.poly import Monomial, MonomialOrder, Polynomial
 
 
 def normal_form(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
@@ -125,4 +133,125 @@ def reduce_basis(basis: list[Polynomial], order: MonomialOrder) -> list[Polynomi
         if r.terms:
             reduced.append(r.monic())
     reduced.sort(key=lambda g: order.key(g.lead_monomial))
+    return reduced
+
+
+def buchberger_pairs(generators: list[Polynomial], order: MonomialOrder = None) -> list[Polynomial]:
+    """Reduced Groebner basis of the ideal spanned by `generators`.
+
+    The generators are reduced and inserted in order of term count,
+    fewest first (a stable sort, so ties keep input order), which puts
+    monomial relations ahead of dense ones.  Each insertion runs the
+    Gebauer-Moller update described in the `koszulkit.groebner`
+    docstring: criteria M and F and the coprime test on the new pairs,
+    criterion B on the queued ones.  Pair selection follows the normal
+    strategy (smallest lcm in the active order first, ties by basis
+    index).
+
+    When every generator is homogeneous, so is every basis element and
+    every S-polynomial.  A popped pair whose lcm has a degree D in which
+    the Hilbert function of the reducing set's leads vanishes is then
+    dropped unreduced: each term of its S-polynomial has degree D, hence
+    is a multiple of a lead, and the S-polynomial reduces to zero.  The
+    Hilbert-series numerator is recomputed only when a pair is popped
+    after the reducing set changed.  A vanishing degree stays one for
+    every larger degree and every larger reducing set, so pairs at or
+    above it are dropped without recomputation.  Inhomogeneous input
+    never takes this cutoff.
+
+    Raises BudgetError when it needs more than `groebner.PAIR_BUDGET`
+    S-pair reductions; pairs dropped unreduced do not count.
+    """
+    gens = [g for g in generators if g and g.terms]
+    if not gens:
+        return []
+    if order is None:
+        order = gens[0].order
+    gens = [g.with_order(order).monic() for g in gens]
+    gens.sort(key=lambda g: len(g.terms))
+    key = order.key
+    homogeneous = all(g.is_homogeneous() for g in gens)
+
+    basis: list[Polynomial] = []
+    leads: list[tuple] = []  # exponent tuple of each basis element's lead
+    active: list[int] = []  # basis indices that form pairs and reduce
+    pairs: list = []  # heap of (lcm order key, i, j, lcm exponents)
+    numerator = None  # Hilbert numerator of the active leads; None when stale
+    cutoff = None  # a degree in which that Hilbert function vanishes
+
+    def insert(h: Polynomial):
+        nonlocal pairs, numerator
+        j = len(basis)
+        lh = h.lead_monomial.exponents
+        deg_h = sum(lh)
+        basis.append(h)
+        leads.append(lh)
+        numerator = None
+
+        # criterion B on the queued pairs
+        kept = [pair for pair in pairs
+                if not groebner._divides(lh, pair[3])
+                or groebner._lcm(leads[pair[1]], lh) == pair[3]
+                or groebner._lcm(leads[pair[2]], lh) == pair[3]]
+        if len(kept) != len(pairs):
+            heapq.heapify(kept)
+            pairs = kept
+
+        # criterion F: one candidate per lcm, remembering coprime ones
+        candidates: dict[tuple, list] = {}
+        for i in active:
+            li = leads[i]
+            lcm = groebner._lcm(li, lh)
+            coprime = sum(lcm) == sum(li) + deg_h
+            entry = candidates.get(lcm)
+            if entry is None:
+                candidates[lcm] = [i, coprime]
+            elif coprime:
+                entry[1] = True
+        # criterion M: a proper divisor of an lcm has smaller degree
+        by_degree = sorted(candidates, key=sum)
+        degrees = [sum(lcm) for lcm in by_degree]
+        for a, lcm in enumerate(by_degree):
+            i, coprime = candidates[lcm]
+            if coprime:
+                continue
+            d = degrees[a]
+            if any(degrees[b] < d and groebner._divides(by_degree[b], lcm) for b in range(a)):
+                continue
+            heapq.heappush(pairs, (key(Monomial(lcm)), i, j, lcm))
+
+        active[:] = [i for i in active if not groebner._divides(lh, leads[i])]
+        active.append(j)
+
+    for g in gens:
+        r = groebner.normal_form(g, [basis[i] for i in active])
+        if r.terms:
+            insert(r.monic())
+
+    counter = 0
+    while pairs:
+        i, j, lcm = heapq.heappop(pairs)[1:]
+        if homogeneous:
+            degree = sum(lcm)
+            if cutoff is None or degree < cutoff:
+                if numerator is None:
+                    numerator = groebner.hilbert_numerator(leads[a] for a in active)
+                if groebner.hilbert_function(numerator, len(lcm), degree) == 0:
+                    cutoff = degree
+            if cutoff is not None and degree >= cutoff:
+                continue
+        s = groebner.s_polynomial(basis[i], basis[j])
+        r = groebner.normal_form(s, [basis[i] for i in active])
+        if r.terms:
+            insert(r.monic())
+        counter += 1
+        if counter > groebner.PAIR_BUDGET:
+            raise BudgetError("Buchberger pair budget of %d S-pair reductions exceeded"
+                              % groebner.PAIR_BUDGET)
+
+    # the reducing set is a minimal Groebner basis by now
+    minimal = [basis[i] for i in active]
+    reduced = [groebner.normal_form(g, minimal[:i] + minimal[i + 1:]).monic()
+               for i, g in enumerate(minimal)]
+    reduced.sort(key=lambda g: key(g.lead_monomial))
     return reduced

@@ -266,3 +266,24 @@ def test_resolution_budget_stops_a_huge_sweep(monkeypatch):
     assert proc.returncode == 4 and proc.stdout == ""
     assert proc.stderr == ("error: resolution budget of 150000 source coordinates "
                            "per step exceeded: step 12 needs 221184\n")
+
+
+def test_gb_of_large_powers_plus_a_quadric(monkeypatch):
+    # the leads of degree 2 are not artinian and no generator has degree
+    # 3, so the degree phase hands the pair loop the basis of degree 2
+    # without building degree 3; the pair loop takes about 2 s on a
+    # 2-core Xeon, and the timeout leaves three times that
+    _child_imports_this_koszulkit(monkeypatch)
+    text = "field Q\nvars a,b,c,d,e,f\nideal:\n%sa*b + c*d\n" % "".join(
+        "%s^40\n" % v for v in "abcdef")
+    proc = subprocess.run([sys.executable, "-m", "koszulkit", "gb", "-"], input=text,
+                          capture_output=True, text=True, timeout=7)
+    assert proc.returncode == 0, proc.stderr
+
+    def power(v, e):
+        return v if e == 1 else "%s^%d" % (v, e)
+
+    expected = ["a*b + c*d"] + ["%s^40" % v for v in "fedcba"]
+    expected += ["%s*%s*%s" % (power(v, k), power("c", 40 - k), power("d", 40 - k))
+                 for k in range(39, 0, -1) for v in "ba"]
+    assert proc.stdout.splitlines() == expected

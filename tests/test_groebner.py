@@ -26,6 +26,34 @@ def polys(texts, names, order):
     return [parse_polynomial(t, names, QQ, order) for t in texts]
 
 
+def _quadric_ideal(rng, field, n, count, power, coeff, order):
+    """`count` random quadrics, each drawing `coeff(rng)` for every
+    monomial of degree 2, plus every monomial of degree `power`: the ring
+    shapes of the benchmark's homology and resolve workloads."""
+    quads = list(monomials_of_degree(n, 2))
+    gens = []
+    while len(gens) < count:
+        g = Polynomial(n, field, order, [(m, field.of(c)) for m in quads
+                                         if (c := coeff(rng))])
+        if g:
+            gens.append(g)
+    return gens + [Polynomial.from_monomial(n, field, order, m)
+                   for m in monomials_of_degree(n, power)]
+
+
+def _small(rng):
+    return rng.randint(-3, 3)
+
+
+def _residue(rng):
+    return rng.randint(1, 32002)
+
+
+def _bench_ideal(order):
+    """Five quadrics plus m^3 in five variables over Q."""
+    return _quadric_ideal(random.Random(5), QQ, 5, 5, 3, _small, order)
+
+
 def test_two_generator_elimination():
     names = ("x", "y")
     basis = buchberger(polys(["x^2 - y^2", "x^2 + y^2"], names, GRL), GRL)
@@ -192,26 +220,23 @@ def _count_s_pairs(module, monkeypatch, gens, order):
 
 @pytest.mark.parametrize("order", [LEX, GRL], ids=["lex", "grevlex"])
 def test_criteria_skip_s_pair_reductions(monkeypatch, order):
-    """Five random quadrics plus m^3 in five variables over Q.  Every pair
-    left by the criteria has degree at least 3, where the leads already
-    hold every monomial, so the Hilbert cutoff drops all of them."""
-    rng = random.Random(5)
-    n = 5
-    quadrics = list(monomials_of_degree(n, 2))
-    gens = []
-    while len(gens) < 5:
-        terms = [(m, QQ.of(rng.randint(-3, 3))) for m in quadrics]
-        g = Polynomial(n, QQ, order, [(m, c) for m, c in terms if c])
-        if g:
-            gens.append(g)
-    gens += [Polynomial.from_monomial(n, QQ, order, m) for m in monomials_of_degree(n, 3)]
+    """Five random quadrics plus m^3 in five variables over Q.  The degree
+    phase reduces no S-pair.  In the pair loop every pair left by the
+    criteria has degree at least 3, where the leads already hold every
+    monomial, so the Hilbert cutoff drops all of them."""
+    gens = _bench_ideal(order)
     got, got_pairs = _count_s_pairs(groebner, monkeypatch, gens, order)
     want, want_pairs = _count_s_pairs(ref, monkeypatch, gens, order)
     assert _literal(got) == _literal(want)
     assert (got_pairs, want_pairs) == (0, {LEX: 194, GRL: 128}[order])
+    # with the degree phase shut out, the Hilbert cutoff of the pair loop
+    # drops every pair
+    monkeypatch.setattr(groebner, "DEGREE_BUDGET", 0)
+    loop, loop_pairs = _count_s_pairs(groebner, monkeypatch, gens, order)
+    assert _literal(loop) == _literal(want) and loop_pairs == 0
     # q + x_1^3 generates the same ideal, but the input is no longer
     # homogeneous, so no pair may be dropped by the cutoff
-    cube = Polynomial.from_monomial(n, QQ, order, Monomial((3, 0, 0, 0, 0)))
+    cube = Polynomial.from_monomial(5, QQ, order, Monomial((3, 0, 0, 0, 0)))
     twin, twin_pairs = _count_s_pairs(groebner, monkeypatch,
                                       [gens[0] + cube] + gens[1:], order)
     assert _literal(twin) == _literal(want)
@@ -266,3 +291,117 @@ def test_hilbert_function_counts_random_monomial_ideals():
             assert hilbert_function(numerator, n, d) == count, d
 
     check()
+
+
+# -- the degree phase against the reference pair loop ----------------------
+
+ORDERS = {"lex": LEX, "grevlex": GRL}
+
+
+def _assert_matches_pair_loop(gens, order):
+    want = ref.buchberger_pairs(gens, order)
+    got = buchberger(gens, order)
+    assert _literal(got) == _literal(want)
+
+
+BENCH_SHAPES = {  # field, variables, quadrics, power of m, coefficient draw
+    "Q_n5_q5_m3": (QQ, 5, 5, 3, _small),
+    "Q_n4_q5_m4": (QQ, 4, 5, 4, _small),
+    "GF32003_n4_q6_m3": (PrimeField(32003), 4, 6, 3, _residue),
+    "GF32003_n4_q9_m3": (PrimeField(32003), 4, 9, 3, _residue),
+}
+
+
+@pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS)
+@pytest.mark.parametrize("name", corpus.names())
+def test_degree_phase_matches_pair_loop_on_corpus(name, order):
+    defn = corpus.get_definition(name)
+    _assert_matches_pair_loop([r.with_order(order) for r in defn.relations], order)
+
+
+@pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("shape", BENCH_SHAPES)
+def test_degree_phase_matches_pair_loop_on_bench_shapes(shape, seed, order):
+    rng = random.Random("%s:%d" % (shape, seed))
+    _assert_matches_pair_loop(_quadric_ideal(rng, *BENCH_SHAPES[shape], order), order)
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
+def test_degree_phase_matches_pair_loop_on_random_rings(name):
+    pytest.importorskip("hypothesis")
+    field, coefficients = RANDOM_RING_FIELDS[name]
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(artinian_rings(field, coefficients, (GRL, LEX)))
+    def check(rings):
+        for ring in rings:
+            want = ref.buchberger_pairs(list(ring.relations), ring.order)
+            assert _literal(ring.groebner_basis) == _literal(want)
+
+    check()
+
+
+# -- each exit of the degree phase -----------------------------------------
+
+def _record_exits(monkeypatch):
+    """The degree each `_by_degree` call returns, in call order: None when
+    its basis is complete, else the degree where it hands off."""
+    exits = []
+    original = groebner._by_degree
+
+    def recording(gens, order):
+        basis, done = original(gens, order)
+        exits.append(done)
+        return basis, done
+
+    monkeypatch.setattr(groebner, "_by_degree", recording)
+    return exits
+
+
+@pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS)
+def test_full_degree_needs_no_polynomial_reduction(monkeypatch, order):
+    """Degree 3 of five quadrics plus m^3 is all of degree 3 from the
+    generators alone: the basis comes out of two echelons."""
+    gens = _bench_ideal(order)
+    want = ref.buchberger_pairs(gens, order)
+    exits = _record_exits(monkeypatch)
+    calls = []
+    for name in ("normal_form", "s_polynomial"):
+        monkeypatch.setattr(groebner, name, lambda *args, name=name: calls.append(name))
+    assert _literal(buchberger(gens, order)) == _literal(want)
+    assert exits == [None] and calls == []
+
+
+@pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS)
+@pytest.mark.parametrize("name,degree", [("case66", 2), ("socle4", 3)])
+def test_hand_off_to_the_pair_loop(monkeypatch, name, degree, order):
+    """Neither ring's leads are artinian at its generator degree, and the
+    next degree holds no generator: the pair loop takes over there."""
+    exits = _record_exits(monkeypatch)
+    test_degree_phase_matches_pair_loop_on_corpus(name, order)
+    assert exits == [degree]
+
+
+@pytest.mark.parametrize("budget,degree", [(34, 2), (14, 1)])
+def test_degree_over_the_budget_hands_off(monkeypatch, budget, degree):
+    """Degree 2 in five variables has 15 monomials and degree 3 has 35: a
+    degree over DEGREE_BUDGET is left to the pair loop, not built."""
+    gens = _bench_ideal(GRL)
+    exits = _record_exits(monkeypatch)
+    monkeypatch.setattr(groebner, "DEGREE_BUDGET", budget)
+    _assert_matches_pair_loop(gens, GRL)
+    assert exits == [degree]
+
+
+@pytest.mark.parametrize("budget,exit", [(35, None), (34, 2)])
+def test_artinian_leads_go_on_while_the_last_degree_fits(monkeypatch, budget, exit):
+    """The leads x^2, y^2, z^2, w^2, x*y are artinian with Hilbert function
+    1, 4, 5, 2, 0: the phase goes on past the generators only when degree
+    4, with 35 monomials, fits the budget."""
+    names = ("x", "y", "z", "w")
+    gens = polys(["x^2", "y^2", "z^2", "w^2", "x*y + z*w"], names, GRL)
+    exits = _record_exits(monkeypatch)
+    monkeypatch.setattr(groebner, "DEGREE_BUDGET", budget)
+    _assert_matches_pair_loop(gens, GRL)
+    assert exits == [exit]

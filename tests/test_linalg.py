@@ -89,6 +89,20 @@ def test_reduced_basis_rows_are_self_reduced():
                 assert other_pivot not in r
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF(7)"])
+def test_reduced_ints_are_the_reduced_echelon_rows(field):
+    f = field.of
+    s = Subspace(field, [{2: f(3), 4: f(1)}, {0: f(2), 1: f(4), 2: f(1), 4: f(5)},
+                         {1: f(3), 3: f(-1), 4: f(2)}])
+    solver = s._solver
+    stored = repr(solver._rows)
+    for want in s.reduced_basis_rows():
+        pivot = min(want)
+        got = solver.reduced_ints(pivot)
+        assert min(got) == pivot and {c: f(x) / f(got[pivot]) for c, x in got.items()} == want
+    assert repr(solver._rows) == stored  # the stored rows are left as they were
+
+
 def test_kernel_of_columns():
     # columns c0 = e0, c1 = e0 (duplicate), c2 = e1
     cols = [{0: q(1)}, {0: q(1)}, {1: q(1)}]
