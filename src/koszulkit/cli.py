@@ -459,7 +459,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     args.argv = argv
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader of stdout has gone: point stdout at devnull, so that
+        # the flush at exit cannot raise, and end as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InputError, NotArtinianError, NotACycleError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

@@ -26,14 +26,16 @@ a saturation, can skip the field altogether: `EchelonSolver.add_ints`
 takes an int dict (residues over GF(p), integers over Q) and stores it
 with the same elimination and the same normalised rows as `add`.
 `int_kernel` takes column j as ints over its own denominator, V_j / S_j,
-and returns the null basis as int vectors known up to scale;
-`kernel_of_columns` is a thin wrapper on field vectors.
+and returns the null basis: the zero columns as indices, the other null
+vectors as int vectors known up to scale; `kernel_of_columns` is a thin
+wrapper on field vectors.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Hashable, Iterable, Optional
 
 from .fields import GFElement, rational
@@ -425,29 +427,42 @@ def field_vector(p: int, vec: dict, D: int, sign: int = 1) -> dict:
     return {c: rational(sign * x, D) for c, x in vec.items()}
 
 
-def int_kernel(columns: Iterable[tuple[dict, int]], field) -> list[tuple[int, dict]]:
+def int_kernel(columns: Iterable[tuple[dict, int]], field) -> tuple[list, list, set]:
     """Null space of the linear map whose j-th column is V_j / S_j, for
-    the int pairs (V_j, S_j) of columns (S_j = 1 over GF(p)), as pairs
-    (f, C) in ascending order of the free index f.
+    the int pairs (V_j, S_j) of columns (S_j = 1 over GF(p)), as
+    (zeros, kernel, stored).
 
-    C is an int vector (residues over GF(p), integers without common
-    factor over Q) whose field value C / C[f] is the reduced-echelon null
-    vector of free column f: coefficient one at f, zero at every other
-    free column.  Column j's combination starts at S_j, as it would for
-    V_j / S_j, so no C depends on the scale of a column.
+    A column is free exactly when it is not in `stored`, the set of the
+    columns that became echelon rows.  `zeros` lists the zero columns f in
+    ascending order; the null vector of each is the unit vector e_f.
+    `kernel` holds the other free columns as pairs (f, C) in ascending
+    order of f: C is an int vector (residues over GF(p), integers without
+    common factor over Q) whose field value C / C[f] is the reduced-echelon
+    null vector of free column f, with coefficient one at f and zero at
+    every other free column.  Column j's combination starts at S_j, as it
+    would for V_j / S_j, so no C depends on the scale of a column.
     """
     solver = EchelonSolver(field, track=True)
-    kernel = []
+    rows = solver._rows
+    p = field.char
+    zeros, kernel, stored = [], [], set()
     for f, (V, S) in enumerate(columns):
         if not V:  # most columns of a resolution sweep
-            kernel.append((f, {f: 1}))
+            zeros.append(f)
+            continue
+        if len(V) == 1 and (c := next(iter(V))) not in rows:
+            # nothing to eliminate: store the row that elimination would,
+            # whose combination starts at S (at 1 over GF(p))
+            solver._store({c: V[c]}, {f: 1 if p else S})
+            stored.add(f)
             continue
         V, C, _D = solver._reduce_ints(dict(V), S, {f: 1})
         if V:
             solver._store(V, C)
+            stored.add(f)
         else:
             kernel.append((f, C))  # C[f] is the common denominator _D
-    return kernel
+    return zeros, kernel, stored
 
 
 def kernel_vector(f: int, C: dict, field) -> dict:
@@ -467,4 +482,8 @@ def kernel_of_columns(columns: list[dict], field) -> list[dict]:
     the reduced-echelon null basis with free variables set to zero.
     """
     pairs = (int_vector(col, field.char) for col in columns)
-    return [kernel_vector(f, C, field) for f, C in int_kernel(pairs, field)]
+    zeros, kernel, _stored = int_kernel(pairs, field)
+    # each list is ascending in f, so the sort merges two runs
+    vectors = sorted([(f, {f: field.one}) for f in zeros] +
+                     [(f, kernel_vector(f, C, field)) for f, C in kernel], key=itemgetter(0))
+    return [vec for _f, vec in vectors]

@@ -14,12 +14,12 @@ is ungraded), which x_l maps into itself.  A vector of a piece is a
 dict from the position of a standard monomial to its coefficient; per
 piece the ring keeps the positions (`piece_index`) and, per variable,
 the table of multiplication by x_l as position pairs (`var_action`,
-with `int_action` and `divisors` for the resolution sweep).  These
-tables are the only place where products of monomials turn into
-coordinates: Koszul differentials, resolutions, the socle and ideal
-spans all shift vectors through them, and the structure constants of
-a pair of pieces (`int_mul_table`), which products of Koszul cycles
-read, are built from them by the same recursion.
+with `int_action`, `grouped_int_action` and `divisors` for the
+resolution sweep).  These tables are the only place where products of
+monomials turn into coordinates: Koszul differentials, resolutions, the
+socle and ideal spans all shift vectors through them, and the structure
+constants of a pair of pieces (`int_mul_table`), which products of
+Koszul cycles read, are built from them by the same recursion.
 """
 
 from __future__ import annotations
@@ -81,12 +81,14 @@ class QuotientRing:
         self._indexes: dict = {}
         self._actions: dict = {}
         self._int_actions: dict = {}
+        self._grouped_actions: dict = {}
         self._action_scales: dict = {}
         self._divisors: dict = {}
         self._products: dict = {}
         self._int_products: dict = {}
         # caches that koszul and resolutions keep on the ring
         self._koszul_filtration: dict = {}
+        self._unit_images: dict = {}
         self._ambient_ring: Optional[QuotientRing] = None
         self._artinian = all(
             any(lm.exponents[i] and lm.degree == lm.exponents[i] for lm in self.lead_monomials)
@@ -238,6 +240,21 @@ class QuotientRing:
                     entries.extend((l, ti, c.v if p else c.numerator * (scale // c.denominator))
                                    for ti, c in pairs)
             act = self._int_actions[(e, scale)] = tuple(map(tuple, out))
+        return act
+
+    def grouped_int_action(self, e, scale: int) -> tuple:
+        """`int_action` grouped by variable: per monomial of piece e, one
+        tuple of (position, coefficient) pairs for each nonzero product
+        x_l times it, in ascending l."""
+        act = self._grouped_actions.get((e, scale))
+        if act is None:
+            out = []
+            for entries in self.int_action(e, scale):
+                groups: dict = {}
+                for l, ti, c in entries:
+                    groups.setdefault(l, []).append((ti, c))
+                out.append(tuple(map(tuple, groups.values())))
+            act = self._grouped_actions[(e, scale)] = tuple(out)
         return act
 
     def action_scale(self, e) -> int:

@@ -12,25 +12,23 @@ kernel vectors not reached by the variables times the previous piece
 degree sweep).  The single ungraded piece has no predecessor: there the
 kernel itself is the previous piece.
 
-Generators are read off pivots.  The kernel comes as the reduced null
+Generators are read off pivots.  `int_kernel` gives the reduced null
 basis: vector f has coefficient one at its free column f and zero at the
-other free columns, so a vector of K_j is fixed by its free coordinates.
-The products x_l * k for k in a basis of the previous piece's kernel are
-restricted to those coordinates, and their span is given the echelon
-form with the largest free column as pivot; kernel vector f is a new
-generator exactly when f is not a pivot, which is the greedy rule "f
-lies outside span(m K) plus the span of the kernel vectors before it".
-Only that pivot set is computed, and it depends only on the span: a
-product that is a unit vector after the restriction puts its coordinate
-in the set, and only the few others, projected off those coordinates,
-are echeloned (`_saturated_pivots`).
-
-The feed of that saturation is all ints: a kernel vector matters only up
-to scale, so it stays an int vector (residues over GF(p), a primitive
-integer vector over Q), and one pass over its coordinates yields all n
-products from int action tables, scaled over Q by one common
-denominator per piece.  The first step resolves the given columns, as
-ints, against the same saturation.
+other free columns, so a vector of K_j is fixed by its free coordinates,
+and a column is free exactly when it is not stored as an echelon row.
+Most free columns are zero columns, whose null vector is the unit vector
+e_f: they come as indices, and only the other null vectors as int
+vectors.  The products x_l * k for k in a basis of the previous piece's
+kernel are restricted to the free coordinates, and their span is given
+the echelon form with the largest free column as pivot; kernel vector f
+is a new generator exactly when f is not a pivot, which is the greedy
+rule "f lies outside span(m K) plus the span of the kernel vectors
+before it".  Only that pivot set is computed, and it depends only on the
+span: a product that is a unit vector after the restriction puts its
+coordinate in the set, and only the few others, projected off those
+coordinates, are echeloned (`_saturated_pivots`).  The products of a
+unit e_f are read off the action row of f, grouped by variable, and a
+new generator of a zero column gets its pair ({f: 1}, 1) only then.
 
 A differential is kept as the image of each generator: a vector V / S of
 the target, as an int vector V over its own denominator S (the
@@ -38,9 +36,14 @@ the target, as an int vector V over its own denominator S (the
 The image of x_l*m times a generator is x_l times the image of m, so the
 images of a whole piece's basis follow by shifting int vectors through
 int x_l tables, each keeping its own denominator, and `int_kernel` takes
-them as they are.  Field vectors are built only where they are read:
-`ResolutionData.maps`, `ResolutionData.differential` and the solves of a
-chain-map lift.
+them as they are.  A zero image's multiples are zero.  Over an ungraded
+ring most generators are unit vectors e_f with f = (g', m'), and the
+images of the whole block of such a generator are the ring's products
+m * m' moved to the block of g': a table per m' kept on the ring
+(`_unit_images`), built by the same chain of shifts, so that every pair
+is literally the chained one.  Field vectors are built only where they
+are read: `ResolutionData.maps`, `ResolutionData.differential` and the
+solves of a chain-map lift.
 
 Every sweep needs a certified stopping degree.  Over an artinian ring
 components vanish above maxgen + top degree.  Over the polynomial ring
@@ -58,6 +61,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
 from math import lcm
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .errors import BudgetError, InputError, NotArtinianError, PreconditionError
@@ -223,11 +227,11 @@ def _shift_ints(vec: dict, offsets: tuple, blocks: tuple, l: int, p: int) -> dic
 
 
 def _shift_all(vec: dict, offsets: tuple, blocks: tuple, p: int,
-               keep: Optional[dict] = None) -> list[dict]:
+               stored: Optional[set] = None) -> list[dict]:
     """The nonzero ones among x_1 * vec, ..., x_n * vec for an int vector,
     each up to the scale of the tables from FreeModule.int_shifts; one
-    pass over vec, with one bisect per coordinate.  With `keep`, only
-    target coordinates k in keep survive, renamed keep[k]."""
+    pass over vec, with one bisect per coordinate.  With `stored`, only
+    target coordinates outside stored survive."""
     outs: dict = {}  # l -> x_l * vec; most products of a sweep are zero
     for coord, coeff in vec.items():
         src, tgt, act = blocks[bisect_right(offsets, coord) - 1]
@@ -239,8 +243,8 @@ def _shift_all(vec: dict, offsets: tuple, blocks: tuple, p: int,
             out[k] = out.get(k, 0) + coeff * c
     result = []
     for out in outs.values():
-        if keep is not None:
-            out = {keep[k]: x for k, x in out.items() if k in keep}
+        if stored:
+            out = {k: x for k, x in out.items() if k not in stored}
         out = _nonzero(out, p)
         if out:
             result.append(out)
@@ -259,51 +263,92 @@ def _saturate(span: EchelonSolver, module: FreeModule, piece: int, feed) -> None
             span.add_ints(w)
 
 
-def _saturated_pivots(module: FreeModule, piece: int, feed, keep: dict) -> set:
-    """The pivots of the echelon form (smallest coordinate first) that
-    `_saturate` builds from the same feed and keep, without building it.
+def _saturated_pivots(module: FreeModule, piece: int, zeros, dense, stored: set) -> set:
+    """The pivots of an echelon form whose rows pivot on their largest
+    coordinate, spanned by the products x_l * v restricted to the
+    coordinates outside `stored`, for every variable x_l and every v of
+    the feed: the unit vectors e_f for f in zeros and the int vectors of
+    dense, all in the given piece of module.  The echelon itself is not
+    built.
 
     The pivot set of an echelon form depends only on the span.  Let U be
-    the unit products and D the others, each as restricted by keep.  The
-    span is span(U) plus the projection of D off the coordinates of U,
-    whose vectors miss those coordinates; so the pivots are the unit
+    the unit products and D the others, each as restricted.  The span is
+    span(U) plus the projection of D off the coordinates of U, whose
+    vectors miss those coordinates; so the pivots are the unit
     coordinates plus the pivots of an echelon of the projected D, which
-    is small in a resolution sweep.
+    is small in a resolution sweep.  The products of e_f are read off the
+    action row of f, grouped by variable.
     """
     units: set = set()
-    dense = []
-    if feed:
-        offsets, _scale, blocks = module.int_shifts(piece)
-        p = module.ring.field.char
-        for v in feed:
-            if len(v) == 1:
-                # one action row, grouped by variable: x_l * v up to scale
-                coord = next(iter(v))
-                src, tgt, act = blocks[bisect_right(offsets, coord) - 1]
-                outs: dict = {}
-                for l, ti, c in act[coord - src]:
-                    k = keep.get(tgt + ti)
-                    if k is not None:
-                        outs.setdefault(l, {})[k] = c
-                products = outs.values()
-            else:
-                products = _shift_all(v, offsets, blocks, p, keep)
-            for w in products:
+    rest = []
+    if zeros or dense:
+        ring = module.ring
+        offsets, scale, blocks = module.int_shifts(piece)
+        grouped = [ring.grouped_int_action(piece - d, scale) for d in module.degrees]
+        for f in zeros:
+            g = bisect_right(offsets, f) - 1
+            src, tgt, _act = blocks[g]
+            for pairs in grouped[g][f - src]:
+                if len(pairs) == 1:  # most products of a sweep
+                    if (k := tgt + pairs[0][0]) not in stored:
+                        units.add(k)
+                    continue
+                w = {k: c for ti, c in pairs if (k := tgt + ti) not in stored}
+                if len(w) == 1:
+                    units.update(w)
+                elif w:
+                    rest.append(w)
+        p = ring.field.char
+        for v in dense:
+            for w in _shift_all(v, offsets, blocks, p, stored):
                 if len(w) == 1:
                     units.update(w)
                 else:
-                    dense.append(w)
+                    rest.append(w)
     span = EchelonSolver(module.ring.field)
-    for w in dense:
-        w = {k: x for k, x in w.items() if k not in units}
+    for w in rest:
+        # coordinate k is named -k, so a row's pivot, its smallest
+        # coordinate, is its largest k
+        w = {-k: x for k, x in w.items() if k not in units}
         if w:
             span.add_ints(w)
-    # a stored row's pivot is its smallest coordinate
-    units.update(map(min, span.int_rows()))
+    units.update(-min(row) for row in span.int_rows())
     return units
 
 
 _ZERO = ({}, 1)  # shared by the many zero images; no caller changes a pair
+
+
+def _unit_coordinate(V: dict, S) -> Optional[int]:
+    """f when the int pair (V, S) is the unit vector ({f: 1}, 1) with
+    int entries, else None; a gmpy2 mpz 1 would give other value types
+    down the chain of shifts than the int 1 of `_unit_images`."""
+    if S == 1 and len(V) == 1:
+        (f, x), = V.items()
+        if x == 1 and type(x) is type(S) is int:
+            return f
+    return None
+
+
+def _unit_images(ring: QuotientRing, i: int, scale: int) -> list:
+    """The int pairs of m * m_i for the monomials m of an ungraded ring,
+    in order, by the chain of `_basis_images` from ({i: 1}, 1): the image
+    block of a generator whose image is the unit vector of m_i in a block
+    at offset 0.  Cached on the ring per (i, scale)."""
+    rows = ring._unit_images.get((i, scale))
+    if rows is None:
+        rows = ring._unit_images[(i, scale)] = []
+        offsets, blocks = (0,), ((0, 0, ring.int_action(0, scale)),)
+        p = ring.field.char
+        for step in ring.divisors(0):
+            if step is None:
+                rows.append(({i: 1}, 1))
+                continue
+            l, k = step
+            V, S = rows[k]
+            W = _shift_ints(V, offsets, blocks, l, p) if V else None
+            rows.append((W, S * scale) if W else _ZERO)
+    return rows
 
 
 def _basis_images(source: FreeModule, target: FreeModule, vectors, j: int,
@@ -315,7 +360,10 @@ def _basis_images(source: FreeModule, target: FreeModule, vectors, j: int,
     The image of (g, m) with m = x_l * m' is x_l times the image of
     (g, m'): one shift of an image found before, since m' precedes m in
     an ungraded piece and lies in the previous piece of a graded ring.
-    The shift's int table is `scale` times x_l, and so is S.
+    The shift's int table is `scale` times x_l, and so is S.  A zero
+    image's multiples are zero.  Over an ungraded ring, the block of a
+    generator whose image is a unit vector is that chain read from the
+    ring's `_unit_images`, moved to the block of the unit vector.
     """
     out = memo.get(j)
     if out is None:
@@ -325,6 +373,13 @@ def _basis_images(source: FreeModule, target: FreeModule, vectors, j: int,
         below = ring.piece_of(j - 1)
         prev = None
         for g, d in enumerate(source.degrees):
+            if not ring.graded and (f := _unit_coordinate(*vectors[g])) is not None:
+                starts = target.offsets(0)
+                o = starts[bisect_right(starts, f) - 1]
+                rows = _unit_images(ring, f - o, target.int_shifts(0)[1])
+                out.extend([({k + o: x for k, x in W.items()}, S) if W else _ZERO
+                            for W, S in rows] if o else rows)
+                continue
             for step in ring.divisors(j - d):
                 if step is None:
                     out.append(vectors[g])
@@ -335,7 +390,7 @@ def _basis_images(source: FreeModule, target: FreeModule, vectors, j: int,
                     offsets, scale, blocks = target.int_shifts(below)
                 l, i = step
                 V, S = prev[prev_offsets[g] + i]
-                W = _shift_ints(V, offsets, blocks, l, p)
+                W = _shift_ints(V, offsets, blocks, l, p) if V else None
                 out.append((W, S * scale) if W else _ZERO)
     return out
 
@@ -585,12 +640,13 @@ def _sweep(src: FreeModule, jmin: int, jmax: int, images):
     Kernel vector f of piece j (free column f, see `int_kernel`) is a new
     generator iff it lies outside span(m K_j) + span(kernel vectors
     before f).  A kernel vector is fixed by its free coordinates, so
-    restrict x_l times a basis of the previous piece's kernel to them
-    and name free column f by -f: an echelon of their span then pivots on
-    the largest free column, and f is a new generator iff it is not one
-    of the pivots that `_saturated_pivots` returns.
+    restrict x_l times a basis of the previous piece's kernel to them: an
+    echelon of their span that pivots on the largest free column has f
+    among the pivots that `_saturated_pivots` returns iff f is not a new
+    generator.
     Returns (piece, int pair) pairs plus the per-piece log; the pair of
-    kernel vector f is (C, C[f]), with f moved last as in `kernel_vector`.
+    kernel vector f is (C, C[f]), with f moved last as in `kernel_vector`,
+    and ({f: 1}, 1) for a zero column f.
     """
     ring = src.ring
     field = ring.field
@@ -599,16 +655,23 @@ def _sweep(src: FreeModule, jmin: int, jmax: int, images):
     below = int_kernel(images(ring.piece_of(jmin - 1)), field)
     for j in range(jmin, jmax + 1):
         # an ungraded ring's single piece feeds itself
-        kernel = int_kernel(images(j), field) if ring.graded else below
-        pivots = _saturated_pivots(src, ring.piece_of(j - 1), [C for _f, C in below],
-                                   {f: -f for f, _C in kernel})
-        new = [(f, C) for f, C in kernel if -f not in pivots]
-        log.append((j, len(pivots), len(new), len(kernel)))
+        zeros, kernel, stored = int_kernel(images(j), field) if ring.graded else below
+        pivots = _saturated_pivots(src, ring.piece_of(j - 1), below[0],
+                                   [C for _f, C in below[1]], stored)
+        # each list is ascending in f, so the sort merges two runs
+        new = sorted([(f, None) for f in zeros if f not in pivots] +
+                     [(f, C) for f, C in kernel if f not in pivots], key=itemgetter(0))
+        log.append((j, len(pivots), len(new), len(zeros) + len(kernel)))
         # free all but the next feed before storing
-        below = kernel if j < jmax else ()
-        del kernel
+        below = (zeros, kernel, stored) if j < jmax else ()
+        del zeros, kernel, stored
         constants = src.constant_slots(j)
         for f, C in new:
+            if C is None:  # the unit vector e_f of a zero column
+                if f in constants:
+                    raise AssertionError("resolution lost minimality")
+                gens.append((j, ({f: 1}, 1)))
+                continue
             if any(k in constants for k in C):
                 raise AssertionError("resolution lost minimality")
             C[f] = C.pop(f)

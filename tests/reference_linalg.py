@@ -5,6 +5,11 @@ before its rows held plain ints: every operation is `Fraction` or
 `GFElement` arithmetic, so it is slow but obviously right.
 `tests/test_linalg.py` checks that the int-backed solver returns
 literally equal results.
+
+`int_kernel` is the int kernel as it was before zero columns came back
+as indices and unit columns skipped the elimination: every free column
+gives a pair (f, C), the zero ones ({f: 1}), and every nonzero column is
+reduced through the heap.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import heapq
 from typing import Hashable, Iterable, Optional
 
-from koszulkit.linalg import vec_add_scaled
+from koszulkit.linalg import EchelonSolver as IntEchelonSolver, vec_add_scaled
 
 
 class EchelonSolver:
@@ -135,4 +140,21 @@ def kernel_of_columns(columns: list[dict], field) -> list[dict]:
             vec = {t: -c for t, c in dep.items()}
             vec[j] = field.one
             kernel.append(vec)
+    return kernel
+
+
+def int_kernel(columns, field) -> list[tuple[int, dict]]:
+    """The null space of the int columns (V_j, S_j) as pairs (f, C) in
+    ascending order of the free column f, the zero columns included."""
+    solver = IntEchelonSolver(field, track=True)
+    kernel = []
+    for f, (V, S) in enumerate(columns):
+        if not V:
+            kernel.append((f, {f: 1}))
+            continue
+        V, C, _D = solver._reduce_ints(dict(V), S, {f: 1})
+        if V:
+            solver._store(V, C)
+        else:
+            kernel.append((f, C))
     return kernel

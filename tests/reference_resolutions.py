@@ -9,9 +9,13 @@ kernel vectors that still grow it are the generators.  Everything is
 computed from Polynomial columns through `ring.multiply`, with the
 field-element solver of `reference_linalg`.
 
-The engine saturates each piece of a later step only as far as its
-pivot set.  `reference_sweep` keeps the full echelon saturation that
-replaces, with the test "f is not a pivot" read from the echelon.
+`reference_sweep` keeps the engine's sweep as it was before zero kernel
+columns travelled as indices: every kernel vector, the unit ones
+included, is an (f, C) pair of `reference_linalg.int_kernel`, the
+saturation is restricted by a `keep` dict of the free columns
+(`saturated_pivots`), and `int_basis_images` shifts every basis image
+through the x_l tables, unit generators included.  `saturation_pivots`
+keeps the full echelon saturation whose pivot set both read off.
 
 The engine also shifts the basis images of a map as int vectors, each
 over its own denominator.  `reference_tor_map_vanishes` keeps the field
@@ -24,12 +28,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import partial
 
-from koszulkit.linalg import EchelonSolver, int_kernel, vec_add_terms, vec_combine
+from koszulkit.linalg import EchelonSolver, vec_add_terms, vec_combine
 from koszulkit.poly import Polynomial
-from koszulkit.resolutions import (ModulePresentation, TorMapReport, _shift_all,
+from koszulkit.resolutions import (ModulePresentation, TorMapReport, _nonzero, _shift_ints,
                                    minimal_resolution)
 
-from reference_linalg import Subspace, kernel_of_columns
+from reference_linalg import Subspace, int_kernel, kernel_of_columns
 
 
 def _piece(ring, e):
@@ -181,7 +185,29 @@ def reference_resolution(data):
     return maps, logs
 
 
-# -- the echelon saturation of the sweep ---------------------------------
+# -- the sweep on (f, C) pairs and keep dicts ---------------------------
+
+
+def shift_all(vec: dict, offsets: tuple, blocks: tuple, p: int, keep=None) -> list[dict]:
+    """The nonzero ones among x_1 * vec, ..., x_n * vec; with `keep`,
+    only target coordinates k in keep survive, renamed keep[k]."""
+    outs: dict = {}
+    for coord, coeff in vec.items():
+        src, tgt, act = blocks[bisect_right(offsets, coord) - 1]
+        for l, ti, c in act[coord - src]:
+            out = outs.get(l)
+            if out is None:
+                out = outs[l] = {}
+            k = tgt + ti
+            out[k] = out.get(k, 0) + coeff * c
+    result = []
+    for out in outs.values():
+        if keep is not None:
+            out = {keep[k]: x for k, x in out.items() if k in keep}
+        out = _nonzero(out, p)
+        if out:
+            result.append(out)
+    return result
 
 
 def _saturation(module, piece, feed, keep) -> EchelonSolver:
@@ -191,7 +217,7 @@ def _saturation(module, piece, feed, keep) -> EchelonSolver:
     if feed:
         offsets, _scale, blocks = module.int_shifts(piece)
         for v in feed:
-            for w in _shift_all(v, offsets, blocks, module.ring.field.char, keep):
+            for w in shift_all(v, offsets, blocks, module.ring.field.char, keep):
                 span.add_ints(w)
     return span
 
@@ -202,8 +228,73 @@ def saturation_pivots(module, piece, feed, keep) -> set:
     return {k for k in keep.values() if span.has_pivot(k)}
 
 
+def saturated_pivots(module, piece, feed, keep) -> set:
+    """The pivots of `_saturation`, from the unit products plus an
+    echelon of the other products projected off the unit coordinates."""
+    units: set = set()
+    dense = []
+    if feed:
+        offsets, _scale, blocks = module.int_shifts(piece)
+        p = module.ring.field.char
+        for v in feed:
+            if len(v) == 1:
+                coord = next(iter(v))
+                src, tgt, act = blocks[bisect_right(offsets, coord) - 1]
+                outs: dict = {}
+                for l, ti, c in act[coord - src]:
+                    k = keep.get(tgt + ti)
+                    if k is not None:
+                        outs.setdefault(l, {})[k] = c
+                products = outs.values()
+            else:
+                products = shift_all(v, offsets, blocks, p, keep)
+            for w in products:
+                if len(w) == 1:
+                    units.update(w)
+                else:
+                    dense.append(w)
+    span = EchelonSolver(module.ring.field)
+    for w in dense:
+        w = {k: x for k, x in w.items() if k not in units}
+        if w:
+            span.add_ints(w)
+    units.update(map(min, span.int_rows()))
+    return units
+
+
+_ZERO = ({}, 1)
+
+
+def int_basis_images(source, target, vectors, j, memo) -> list[tuple]:
+    """Int images (V, S) of the piece-j basis of source under the map
+    sending generator g to the int pair vectors[g]; the image of
+    (g, x_l * m') is x_l times that of (g, m'), for every generator."""
+    out = memo.get(j)
+    if out is None:
+        ring = source.ring
+        p = ring.field.char
+        out = memo[j] = []
+        below = ring.piece_of(j - 1)
+        prev = None
+        for g, d in enumerate(source.degrees):
+            for step in ring.divisors(j - d):
+                if step is None:
+                    out.append(vectors[g])
+                    continue
+                if prev is None:  # over an ungraded ring, `out` itself
+                    prev = int_basis_images(source, target, vectors, below, memo)
+                    prev_offsets = source.offsets(below)
+                    offsets, scale, blocks = target.int_shifts(below)
+                l, i = step
+                V, S = prev[prev_offsets[g] + i]
+                W = _shift_ints(V, offsets, blocks, l, p)
+                out.append((W, S * scale) if W else _ZERO)
+    return out
+
+
 def reference_sweep(src, jmin, jmax, images):
-    """`resolutions._sweep` on a full echelon saturation per piece."""
+    """`resolutions._sweep` on (f, C) pairs for every kernel vector; run
+    it with `int_basis_images` in place of the engine's `_basis_images`."""
     ring = src.ring
     field = ring.field
     gens = []
@@ -211,10 +302,10 @@ def reference_sweep(src, jmin, jmax, images):
     below = int_kernel(images(ring.piece_of(jmin - 1)), field)
     for j in range(jmin, jmax + 1):
         kernel = int_kernel(images(j), field) if ring.graded else below
-        span = _saturation(src, ring.piece_of(j - 1), [C for _f, C in below],
-                           {f: -f for f, _C in kernel})
-        new = [(f, C) for f, C in kernel if not span.has_pivot(-f)]
-        log.append((j, span.rank, len(new), len(kernel)))
+        pivots = saturated_pivots(src, ring.piece_of(j - 1), [C for _f, C in below],
+                                  {f: -f for f, _C in kernel})
+        new = [(f, C) for f, C in kernel if -f not in pivots]
+        log.append((j, len(pivots), len(new), len(kernel)))
         below = kernel if j < jmax else ()
         constants = src.constant_slots(j)
         for f, C in new:

@@ -244,6 +244,24 @@ def test_huge_prime_modulus_is_decided_fast(capsys, monkeypatch):
     assert rc == 3 and "bound of the proven primality test" in err
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_quietly(unbuffered, monkeypatch):
+    # the reader of stdout is gone before the first write, which fails in
+    # a print when stdout is unbuffered and in the last flush otherwise:
+    # no traceback, and 141 (128 + SIGPIPE) rather than 1, which a script
+    # reads as "the condition is false"
+    _child_imports_this_koszulkit(monkeypatch)
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "koszulkit", "homology", "socle4"],
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=10)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141 and proc.stderr == b""
+
+
 def test_gb_builds_no_standard_basis(monkeypatch):
     # R = Q[x,y]/(x^2, y^200000) has dimension 400000; building it for
     # `gb` enumerates no standard monomial, so the basis prints at once

@@ -8,8 +8,8 @@ except ImportError:  # only the reference comparison needs it; it skips
     pass
 
 from koszulkit.fields import PrimeField, QQ
-from koszulkit.linalg import (EchelonSolver, Subspace, kernel_of_columns,
-                              vec_add_scaled, vec_combine)
+from koszulkit.linalg import (EchelonSolver, Subspace, int_kernel, int_vector,
+                              kernel_of_columns, vec_add_scaled, vec_combine)
 
 import reference_linalg as ref
 
@@ -222,5 +222,48 @@ def test_int_backed_solver_matches_reference(name):
         assert solver.rank == ref_solver.rank
         for v in vecs + probes:
             assert _literal(solver.solve(v)) == _literal(ref_solver.solve(v))
+
+    check()
+
+
+def _columns(field):
+    """Int column pairs (V, S), many of them zero or unit vectors, on few
+    coordinates so that a unit column often meets a pivot; over Q each
+    pair is scaled by a random factor, so S need not be the lcm of the
+    denominators."""
+    entry = _entries(field)
+    vector = st.one_of(st.just({}),
+                       st.dictionaries(st.integers(0, 3), entry, min_size=1, max_size=1),
+                       st.dictionaries(st.integers(0, 3), entry, max_size=3))
+
+    @st.composite
+    def build(draw):
+        columns = []
+        for vec in draw(st.lists(vector, max_size=10)):
+            V, S = int_vector(vec, field.char)
+            k = 1 if field.char else draw(st.integers(1, 6))
+            columns.append(({c: x * k for c, x in V.items()}, S * k))
+        return columns
+
+    return build()
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_int_kernel_matches_reference(name):
+    # zero columns come back as indices and the other free columns as the
+    # reference's pairs, literally; every other column is stored
+    pytest.importorskip("hypothesis")
+    field = FIELDS[name]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_columns(field))
+    def check(columns):
+        zeros, kernel, stored = int_kernel(columns, field)
+        want = ref.int_kernel(columns, field)
+        assert zeros == [f for f, (V, _S) in enumerate(columns) if not V]
+        literal = [(f, [(c, type(x), x) for c, x in C.items()]) for f, C in want
+                   if columns[f][0]]
+        assert [(f, [(c, type(x), x) for c, x in C.items()]) for f, C in kernel] == literal
+        assert stored == set(range(len(columns))) - {f for f, _C in want}
 
     check()

@@ -16,14 +16,15 @@ from koszulkit.poly import MonomialOrder
 from koszulkit.quotient import QuotientRing
 from koszulkit.resolutions import (ModulePresentation, betti_numbers_k,
                                    betti_table_R_over_Q, minimal_resolution,
-                                   TorMapReport, _saturated_pivots, _shift_all,
-                                   tor_map_vanishes)
-from koszulkit.ringdef import format_polynomial, parse_polynomial
+                                   TorMapReport, _saturated_pivots, tor_map_vanishes)
+from koszulkit.ringdef import (format_field, format_polynomial, parse_polynomial,
+                               parse_ring_definition)
 from koszulkit.series import poly_mul
 
 from reference_linalg import Subspace
-from reference_resolutions import (piece_images, reference_resolution, reference_sweep,
-                                   reference_tor_map_vanishes, saturation_pivots)
+from reference_resolutions import (int_basis_images, piece_images, reference_resolution,
+                                   reference_sweep, reference_tor_map_vanishes,
+                                   saturated_pivots, saturation_pivots, shift_all)
 from support import (GRADED_CORPUS, RANDOM_RING_FIELDS, SEED, artinian_rings,
                      random_symmetric_spec, stretched_specs)
 
@@ -303,6 +304,29 @@ def test_int_images_match_field_reference(name):
     check()
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "GF32003"])
+def test_unit_images_match_the_chain(field):
+    # over an ungraded ring the block of a generator whose image is the
+    # unit vector ({f: 1}, 1) comes from the ring's table, in either block
+    # of the target; every other pair, a unit vector of another scale or
+    # coefficient among them, is shifted through the x_l tables.  Both
+    # give literally the pairs of the chain of shifts
+    text = corpus.get_text("case54").replace("field Q", "field %s" % format_field(field))
+    ring = parse_ring_definition(text).build()
+    r0, r1 = ring.relations[:2]
+    twin = QuotientRing(field, ring.var_names,
+                        (r0 + r1 * ring.variable(ring.n - 1),) + ring.relations[1:], ring.order)
+    f, g = 1, twin.dim + 2  # positions in the first and the second block
+    vectors = [({f: 1}, 1), ({g: 1}, 1), ({g: 3}, 1), ({f: 1, g: 2}, 1), ({g: 1}, 1)]
+    if not field.char:
+        vectors += [({g: 1}, 2), ({f: -1}, 1), ({g: 3}, 5)]
+    source = resolutions.FreeModule(twin, [0] * len(vectors))
+    target = resolutions.FreeModule(twin, [0, 0])
+    got = resolutions._basis_images(source, target, vectors, 0, {})
+    want = int_basis_images(source, target, vectors, 0, {})
+    assert _literal_ints([got]) == _literal_ints([want])
+
+
 def _piece_rank(ring, source_degrees, target_degrees, columns, j):
     """Rank and source dimension of one differential on piece j."""
     images = piece_images(ring, source_degrees, target_degrees, columns, j)
@@ -343,7 +367,11 @@ class _Table:
     rows[k] lists the (l, target, coefficient) triples of x_l * e_k."""
 
     def __init__(self, field, rows):
-        self.ring = SimpleNamespace(field=field)
+        grouped = tuple(tuple(tuple((t, c) for x, t, c in row if x == l)
+                              for l in sorted({x for x, _t, _c in row}))
+                        for row in rows)
+        self.ring = SimpleNamespace(field=field, grouped_int_action=lambda e, scale: grouped)
+        self.degrees = [0]
         self.rows = rows
 
     def int_shifts(self, piece):
@@ -378,17 +406,24 @@ PIVOT_FEEDS = {
 def test_saturated_pivots_match_the_echelon(case, field):
     # the pivot set of the sweep's saturation equals the pivots of an
     # echelon form fed the same products; each feed is ordered so that a
-    # product with more terms comes before the unit products it meets
+    # product with more terms comes before the unit products it meets.
+    # The engine takes the unit feed vectors as indices, the others as
+    # vectors, and the stored columns in place of keep; it names a
+    # coordinate k where the references name it keep[k] = -k
     feed, keep, units, dense = PIVOT_FEEDS[case]
     table = _Table(field, _ROWS)
     offsets, _scale, blocks = table.int_shifts(0)
-    products = [w for v in feed for w in _shift_all(v, offsets, blocks, field.char, keep)]
+    products = [w for v in feed for w in shift_all(v, offsets, blocks, field.char, keep)]
     if units is not None:
         assert [len(w) == 1 for w in products].count(True) == units
         assert len(products) - units == dense
-    pivots = _saturated_pivots(table, 0, [dict(v) for v in feed], keep)
+    zeros = [k for v in feed for k in v if v == {k: 1}]
+    vectors = [dict(v) for v in feed if len(v) > 1 or 1 not in v.values()]
+    stored = set(range(6)) - set(keep)
+    pivots = {-k for k in _saturated_pivots(table, 0, zeros, vectors, stored)}
     assert pivots == saturation_pivots(table, 0, [dict(v) for v in feed], keep)
-    assert _saturated_pivots(table, 0, [], keep) == set()
+    assert pivots == saturated_pivots(table, 0, [dict(v) for v in feed], keep)
+    assert _saturated_pivots(table, 0, [], [], stored) == set()
 
 
 def _literal_ints(int_maps):
@@ -403,6 +438,7 @@ def _assert_sweep_matches_reference(ring, modules, limit, monkeypatch):
         data = minimal_resolution(ring, pres, limit)
         with monkeypatch.context() as patched:
             patched.setattr(resolutions, "_sweep", reference_sweep)
+            patched.setattr(resolutions, "_basis_images", int_basis_images)
             ref = minimal_resolution(ring, pres, limit)
         assert _literal_ints(data.int_maps) == _literal_ints(ref.int_maps)
         assert data.exactness_log == ref.exactness_log
@@ -422,6 +458,27 @@ def test_sweep_matches_reference_on_stretched_rings(name, monkeypatch):
                    ModulePresentation.power_module(ring, 2),
                    ModulePresentation.cyclic_quotient(ring, [ring.variable(0)]))
         _assert_sweep_matches_reference(ring, modules, 4, monkeypatch)
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
+def test_sweep_matches_reference_on_ungraded_twins(name, monkeypatch):
+    # unlike the stretched rings, the twins have products that are not
+    # unit vectors and are not spanned by the unit ones, so the dense
+    # pass of the saturation and the shifted images of dense generators
+    # both count
+    pytest.importorskip("hypothesis")
+    field, coefficients = RANDOM_RING_FIELDS[name]
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(artinian_rings(field, coefficients))
+    def check(rings):
+        twin = rings[1]
+        modules = (ModulePresentation.residue_field(twin),
+                   ModulePresentation.power_module(twin, 2),
+                   ModulePresentation.cyclic_quotient(twin, [twin.variable(0)]))
+        _assert_sweep_matches_reference(twin, modules, 4, monkeypatch)
 
     check()
 
