@@ -467,19 +467,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # the flush at exit cannot raise, and end as SIGPIPE would
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (InputError, NotArtinianError, NotACycleError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except PreconditionError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except BudgetError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 4
-    except AssertionError as exc:
-        # an internal invariant failed: not a verdict, so not exit 1
-        print("internal error: %s" % exc, file=sys.stderr)
-        return 5
+    except (InputError, NotArtinianError, NotACycleError, PreconditionError, BudgetError,
+            AssertionError) as exc:
+        # the documented codes: a failed internal invariant is not a verdict
+        status = (2 if isinstance(exc, PreconditionError) else 4 if isinstance(exc, BudgetError)
+                  else 5 if isinstance(exc, AssertionError) else 3)
+        try:
+            print("%s: %s" % ("internal error" if status == 5 else "error", exc),
+                  file=sys.stderr, flush=True)
+        except BrokenPipeError:  # nobody reads stderr: keep the code, as for stdout
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+        return status
 
 
 if __name__ == "__main__":

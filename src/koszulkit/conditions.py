@@ -122,11 +122,11 @@ def _containment(key, hp, span) -> PieceResult:
     echelon in its cycle coordinates?  A span of cycles as large as the
     cycle space is all of it; otherwise the witness is the first cycle
     z_f whose unit vector the span misses."""
-    full = len(hp.cycle_vectors)
+    full = len(hp.cycles)
     if span.rank < full:
-        for f, vec in zip(hp.free, hp.cycle_vectors):
+        for f, pair in zip(hp.free, hp.cycles):
             if not span.contains_ints({-f: 1}):
-                return PieceResult(key, False, full, span.rank, hp.piece.element_of(vec))
+                return PieceResult(key, False, full, span.rank, hp.piece.element_of_ints(*pair))
     return PieceResult(key, True, full, span.rank)
 
 
@@ -139,8 +139,8 @@ def _product_span(algebra, i, j, factors, admit):
     in the cycle space, so it stops growing at its dimension.
     """
     hp = algebra.pieces[(i, j)]
-    span = hp.cycle_span()
-    full = len(hp.cycle_vectors)
+    span = hp.boundary_span.copy()
+    full = len(hp.cycles)
     p = algebra.ring.field.char
     for (a, b), el in factors:
         cofactor = algebra.pieces.get((i - a, j - b))
@@ -148,7 +148,7 @@ def _product_span(algebra, i, j, factors, admit):
             continue
         left = component_piece(algebra.ring, a, b)
         u = int_vector(left.vector_of(el), p)[0]
-        for rep in cofactor.rep_ints:
+        for rep, _S in cofactor.rep_pairs:
             w = hp.restrict(product_ints(left, u, cofactor.piece, rep, hp.piece))
             if w and span.add_ints(w) and span.rank == full:
                 break
@@ -267,16 +267,16 @@ def check_P_local(ring: QuotientRing, t: int, r: int,
         if i - r >= 0 and l.terms:
             # the span need not lie in Z(m^t K), so no early stop here
             source_piece, zcycles = filtered_cycles(ring, t - 1, i - r)
-            for vec in zcycles:
-                w = product_ints(lpiece, lvec, source_piece, int_vector(vec, p)[0], target)
+            for V, _S in zcycles:
+                w = product_ints(lpiece, lvec, source_piece, V, target)
                 if w:
-                    span.extend_ints(w)
+                    span.add_ints(w)
         _piece, cycles = filtered_cycles(ring, t, i)
-        result = PieceResult(i, True, len(cycles), span.dim)
-        for vec in cycles:
-            if not span.contains(vec):
-                result = PieceResult(i, False, len(cycles), span.dim,
-                                     target.element_of(vec))
+        result = PieceResult(i, True, len(cycles), span.rank)
+        for V, S in cycles:
+            if not span.contains_ints(dict(V)):
+                result = PieceResult(i, False, len(cycles), span.rank,
+                                     target.element_of_ints(V, S))
                 break
         pieces.append(result)
     return ConditionReport("P(%d,%d) local" % (t, r), (), tuple(pieces))

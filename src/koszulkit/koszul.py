@@ -8,15 +8,16 @@ monomials) to normal-form coefficients in R.
 Bidegrees (i, j): i is the homological degree (exterior word length),
 j the internal degree (coefficient degree plus i).  The differential
 preserves j; products add bidegrees.  Homology is computed per bidegree
-by exact linear algebra over the coefficient field.
-
-Where only the span of products matters (minimal generators and the
-checks in `conditions`), products of cycles are taken in coordinates:
-`product_ints` reads the ring's structure constants and a table of
-exterior shuffle signs, and returns an int vector that enters the
-echelon through `EchelonSolver.add_ints`.  Such a span lies inside the
-cycle space of its piece, so it is complete once its dimension reaches
-the number of cycles.
+on the ring's int coordinate layer: a differential column is an int pair
+(V, S), ints V over the piece's one scale S read off
+`QuotientRing.int_action`, which `kernel_of_columns` takes as it is.
+Cycles and filtered slices stay int pairs; field vectors are built only
+for representatives, generators, class coordinates and witnesses.
+Products of cycles, where only their span matters (minimal generators
+and the checks in `conditions`), are int vectors from the ring's
+structure constants and a table of exterior shuffle signs
+(`product_ints`).  Such a span lies inside the cycle space of its piece,
+so it is complete once its dimension reaches the number of cycles.
 
 Spans inside the cycle space are kept in cycle coordinates.  The cycles
 of a piece are the reduced-echelon null basis of `kernel_of_columns`: z_f
@@ -37,8 +38,8 @@ from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .errors import NotACycleError, NotArtinianError, PreconditionError
-from .linalg import (EchelonSolver, Subspace, field_vector, int_vector, kernel_of_columns,
-                     vec_add_terms, vec_combine)
+from .linalg import (EchelonSolver, combine_ints, field_vector, kernel_of_columns, null_pairs,
+                     vec_add_terms)
 from .poly import Polynomial
 from .quotient import QuotientRing
 
@@ -271,6 +272,10 @@ class Piece:
         return KoszulElement(ring, {key: Polynomial(ring.n, ring.field, ring.order, t)
                                     for key, t in terms.items()}, normalize=False)
 
+    def element_of_ints(self, V: dict, S: int) -> KoszulElement:
+        """The element of the int pair (V, S), the vector V / S."""
+        return self.element_of(field_vector(self.ring.field.char, V, S))
+
 
 def exterior_monomials(n: int, length: int) -> list[tuple]:
     return list(itertools.combinations(range(n), length))
@@ -297,7 +302,7 @@ def product_ints(left: Piece, u: dict, right: Piece, v: dict, target: Piece) -> 
     """The product of vectors u of left and v of right as an int vector
     of target, the piece holding the products.  All three vectors are
     ints known up to a nonzero scale: residues over GF(p), integers over
-    Q (an `int_vector` or an `int_kernel` vector).
+    Q (an `int_vector`, a cycle's V or a `kernel_of_columns` vector).
 
     Monomial products come from the ring's structure constants
     (`QuotientRing.int_mul_table`), merged exterior monomials and their
@@ -342,70 +347,70 @@ def full_piece(ring: QuotientRing, i: int) -> Piece:
     return Piece(ring, i, ring.whole_piece)
 
 
-def differential_columns(ring: QuotientRing, source: Piece, target: Piece) -> list[dict]:
-    """Matrix of the differential, one sparse column per source coordinate.
+def differential_columns(ring: QuotientRing, source: Piece, target: Piece) -> list[tuple]:
+    """Matrix of the differential, one int pair (V, S) per source
+    coordinate, the column V / S, with one scale S for the piece.
 
     d(m T_s) is the sum over the positions of s of the signed x_l m
-    T_(s without l), with x_l m read off the ring's table of x_l; target
-    is the piece of K_(i-1) on the next ring piece.
+    T_(s without l), with x_l m read off the ring's `int_action` table;
+    target is the piece of K_(i-1) on the next ring piece.
     """
     if not source.dim:
         return []
-    width = len(target.exts)
-    faces = [[(l, -1 if pos % 2 else 1, target.ext_index[key[:pos] + key[pos + 1:]])
-              for pos, l in enumerate(key)] for key in source.exts]
-    acts = [ring.var_action(l, source.ring_piece) for l in range(ring.n)]
-    return [vec_add_terms({}, ((ti * width + b, sign * c)
-                               for l, sign, b in face for ti, c in acts[l][a]))
-            for a in range(len(source.monos)) for face in faces]
+    p, width = ring.field.char, len(target.exts)
+    scale = ring.action_scale(source.ring_piece)
+    # per exterior monomial s: x_l in s -> (position of s without l, odd?)
+    faces = [{l: (target.ext_index[key[:pos] + key[pos + 1:]], pos % 2)
+              for pos, l in enumerate(key)} for key in source.exts]
+    columns = []
+    for entries in ring.int_action(source.ring_piece, scale):
+        for face in faces:
+            col = {}
+            for l, ti, c in entries:
+                if l in face:
+                    b, odd = face[l]
+                    col[ti * width + b] = (p - c if p else -c) if odd else c
+            columns.append((col, scale))
+    return columns
 
 
 class HomologyPiece:
     """Cycles, boundaries and chosen representatives in one bidegree.
 
-    cycles are the `kernel_of_columns` vectors of the differential out of
-    piece, and boundaries the columns of the differential into it.  The
-    boundaries are kept as an echelon in cycle coordinates (see the
-    module docstring); cycle z_f is a representative when -f is not one
-    of its pivots.
+    cycles are the (free column, int pair) null vectors of the
+    differential out of piece (`null_pairs`), and boundaries the columns
+    of the differential into it, kept as an echelon in cycle coordinates
+    (see the module docstring); cycle z_f is a representative when -f is
+    not one of its pivots.
     """
 
-    def __init__(self, piece: Piece, cycles: list[dict], boundaries: list[dict]):
+    def __init__(self, piece: Piece, cycles: list, boundaries: list):
         self.piece = piece
-        self.cycle_vectors = cycles
-        # free column f -> its name -f, which every echelon row shares;
-        # the free column of a cycle is its largest coordinate
-        self.free = {f: -f for f in map(max, cycles)}
-        p = piece.ring.field.char
+        self.cycles = [pair for _f, pair in cycles]
+        # free column f -> its name -f, which every echelon row shares
+        self.free = {f: -f for f, _pair in cycles}
         span = self.boundary_span = EchelonSolver(piece.ring.field)
-        for col in boundaries:
+        for V, _S in boundaries:
             if span.rank == len(cycles):  # the span is all of Z
                 break
-            span.add_ints(int_vector(self.restrict(col), p)[0])
-        reps = [(f, v) for f, v in zip(self.free, cycles) if not span.has_pivot(-f)]
-        self.rep_free = [f for f, _v in reps]
-        self.rep_vectors = [v for _f, v in reps]
-        self.rep_ints = [int_vector(v, p)[0] for v in self.rep_vectors]
+            span.add_ints(self.restrict(V))
+        self.rep_free = [f for f in self.free if not span.has_pivot(-f)]
+        self.rep_pairs = [pair for f, pair in cycles if not span.has_pivot(-f)]
 
     @cached_property
     def representatives(self) -> list[KoszulElement]:
         """The representatives as elements, built on first read."""
-        return [self.piece.element_of(v) for v in self.rep_vectors]
+        return [self.piece.element_of_ints(*pair) for pair in self.rep_pairs]
 
     @property
     def dim(self) -> int:
-        return len(self.rep_vectors)
+        return len(self.rep_pairs)
 
     def restrict(self, w: dict) -> dict:
         """Cycle coordinates of a cycle w of the piece: its entries at the
         free columns, column f renamed -f."""
         free = self.free
         return {free[k]: x for k, x in w.items() if k in free}
-
-    def cycle_span(self) -> EchelonSolver:
-        """A copy of the boundary echelon in cycle coordinates, to extend
-        by cycles with `add_ints`."""
-        return self.boundary_span.copy()
 
 
 def internal_degree_bounds(ring: QuotientRing) -> list[int]:
@@ -456,9 +461,9 @@ class HomologyAlgebra:
                     cols = columns.pop((i, j), None)
                     if cols is None:
                         cols = differential_columns(ring, piece, component_piece(ring, i - 1, j))
-                    cycles = kernel_of_columns(cols, ring.field)
+                    cycles = null_pairs(kernel_of_columns(cols, ring.field))
                 else:
-                    cycles = [{k: ring.field.one} for k in range(piece.dim)]
+                    cycles = [(k, ({k: 1}, 1)) for k in range(piece.dim)]
                 source = component_piece(ring, i + 1, j)
                 bcols = columns[(i + 1, j)] = differential_columns(ring, source, piece)
                 self.pieces[(i, j)] = HomologyPiece(piece, cycles, bcols)
@@ -503,13 +508,13 @@ class HomologyAlgebra:
                        key=lambda k: (k[1], k[0]))
         for (i, j) in order:
             hp = self.pieces[(i, j)]
-            span = hp.cycle_span()
-            full = len(hp.cycle_vectors)  # the span lies in Z, so it is done at dim Z
+            span = hp.boundary_span.copy()
+            full = len(hp.cycles)  # the span lies in Z, so it is done at dim Z
             for w in self._products(i, j):
                 if w and span.add_ints(w) and span.rank == full:
                     break
-            gens += [((i, j), hp.piece.element_of(v))
-                     for f, v in zip(hp.free, hp.cycle_vectors)
+            gens += [((i, j), hp.piece.element_of_ints(*pair))
+                     for f, pair in zip(hp.free, hp.cycles)
                      if not span.has_pivot(-f)]
         labeled = [("g%d" % (k + 1), bd, el) for k, (bd, el) in enumerate(gens)]
         self._generators = labeled
@@ -525,8 +530,9 @@ class HomologyAlgebra:
             right = self.pieces.get((i - a, j - b))
             if a < 1 or i - a < 1 or right is None or (a, b) > (i - a, j - b):
                 continue
-            for k, u in enumerate(left.rep_ints):
-                for v in right.rep_ints[k:] if right is left else right.rep_ints:
+            us, vs = ([V for V, _S in side.rep_pairs] for side in (left, right))
+            for k, u in enumerate(us):
+                for v in vs[k:] if right is left else vs:
                     yield hp.restrict(product_ints(left.piece, u, right.piece, v, hp.piece))
 
     def class_of(self, el: KoszulElement) -> tuple[tuple[int, int], dict]:
@@ -562,7 +568,7 @@ def homology_h_polynomial(ring: QuotientRing) -> list[int]:
     if ring.graded:
         return homology_algebra(ring).h_polynomial()
     ring.require_artinian("homology of an inhomogeneous quotient")
-    dims = [len(filtered_cycles(ring, 0, i)[1]) - filtered_boundaries(ring, 0, i).dim
+    dims = [len(filtered_cycles(ring, 0, i)[1]) - filtered_boundaries(ring, 0, i).rank
             for i in range(ring.n + 1)]
     while len(dims) > 1 and dims[-1] == 0:
         dims.pop()
@@ -572,41 +578,50 @@ def homology_h_polynomial(ring: QuotientRing) -> list[int]:
 # -- m-adic filtration slices (local conditions) ----------------------
 
 
-def filtered_cycles(ring: QuotientRing, t: int, i: int) -> tuple[Piece, list[dict]]:
-    """Cycle space of (m^t K)_i inside the full component K_i."""
+def filtered_cycles(ring: QuotientRing, t: int, i: int) -> tuple[Piece, list[tuple]]:
+    """Cycle space of (m^t K)_i inside the full component K_i, as int
+    pairs (V, S): each null vector's combination of the basis of
+    `filtered_component`, over one common denominator."""
     piece, basis = filtered_component(ring, t, i)
     if i == 0:
         return piece, basis
-    combos = kernel_of_columns(_filtered_differential(ring, t, i), ring.field)
-    return piece, [vec_combine(combo, basis) for combo in combos]
+    null = null_pairs(kernel_of_columns(_filtered_differential(ring, t, i), ring.field))
+    return piece, [combine_ints(pair, basis, ring.field.char) for _f, pair in null]
 
 
-def filtered_component(ring: QuotientRing, t: int, i: int) -> tuple[Piece, list[dict]]:
-    """Basis of (m^t K)_i as vectors in the full K_i coordinates."""
+def filtered_component(ring: QuotientRing, t: int, i: int) -> tuple[Piece, list[tuple]]:
+    """Basis of (m^t K)_i as int pairs (V, S) in the full K_i coordinates:
+    the echelon rows of m^t (`Subspace.basis_pairs`) at each exterior
+    monomial."""
     key = ("F", t, i)
     cache = ring._koszul_filtration
     if key not in cache:
         piece = full_piece(ring, i)
         width = len(piece.exts)
-        rows = ring.power_ideal_subspace(t).basis_rows() if width else []
-        basis = [{c * width + b: v for c, v in row.items()} for b in range(width) for row in rows]
+        rows = ring.power_ideal_subspace(t).basis_pairs() if width else []
+        basis = [({c * width + b: x for c, x in V.items()}, S)
+                 for b in range(width) for V, S in rows]
         cache[key] = (piece, basis)
     return cache[key]
 
 
-def filtered_boundaries(ring: QuotientRing, t: int, i: int) -> Subspace:
-    """The subspace d((m^t K)_{i+1}) of K_i."""
-    return Subspace(ring.field, _filtered_differential(ring, t, i + 1))
+def filtered_boundaries(ring: QuotientRing, t: int, i: int) -> EchelonSolver:
+    """d((m^t K)_{i+1}) as a new int echelon in the coordinates of K_i,
+    to extend with `add_ints`."""
+    span = EchelonSolver(ring.field)
+    for V, _S in _filtered_differential(ring, t, i + 1):
+        span.add_ints(dict(V))
+    return span
 
 
-def _filtered_differential(ring: QuotientRing, t: int, i: int) -> list[dict]:
-    """d of each basis vector of (m^t K)_i, in the coordinates of K_(i-1):
-    the kernel gives the filtered cycles of degree i, the span the
-    filtered boundaries of degree i - 1.  Empty for i > n."""
+def _filtered_differential(ring: QuotientRing, t: int, i: int) -> list[tuple]:
+    """d of each basis pair of (m^t K)_i as an int pair in the coordinates
+    of K_(i-1): the kernel gives the filtered cycles of degree i, the span
+    the filtered boundaries of degree i - 1.  Empty for i > n."""
     key = ("d", t, i)
     cache = ring._koszul_filtration
     if key not in cache:
         piece, basis = filtered_component(ring, t, i)
         cols = differential_columns(ring, piece, full_piece(ring, i - 1))
-        cache[key] = [vec_combine(vec, cols) for vec in basis]
+        cache[key] = [combine_ints(pair, cols, ring.field.char) for pair in basis]
     return cache[key]

@@ -25,10 +25,10 @@ A vector that matters only up to a nonzero scale, such as one spanning
 a saturation, can skip the field altogether: `EchelonSolver.add_ints`
 takes an int dict (residues over GF(p), integers over Q) and stores it
 with the same elimination and the same normalised rows as `add`.
-`int_kernel` takes column j as ints over its own denominator, V_j / S_j,
-and returns the null basis: the zero columns as indices, the other null
-vectors as int vectors known up to scale; `kernel_of_columns` is a thin
-wrapper on field vectors.
+`kernel_of_columns`, the one kernel, takes column j as ints V_j over
+their own denominator S_j and returns the null basis: the zero columns
+as indices, the other null vectors as int vectors known up to scale.  A
+field vector is built from an int pair only where one is read.
 """
 
 from __future__ import annotations
@@ -90,7 +90,8 @@ def int_vector(vec: dict, p: int) -> tuple[dict, int]:
 
 
 def _sub_scaled(dst: dict, a: int, src: dict, p: int) -> None:
-    """dst -= a * src on int dicts, mod p when p, dropping zeros."""
+    """dst -= a * src on int dicts, mod p when p, dropping zeros; a new
+    entry goes last, as in `vec_add_scaled`."""
     for t, x in src.items():
         nv = dst.get(t, 0) - a * x
         if p:
@@ -99,6 +100,20 @@ def _sub_scaled(dst: dict, a: int, src: dict, p: int) -> None:
             dst[t] = nv
         else:
             del dst[t]
+
+
+def combine_ints(coeffs: tuple[dict, int], pairs, p: int) -> tuple[dict, int]:
+    """The int pair of sum C[k] / D * pairs[k] for the int pair (C, D) of
+    coefficients and int pairs (V_k, S_k) (residues over GF(p)), over D
+    times the lcm L of the S_k: entries and their order as `vec_combine`
+    gives them on the field values."""
+    C, D = coeffs
+    L = lcm(*(pairs[k][1] for k in C))
+    out: dict = {}
+    for k, c in C.items():
+        V, S = pairs[k]
+        _sub_scaled(out, -c * (L // S), V, p)
+    return out, D * L
 
 
 def _eliminate_mod_p(V: dict, C, p: int, rows: dict, combos: dict) -> None:
@@ -226,10 +241,6 @@ class EchelonSolver:
         C = None if combo is None else {t: x * D for t, x in combo.items()}
         return _eliminate_q(V, C, D, self._rows, self._combos)
 
-    def _to_field(self, vec: dict, D: int, sign: int = 1) -> dict:
-        """The field vector sign * vec / D."""
-        return field_vector(self._p, vec, D, sign)
-
     def _store(self, V: dict, C) -> None:
         """Normalise a nonzero remainder V (and its combination C) and
         store it as the row of its pivot: pivot residue 1 over GF(p),
@@ -273,7 +284,7 @@ class EchelonSolver:
                 return {}
             # 0 = vec + sum over earlier tags, so vec = -that sum
             C.pop(tag, None)
-            return self._to_field(C, D, -1)
+            return field_vector(self._p, C, D, -1)
         self._store(V, C)
         return None
 
@@ -342,7 +353,7 @@ class EchelonSolver:
         V, C, D = self.reduce(target, {})
         if V:
             return None
-        return self._to_field(C, D, -1)
+        return field_vector(self._p, C, D, -1)
 
 
 class Subspace:
@@ -367,26 +378,21 @@ class Subspace:
         GF(p), integers over Q); consumes it.  True if the dimension grew."""
         return self._solver.add_ints(vec)
 
-    def extend_all(self, vectors: Iterable[dict]) -> None:
-        for v in vectors:
-            self._solver.add(v)
-
     def contains(self, vec: dict) -> bool:
         return self._solver.contains(vec)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis_rows())
 
-    def reduce(self, vec: dict) -> dict:
-        s = self._solver
-        V, _, D = s.reduce(vec)
-        return s._to_field(V, D)
+    def basis_pairs(self) -> list[tuple[dict, int]]:
+        """Echelon basis rows ordered by pivot coordinate, each as an int
+        pair (row, S) whose field vector row / S has pivot coefficient one."""
+        rows = self._solver._rows
+        return [(rows[q], rows[q][q]) for q in sorted(rows)]
 
     def basis_rows(self) -> list[dict]:
         """Echelon basis rows ordered by pivot coordinate."""
-        s = self._solver
-        rows = s._rows
-        return [s._to_field(rows[p], rows[p][p]) for p in sorted(rows)]
+        return [field_vector(self.field.char, V, S) for V, S in self.basis_pairs()]
 
     def reduced_basis_rows(self) -> list[dict]:
         """Fully reduced (RREF) basis: canonical for the subspace."""
@@ -403,18 +409,7 @@ class Subspace:
             else:
                 row = _eliminate_q(row, None, row[q], out, {})[0]
             out[q] = row
-        return [s._to_field(out[q], out[q][q]) for q in pivots]
-
-    def copy(self) -> "Subspace":
-        """An independent subspace with the same (shared) rows."""
-        s = Subspace(self.field)
-        s._solver = self._solver.copy()
-        return s
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        s = self.copy()
-        s.extend_all(other.basis_rows())
-        return s
+        return [field_vector(s._p, out[q], out[q][q]) for q in pivots]
 
 
 def field_vector(p: int, vec: dict, D: int, sign: int = 1) -> dict:
@@ -427,7 +422,7 @@ def field_vector(p: int, vec: dict, D: int, sign: int = 1) -> dict:
     return {c: rational(sign * x, D) for c, x in vec.items()}
 
 
-def int_kernel(columns: Iterable[tuple[dict, int]], field) -> tuple[list, list, set]:
+def kernel_of_columns(columns: Iterable[tuple[dict, int]], field) -> tuple[list, list, set]:
     """Null space of the linear map whose j-th column is V_j / S_j, for
     the int pairs (V_j, S_j) of columns (S_j = 1 over GF(p)), as
     (zeros, kernel, stored).
@@ -465,25 +460,14 @@ def int_kernel(columns: Iterable[tuple[dict, int]], field) -> tuple[list, list, 
     return zeros, kernel, stored
 
 
-def kernel_vector(f: int, C: dict, field) -> dict:
-    """The field vector of an `int_kernel` pair: entries in the order of
-    C, except that the coefficient one at f comes last."""
-    vec = field_vector(field.char, C, C[f])
-    del vec[f]
-    vec[f] = field.one
-    return vec
-
-
-def kernel_of_columns(columns: list[dict], field) -> list[dict]:
-    """Null space of the linear map whose j-th column is columns[j].
-
-    Returns kernel vectors over the source indices, in ascending order of
-    their leading (free) index; each has coefficient one there.  This is
-    the reduced-echelon null basis with free variables set to zero.
-    """
-    pairs = (int_vector(col, field.char) for col in columns)
-    zeros, kernel, _stored = int_kernel(pairs, field)
-    # each list is ascending in f, so the sort merges two runs
-    vectors = sorted([(f, {f: field.one}) for f in zeros] +
-                     [(f, kernel_vector(f, C, field)) for f, C in kernel], key=itemgetter(0))
-    return [vec for _f, vec in vectors]
+def null_pairs(null_space: tuple) -> list[tuple[int, tuple[dict, int]]]:
+    """The null vectors of a `kernel_of_columns` result as (f, (V, S)) in
+    ascending order of the free column f: ({f: 1}, 1) for a zero column,
+    else (C, C[f]) with f moved last (C is taken over), so that the field
+    vector V / S has its coefficient one at f last."""
+    zeros, kernel, _stored = null_space
+    pairs = [(f, ({f: 1}, 1)) for f in zeros]
+    for f, C in kernel:
+        C[f] = C.pop(f)
+        pairs.append((f, (C, C[f])))
+    return sorted(pairs, key=itemgetter(0))

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .errors import InputError, NotArtinianError
 from .groebner import buchberger, normal_form
-from .linalg import Subspace, kernel_of_columns, vec_add_terms
+from .linalg import Subspace, kernel_of_columns, null_pairs, vec_add_terms
 from .poly import Monomial, MonomialOrder, Polynomial, monomials_of_degree
 
 
@@ -452,11 +452,12 @@ class QuotientRing:
         if self._socle is not None:
             return list(self._socle)
         self.require_artinian("the socle")
-        acts = [self.var_action(l, self.whole_piece) for l in range(self.n)]
-        columns = [{l * self.dim + ti: c for l, act in enumerate(acts) for ti, c in act[k]}
-                   for k in range(self.dim)]
-        kernel = kernel_of_columns(columns, self.field)
-        space = Subspace(self.field, kernel)
+        scale = self.action_scale(self.whole_piece)
+        columns = [({l * self.dim + ti: c for l, ti, c in entries}, scale)
+                   for entries in self.int_action(self.whole_piece, scale)]
+        space = Subspace(self.field)
+        for _f, (V, _S) in null_pairs(kernel_of_columns(columns, self.field)):
+            space.extend_ints(V)
         self._socle = [self.vec_to_poly(row) for row in space.reduced_basis_rows()]
         return list(self._socle)
 

@@ -12,8 +12,8 @@ kernel vectors not reached by the variables times the previous piece
 degree sweep).  The single ungraded piece has no predecessor: there the
 kernel itself is the previous piece.
 
-Generators are read off pivots.  `int_kernel` gives the reduced null
-basis: vector f has coefficient one at its free column f and zero at the
+Generators are read off pivots.  `kernel_of_columns` gives the reduced
+null basis: vector f has coefficient one at its free column f and zero at the
 other free columns, so a vector of K_j is fixed by its free coordinates,
 and a column is free exactly when it is not stored as an echelon row.
 Most free columns are zero columns, whose null vector is the unit vector
@@ -31,11 +31,11 @@ unit e_f are read off the action row of f, grouped by variable, and a
 new generator of a zero column gets its pair ({f: 1}, 1) only then.
 
 A differential is kept as the image of each generator: a vector V / S of
-the target, as an int vector V over its own denominator S (the
-`int_kernel` pair C over C[f] for a kernel vector; S = 1 over GF(p)).
-The image of x_l*m times a generator is x_l times the image of m, so the
-images of a whole piece's basis follow by shifting int vectors through
-int x_l tables, each keeping its own denominator, and `int_kernel` takes
+the target, as an int vector V over its own denominator S (the kernel
+pair C over C[f] for a kernel vector; S = 1 over GF(p)).  The image of
+x_l*m times a generator is x_l times the image of m, so the images of a
+whole piece's basis follow by shifting int vectors through int x_l
+tables, each keeping its own denominator, and `kernel_of_columns` takes
 them as they are.  A zero image's multiples are zero.  Over an ungraded
 ring most generators are unit vectors e_f with f = (g', m'), and the
 images of the whole block of such a generator are the ring's products
@@ -65,10 +65,8 @@ from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .errors import BudgetError, InputError, NotArtinianError, PreconditionError
-# kernel_of_columns is not called here, but stays a name of this module
-# for tools that wrap it in every module that imports it
-from .linalg import (EchelonSolver, field_vector, int_kernel, int_vector,
-                     kernel_of_columns, vec_add_terms, vec_combine)  # noqa: F401
+from .linalg import (EchelonSolver, field_vector, int_vector, kernel_of_columns,
+                     vec_add_terms, vec_combine)
 from .poly import Polynomial
 from .quotient import QuotientRing
 from .tables import BettiTable
@@ -637,25 +635,25 @@ def _sweep(src: FreeModule, jmin: int, jmax: int, images):
     """Every step after the first: the minimal generators of the kernel
     of the map whose piece-j basis images are images(j).
 
-    Kernel vector f of piece j (free column f, see `int_kernel`) is a new
-    generator iff it lies outside span(m K_j) + span(kernel vectors
+    Kernel vector f of piece j (free column f, see `kernel_of_columns`) is
+    a new generator iff it lies outside span(m K_j) + span(kernel vectors
     before f).  A kernel vector is fixed by its free coordinates, so
     restrict x_l times a basis of the previous piece's kernel to them: an
     echelon of their span that pivots on the largest free column has f
     among the pivots that `_saturated_pivots` returns iff f is not a new
     generator.
     Returns (piece, int pair) pairs plus the per-piece log; the pair of
-    kernel vector f is (C, C[f]), with f moved last as in `kernel_vector`,
+    kernel vector f is (C, C[f]), with f moved last as in `null_pairs`,
     and ({f: 1}, 1) for a zero column f.
     """
     ring = src.ring
     field = ring.field
     gens = []
     log = []
-    below = int_kernel(images(ring.piece_of(jmin - 1)), field)
+    below = kernel_of_columns(images(ring.piece_of(jmin - 1)), field)
     for j in range(jmin, jmax + 1):
         # an ungraded ring's single piece feeds itself
-        zeros, kernel, stored = int_kernel(images(j), field) if ring.graded else below
+        zeros, kernel, stored = kernel_of_columns(images(j), field) if ring.graded else below
         pivots = _saturated_pivots(src, ring.piece_of(j - 1), below[0],
                                    [C for _f, C in below[1]], stored)
         # each list is ascending in f, so the sort merges two runs

@@ -18,9 +18,16 @@ of each piece, where the production code works in cycle coordinates.
 
 The m-adic filtration slices are kept as they were before one cached
 differential served both the filtered cycles and the filtered
-boundaries: each of the three functions keeps its own result per
-(t, i) and builds its own restricted differential, and the ungraded
-homology dimensions run their own kernel and span per degree.
+boundaries, and before they held int pairs: each of the three functions
+keeps its own result per (t, i) and builds its own restricted
+differential of field vectors, and the ungraded homology dimensions run
+their own kernel and span per degree.
+
+Nothing here calls the code it is compared against: differentials come
+from `differential_columns` over `piece_coords`, and every kernel, span
+and solve is the field-element copy in `reference_linalg`.  Cycles of
+the production code, kept as int pairs, are read as field vectors with
+`field_vector`.
 """
 
 from __future__ import annotations
@@ -31,9 +38,11 @@ import weakref
 from koszulkit import koszul
 from koszulkit.conditions import PieceResult
 from koszulkit.errors import NotACycleError, PreconditionError
-from koszulkit.koszul import differential_columns as piece_differential, full_piece
-from koszulkit.linalg import EchelonSolver, Subspace, kernel_of_columns, vec_combine
+from koszulkit.koszul import full_piece
+from koszulkit.linalg import field_vector, vec_combine
 from koszulkit.poly import Monomial, monomials_of_degree
+
+from reference_linalg import EchelonSolver, Subspace, kernel_of_columns
 
 
 def _var_monomial(ring, i):
@@ -149,10 +158,15 @@ def _boundaries(hp):
     return boundary_space(hp.piece.ring, i, i + hp.piece.ring_piece)
 
 
+def cycle_vectors(hp):
+    """The cycles of a homology piece as field vectors."""
+    return [field_vector(hp.piece.ring.field.char, V, S) for V, S in hp.cycles]
+
+
 def representatives(hp):
     """Cycle vectors of a homology piece that extend its boundaries."""
     span = _boundaries(hp)
-    return [v for v in hp.cycle_vectors if span.extend(v)]
+    return [v for v in cycle_vectors(hp) if span.extend(v)]
 
 
 def generators(algebra):
@@ -172,7 +186,7 @@ def generators(algebra):
                     w = u * v
                     if w.terms:
                         span.extend(hp.piece.vector_of(w))
-        for vec in hp.cycle_vectors:
+        for vec in cycle_vectors(hp):
             if span.extend(vec):
                 gens.append(((i, j), hp.piece.element_of(vec)))
     return [("g%d" % (k + 1), bd, el) for k, (bd, el) in enumerate(gens)]
@@ -180,11 +194,11 @@ def generators(algebra):
 
 def containment(key, hp, span):
     """Are all cycles of the homology piece inside the given span?"""
-    for vec in hp.cycle_vectors:
+    cycles = cycle_vectors(hp)
+    for vec in cycles:
         if not span.contains(vec):
-            return PieceResult(key, False, len(hp.cycle_vectors), span.dim,
-                               hp.piece.element_of(vec))
-    return PieceResult(key, True, len(hp.cycle_vectors), span.dim)
+            return PieceResult(key, False, len(cycles), span.dim, hp.piece.element_of(vec))
+    return PieceResult(key, True, len(cycles), span.dim)
 
 
 def product_span(algebra, i, j, factors, admit):
@@ -207,7 +221,7 @@ def check_P_local_pieces(ring, t, r, l):
     pieces = []
     for i in range(ring.n + 1):
         target = full_piece(ring, i)
-        span = filtered_boundaries(ring, t - 1, i).copy()
+        span = Subspace(ring.field, filtered_boundaries(ring, t - 1, i).basis_rows())
         if i - r >= 0 and l.terms:
             source_piece, zcycles = filtered_cycles(ring, t - 1, i - r)
             for vec in zcycles:
@@ -239,7 +253,7 @@ def class_of(algebra, el):
             return bd, {}
         raise PreconditionError("bidegree %r is outside the certified support" % (bd,))
     boundaries = _boundaries(hp)
-    columns = boundaries.basis_rows() + hp.rep_vectors
+    columns = boundaries.basis_rows() + representatives(hp)
     nb = boundaries.dim
     system = EchelonSolver(algebra.ring.field, track=True)
     for j, col in enumerate(columns):
@@ -268,8 +282,7 @@ def filtered_cycles(ring, t, i):
         if i == 0:
             cycles = basis
         else:
-            below = full_piece(ring, i - 1)
-            cols = piece_differential(ring, piece, below)
+            cols = differential_columns(ring, piece_coords(ring, i), piece_coords(ring, i - 1))
             # restrict the differential to the filtered subspace
             sub_cols = [vec_combine(vec, cols) for vec in basis]
             combos = kernel_of_columns(sub_cols, ring.field)
@@ -285,7 +298,7 @@ def filtered_component(ring, t, i):
     if key not in cache:
         piece = full_piece(ring, i)
         width = len(piece.exts)
-        rows = ring.power_ideal_subspace(t).basis_rows() if width else []
+        rows = power_ideal_subspace(ring, t).basis_rows() if width else []
         basis = [{c * width + b: v for c, v in row.items()} for b in range(width) for row in rows]
         cache[key] = (piece, basis)
     return cache[key]
@@ -296,12 +309,11 @@ def filtered_boundaries(ring, t, i):
     key = ("B", t, i)
     cache = _filtration_cache(ring)
     if key not in cache:
-        target = full_piece(ring, i)
         if i + 1 > ring.n:
             cache[key] = Subspace(ring.field)
         else:
-            source, basis = filtered_component(ring, t, i + 1)
-            cols = piece_differential(ring, source, target)
+            _source, basis = filtered_component(ring, t, i + 1)
+            cols = differential_columns(ring, piece_coords(ring, i + 1), piece_coords(ring, i))
             cache[key] = Subspace(ring.field, [vec_combine(vec, cols) for vec in basis])
     return cache[key]
 
@@ -312,14 +324,14 @@ def homology_h_polynomial(ring):
         return koszul.homology_algebra(ring).h_polynomial()
     ring.require_artinian("homology of an inhomogeneous quotient")
     dims = []
-    pieces = [full_piece(ring, i) for i in range(ring.n + 2)]
+    pieces = [piece_coords(ring, i) for i in range(ring.n + 2)]
     for i in range(ring.n + 1):
         if i > 0:
-            cols = piece_differential(ring, pieces[i], pieces[i - 1])
+            cols = differential_columns(ring, pieces[i], pieces[i - 1])
             zdim = len(kernel_of_columns(cols, ring.field))
         else:
-            zdim = pieces[0].dim
-        bcols = piece_differential(ring, pieces[i + 1], pieces[i])
+            zdim = len(pieces[0])
+        bcols = differential_columns(ring, pieces[i + 1], pieces[i])
         bdim = Subspace(ring.field, bcols).dim
         dims.append(zdim - bdim)
     while len(dims) > 1 and dims[-1] == 0:

@@ -115,6 +115,9 @@ class Subspace:
     def reduce(self, vec: dict) -> dict:
         return self._solver.reduce(vec, None)[0]
 
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
+
     def basis_rows(self) -> list[dict]:
         return [self._solver.rows[p] for p in sorted(self._solver.rows)]
 

@@ -262,6 +262,21 @@ def test_closed_stdout_exits_141_quietly(unbuffered, monkeypatch):
     assert proc.returncode == 141 and proc.stderr == b""
 
 
+def test_closed_stderr_keeps_the_exit_code(monkeypatch):
+    # bad input whose stderr reader is gone: the message cannot be written,
+    # but the run still ends quietly with 3, the code of bad input, and not
+    # with 1 ("the condition is false") or 120 (a failed flush at exit)
+    _child_imports_this_koszulkit(monkeypatch)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "koszulkit", "homology", "nosuchring"],
+                              stdout=subprocess.PIPE, stderr=write_end, timeout=10)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3 and proc.stdout == b""
+
+
 def test_gb_builds_no_standard_basis(monkeypatch):
     # R = Q[x,y]/(x^2, y^200000) has dimension 400000; building it for
     # `gb` enumerates no standard monomial, so the basis prints at once

@@ -2,14 +2,22 @@ import random
 
 import pytest
 
-from koszulkit import corpus
-from koszulkit.poly import MonomialOrder
-from koszulkit.series import (RationalFunctionZ, expand, golod_formula_series,
-                              rf_equal, stretched_series)
+try:
+    from hypothesis import given, settings
+except ImportError:  # only the oracle over random rings needs it; it skips
+    pass
 
-from support import (GRADED_CORPUS, SEED, assert_dg_identities,
-                     assert_euler_identity, assert_gb_permutation_invariant,
-                     homology_dims_in_order)
+from koszulkit import corpus
+from koszulkit.conditions import lofwall_golod_test
+from koszulkit.koszul import homology_h_polynomial
+from koszulkit.poly import MonomialOrder
+from koszulkit.resolutions import betti_numbers_k
+from koszulkit.series import (RationalFunctionZ, expand, golod_formula_series,
+                              golod_quotient_series, rf_equal, stretched_series)
+
+from support import (GRADED_CORPUS, RANDOM_RING_FIELDS, SEED, artinian_rings,
+                     assert_dg_identities, assert_euler_identity,
+                     assert_gb_permutation_invariant, homology_dims_in_order)
 
 
 def seeded(tag):
@@ -64,3 +72,28 @@ def test_series_coefficients_stay_nonnegative():
     coeffs = expand(golod, 10)
     assert all(x > 0 for x in coeffs)
     assert coeffs == sorted(coeffs)
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
+def test_homology_engines_agree_and_serre_bound_holds(name):
+    # the ungraded twin's h-polynomial comes from the filtered slices and
+    # the ring's from HomologyAlgebra, two int paths that check each other.
+    # Serre's inequality bounds the Betti numbers of k by the series
+    # (1+z)^n / (1 - sum h_i z^(i+1)), with equality for a Golod ring
+    # (Avramov, "Infinite free resolutions", 1998); m^2 = 0 is Golod
+    pytest.importorskip("hypothesis")
+    field, coefficients = RANDOM_RING_FIELDS[name]
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(artinian_rings(field, coefficients, (MonomialOrder.GREVLEX, MonomialOrder.LEX)))
+    def check(rings):
+        ring, twin = rings
+        h = homology_h_polynomial(ring)
+        assert homology_h_polynomial(twin) == h
+        betti = betti_numbers_k(ring, 5).betti_numbers()
+        bound = expand(golod_quotient_series(ring.n, h), 5)
+        assert len(betti) == len(bound) and all(b <= c for b, c in zip(betti, bound))
+        if lofwall_golod_test(ring, 1):
+            assert betti == bound
+
+    check()
