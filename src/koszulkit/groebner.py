@@ -154,6 +154,14 @@ def hilbert_function(numerator: list[int], n: int, degree: int) -> int:
                for k, c in enumerate(numerator[:degree + 1]))
 
 
+def artinian_dim(numerator: list[int], n: int) -> int:
+    """The number of standard monomials of an artinian quotient in n
+    variables, H(1) for its Hilbert series H = K / (1 - z)^n, from the
+    numerator K: the n-th derivative of K = (1 - z)^n H at z = 1 is
+    (-1)^n n! H(1)."""
+    return (-1) ** n * sum(c * comb(k, n) for k, c in enumerate(numerator) if c)
+
+
 def normal_form(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
     """Remainder of multivariate division of p by the given basis.
 

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 from .errors import NotACycleError, NotArtinianError, PreconditionError
 from .linalg import (EchelonSolver, combine_ints, field_vector, kernel_of_columns, null_pairs,
                      vec_add_terms)
-from .poly import Polynomial
+from .poly import Polynomial, power
 from .quotient import QuotientRing
 
 
@@ -182,12 +182,7 @@ class KoszulElement:
 
     def __pow__(self, exponent: int) -> "KoszulElement":
         """The product of `exponent` copies, from the scalar 1."""
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        out = KoszulElement.scalar(self.ring, 1)
-        for _ in range(exponent):
-            out = out * self
-        return out
+        return power(KoszulElement.scalar(self.ring, 1), self, exponent)
 
     def diff(self) -> "KoszulElement":
         """The Koszul differential: d(Ti) = xi, extended by Leibniz."""

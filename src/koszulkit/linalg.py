@@ -382,7 +382,7 @@ class Subspace:
         return self._solver.contains(vec)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis_rows())
+        return all(self._solver.contains_ints(dict(V)) for V, _S in other.basis_pairs())
 
     def basis_pairs(self) -> list[tuple[dict, int]]:
         """Echelon basis rows ordered by pivot coordinate, each as an int

@@ -92,6 +92,21 @@ def monomials_of_degree(arity: int, degree: int) -> Iterator[Monomial]:
         yield Monomial(exps)
 
 
+def power(one, base, exponent: int):
+    """base ** exponent by repeated squaring from `one`, for any
+    associative product: about log2(exponent) products, not exponent."""
+    if exponent < 0:
+        raise ValueError("negative exponent")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
+
+
 class Polynomial:
     """A polynomial with terms sorted descending in the active order.
 
@@ -266,17 +281,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = Polynomial.constant(self.arity, self.field, self.order, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(Polynomial.constant(self.arity, self.field, self.order, 1), self, exponent)
 
     def mul_monomial(self, mono: Monomial, coeff=None) -> "Polynomial":
         """Multiply by coeff * mono.

@@ -12,26 +12,35 @@ piece e + 1; an ungraded ring is the single piece 0.  One more key,
 `whole_piece`, stands for all of an artinian R (piece 0 itself when R
 is ungraded), which x_l maps into itself.  A vector of a piece is a
 dict from the position of a standard monomial to its coefficient; per
-piece the ring keeps the positions (`piece_index`) and, per variable,
-the table of multiplication by x_l as position pairs (`var_action`,
-with `int_action`, `grouped_int_action` and `divisors` for the
-resolution sweep).  These tables are the only place where products of
-monomials turn into coordinates: Koszul differentials, resolutions, the
-socle and ideal spans all shift vectors through them, and the structure
-constants of a pair of pieces (`int_mul_table`), which products of
-Koszul cycles read, are built from them by the same recursion.
+piece the ring keeps the positions (`piece_index`) and one int table of
+multiplication by every x_l, read off the memoized normal forms
+(`int_action` at a scale, with `action_scale`, `grouped_int_action` and
+`divisors` for the resolution sweep).  That table is the only place
+where products of monomials turn into coordinates: Koszul
+differentials, resolutions, the socle and ideal spans all read it or
+shift int vectors through it (`shift_ints`), and the products of a pair of pieces
+(`product_pairs`, rescaled to the structure constants of
+`int_mul_table`), which products of Koszul cycles and the unit blocks
+of a resolution read, are chains of the same shifts.  Field values
+appear only where a polynomial enters or leaves (`poly_to_vec`,
+`vec_to_poly`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import InputError, NotArtinianError
-from .groebner import buchberger, normal_form
-from .linalg import Subspace, kernel_of_columns, null_pairs, vec_add_terms
+from .errors import BudgetError, InputError, NotArtinianError
+from .groebner import artinian_dim, buchberger, hilbert_numerator, normal_form
+from .linalg import Subspace, int_vector, kernel_of_columns, null_pairs
 from .poly import Monomial, MonomialOrder, Polynomial, monomials_of_degree
+
+# Standard monomials an artinian ring may have; a larger one raises
+# BudgetError before its basis is enumerated.
+DIM_BUDGET = 100000
 
 
 class QuotientRing:
@@ -71,15 +80,13 @@ class QuotientRing:
         # the monomial 1 is position 0 of an artinian ring
         one = Monomial((0,) * self.n)
         self._std_layers: list[tuple[Monomial, ...]] = [(one,)]
-        self._power_layers: list[dict] = [{one: {0: field.one}}]
+        self._power_layers: list[dict] = [{one: {0: 1}}]
         self._mono_nf: dict[Monomial, Polynomial] = {}
         self._power_subspaces: dict[int, Subspace] = {}
-        self._socle = None
         self._homology = None
         # the coordinate layer, filled per piece on first use
         self.whole_piece = None if self.graded else 0
         self._indexes: dict = {}
-        self._actions: dict = {}
         self._int_actions: dict = {}
         self._grouped_actions: dict = {}
         self._action_scales: dict = {}
@@ -88,7 +95,6 @@ class QuotientRing:
         self._int_products: dict = {}
         # caches that koszul and resolutions keep on the ring
         self._koszul_filtration: dict = {}
-        self._unit_images: dict = {}
         self._ambient_ring: Optional[QuotientRing] = None
         self._artinian = all(
             any(lm.exponents[i] and lm.degree == lm.exponents[i] for lm in self.lead_monomials)
@@ -140,8 +146,14 @@ class QuotientRing:
     @cached_property
     def std_monomials(self) -> tuple[Monomial, ...]:
         """All standard monomials of an artinian ring, by ascending
-        degree, enumerated on first read."""
+        degree, enumerated on first read once their number, read off the
+        Hilbert series of the lead monomials, fits DIM_BUDGET."""
         self.require_artinian("`std_monomials`")
+        dim = artinian_dim(hilbert_numerator(lm.exponents for lm in self.lead_monomials),
+                           self.n)
+        if dim > DIM_BUDGET:
+            raise BudgetError("dimension budget of %d standard monomials exceeded: "
+                              "the ring has %d" % (DIM_BUDGET, dim))
         monos = []
         degree = 0
         while layer := self.std_basis(degree):
@@ -214,32 +226,20 @@ class QuotientRing:
             index = self._indexes[e] = {m: i for i, m in enumerate(self.piece(e))}
         return index
 
-    def var_action(self, l: int, e) -> tuple:
-        """Multiplication by x_l out of piece e: per monomial of the
-        piece, the (position, coefficient) pairs of its product with x_l
-        in the next piece, in the product's term order."""
-        act = self._actions.get((l, e))
-        if act is None:
-            x = self.variable(l).lead_monomial
-            index = self.piece_index(self._piece_after(e, 1))
-            act = self._actions[(l, e)] = tuple(
-                tuple((index[m], c) for m, c in self.mono_product(x, b).terms)
-                for b in self.piece(e))
-        return act
-
     def int_action(self, e, scale: int) -> tuple:
-        """Per monomial of piece e, the (l, position, coefficient)
-        triples of x_1 .. x_n times it: coefficients are residues over
-        GF(p) and `scale` times their value over Q."""
+        """Per monomial b of piece e, the (l, position, coefficient)
+        triples of the normal forms of x_1 * b .. x_n * b in the next
+        piece, in their term order: coefficients are residues over GF(p)
+        and `scale` times their value over Q."""
         act = self._int_actions.get((e, scale))
         if act is None:
             p = self.field.char
-            out = [[] for _m in self.piece(e)]
-            for l in range(self.n):
-                for entries, pairs in zip(out, self.var_action(l, e)):
-                    entries.extend((l, ti, c.v if p else c.numerator * (scale // c.denominator))
-                                   for ti, c in pairs)
-            act = self._int_actions[(e, scale)] = tuple(map(tuple, out))
+            index = self.piece_index(self._piece_after(e, 1))
+            xs = [self.variable(l).lead_monomial for l in range(self.n)]
+            act = self._int_actions[(e, scale)] = tuple(
+                tuple((l, index[m], c.v if p else c.numerator * (scale // c.denominator))
+                      for l, x in enumerate(xs) for m, c in self.mono_product(x, b).terms)
+                for b in self.piece(e))
         return act
 
     def grouped_int_action(self, e, scale: int) -> tuple:
@@ -262,9 +262,10 @@ class QuotientRing:
         over Q; 1 over GF(p)."""
         scale = self._action_scales.get(e)
         if scale is None:
+            xs = [self.variable(l).lead_monomial for l in range(self.n)]
             scale = self._action_scales[e] = 1 if self.field.char else lcm(
-                *(c.denominator for l in range(self.n) for act in self.var_action(l, e)
-                  for _ti, c in act))
+                *(c.denominator for b in self.piece(e) for x in xs
+                  for _m, c in self.mono_product(x, b).terms))
         return scale
 
     def divisors(self, e) -> tuple:
@@ -283,30 +284,33 @@ class QuotientRing:
             table = self._divisors[e] = tuple(out)
         return table
 
-    def _product_rows(self, e, f) -> list:
+    def product_pairs(self, e, f) -> list:
         """Per monomial m_a of piece e, per monomial m_b of piece f, the
-        field vector of m_a * m_b in the product piece.  The row of 1 is
-        the identity; for m_a = x_l * m_a' (see `divisors`) it is the row
-        of m_a' shifted through the table of x_l, and m_a' lies in the
-        piece before e, or precedes m_a in the whole ring."""
+        int pair (V, S) of m_a * m_b in the product piece, the vector
+        V / S (S = 1 over GF(p)).  The row of 1 is the identity
+        ({b: 1}, 1); for m_a = x_l * m_a' (see `divisors`) it is the row
+        of m_a' shifted through the int table of x_l at the scale of its
+        piece, and S times that scale: m_a' lies in the piece before e,
+        or precedes m_a in the whole ring.  A zero product is ZERO."""
         rows = self._products.get((e, f))
         if rows is None:
             rows = self._products[(e, f)] = []
             whole = e == self.whole_piece
-            below = self._piece_after(e, -1)
+            p = self.field.char
             prev = None
             for step in self.divisors(e):
                 if step is None:
-                    rows.append([{b: self.field.one} for b in range(len(self.piece(f)))])
+                    rows.append([({b: 1}, 1) for b in range(len(self.piece(f)))])
                     continue
                 if prev is None:
-                    prev = rows if whole else self._product_rows(below, f)
+                    below = self._piece_after(e, -1)
+                    prev = rows if whole else self.product_pairs(below, f)
                     after = e if whole else below + f  # the piece of prev's vectors
+                    scale = self.action_scale(after)
+                    blocks = ((0, 0, self.int_action(after, scale)),)
                 l, i = step
-                act = self.var_action(l, after)
-                rows.append([vec_add_terms({}, ((ti, c * x) for k, c in vec.items()
-                                                for ti, x in act[k]))
-                             for vec in prev[i]])
+                rows.append([(W, S * scale) if V and (W := shift_ints(V, (0,), blocks, l, p))
+                             else ZERO for V, S in prev[i]])
         return rows
 
     def int_mul_table(self, e, f) -> tuple:
@@ -315,18 +319,15 @@ class QuotientRing:
         piece e + f, or in the whole ring when e and f are `whole_piece`.
         Coefficients are residues over GF(p) (scale 1) and `scale` times
         their value over Q, one lcm of denominators for the whole table,
-        so a product read off the table is one multiple of its value."""
+        so a product read off the table is one multiple of its value.
+        The pairs of `product_pairs` are rescaled to it: the value x / S
+        of an entry has the denominator S / gcd(x, S) in lowest terms."""
         out = self._int_products.get((e, f))
         if out is None:
-            rows = self._product_rows(e, f)
-            p = self.field.char
-            scale = 1
-            if not p:
-                scale = lcm(*(c.denominator for row in rows for vec in row
-                              for c in vec.values()))
+            rows = self.product_pairs(e, f)
+            scale = lcm(*(S // gcd(x, S) for row in rows for V, S in row for x in V.values()))
             out = self._int_products[(e, f)] = (scale, tuple(
-                tuple(tuple((k, c.v if p else c.numerator * (scale // c.denominator))
-                            for k, c in vec.items()) for vec in row)
+                tuple(tuple((k, x * scale // S) for k, x in V.items()) for V, S in row)
                 for row in rows))
         return out
 
@@ -373,18 +374,17 @@ class QuotientRing:
         if t <= 0:
             space = Subspace(self.field)
             for i in range(self.dim):
-                space.extend({i: self.field.one})
+                space.extend_ints({i: 1})
             return space
         cached = self._power_subspaces.get(t)
         if cached is not None:
             return cached
         if self.graded:
             space = Subspace(self.field)
-            one = self.field.one
             idx = self.piece_index(self.whole_piece)
             for d in range(t, self.top_degree + 1):
                 for m in self.std_basis(d):
-                    space.extend({idx[m]: one})
+                    space.extend_ints({idx[m]: 1})
         else:
             layer = self._power_layer(t)
             space = self._span([layer[m] for m in sorted(layer, key=lambda m: m.exponents)])
@@ -392,8 +392,8 @@ class QuotientRing:
         return space
 
     def _power_layer(self, t: int) -> dict:
-        """Each degree-t monomial that is nonzero in R -> the vector of
-        its normal form, entries in descending term order.
+        """Each degree-t monomial that is nonzero in R -> the int vector
+        of its normal form up to scale, entries in descending term order.
 
         Layer t is built from layer t - 1: the vector of x_l * m' is the
         vector of m' shifted through the table of x_l, and a monomial with
@@ -401,12 +401,11 @@ class QuotientRing:
         layer t - 1 generate all of layer t (`_later_multiples`, each
         monomial once)."""
         layers = self._power_layers
-        acts = [self.var_action(l, self.whole_piece) for l in range(self.n)]
         while len(layers) <= t:
             layer = {}
             for prev, v in layers[-1].items():
                 for l, m in _later_multiples(prev):
-                    q = self._shift(v, acts[l])
+                    q = self._shift(v, l)
                     if q:
                         layer[m] = q
             layers.append(layer)
@@ -419,38 +418,40 @@ class QuotientRing:
     def ideal_span(self, gens: Sequence[Polynomial]) -> Subspace:
         """Subspace of R spanned by the ideal the given elements generate."""
         self.require_artinian("ideal spans")
-        return self._span([self.poly_to_vec(self.normal_form(g)) for g in gens])
+        p = self.field.char
+        return self._span([int_vector(self.poly_to_vec(self.normal_form(g)), p)[0]
+                           for g in gens])
 
-    def _shift(self, vec: dict, act) -> dict:
-        """x_l * vec for a vector of the whole ring and the table `act` of
-        x_l, entries in descending term order as a polynomial's terms are."""
-        q = vec_add_terms({}, ((ti, a * c) for k, a in vec.items() for ti, c in act[k]))
+    def _shift(self, vec: dict, l: int) -> dict:
+        """x_l * vec for an int vector of the whole ring, up to the scale
+        of its table, entries in descending term order as a polynomial's
+        terms are."""
+        whole = self.whole_piece
+        blocks = ((0, 0, self.int_action(whole, self.action_scale(whole))),)
+        q = shift_ints(vec, (0,), blocks, l, self.field.char)
         key, monos = self.order.key, self.std_monomials
         return {k: q[k] for k in sorted(q, key=lambda k: key(monos[k]), reverse=True)}
 
     def _span(self, queue: list) -> Subspace:
-        """Subspace of R spanned by the ideal the given vectors generate.
+        """Subspace of R spanned by the ideal the given int vectors generate.
 
         The newest vector is multiplied out first; each product keeps its
         entries in descending term order.
         """
-        acts = [self.var_action(l, self.whole_piece) for l in range(self.n)]
         space = Subspace(self.field)
         queue = [v for v in queue if v]
         while queue:
             v = queue.pop()
-            if not space.extend(v):
+            if not space.extend_ints(dict(v)):
                 continue
-            for act in acts:
-                q = self._shift(v, act)
+            for l in range(self.n):
+                q = self._shift(v, l)
                 if q:
                     queue.append(q)
         return space
 
     def socle(self) -> list[Polynomial]:
         """Basis of the annihilator of the maximal ideal, canonical form."""
-        if self._socle is not None:
-            return list(self._socle)
         self.require_artinian("the socle")
         scale = self.action_scale(self.whole_piece)
         columns = [({l * self.dim + ti: c for l, ti, c in entries}, scale)
@@ -458,8 +459,7 @@ class QuotientRing:
         space = Subspace(self.field)
         for _f, (V, _S) in null_pairs(kernel_of_columns(columns, self.field)):
             space.extend_ints(V)
-        self._socle = [self.vec_to_poly(row) for row in space.reduced_basis_rows()]
-        return list(self._socle)
+        return [self.vec_to_poly(row) for row in space.reduced_basis_rows()]
 
     def socle_dim(self) -> int:
         return len(self.socle())
@@ -467,6 +467,30 @@ class QuotientRing:
     def embedding_dimension(self) -> int:
         """dim of m/m^2; equals n because I sits inside n^2."""
         return self.n
+
+
+ZERO = ({}, 1)  # the int pair of every zero product; no caller changes a pair
+
+
+def nonzero_ints(vec: dict, p: int) -> dict:
+    """An int vector without its zero entries, reduced mod p when p."""
+    if p:
+        return {k: r for k, x in vec.items() if (r := x % p)}
+    return vec if all(vec.values()) else {k: x for k, x in vec.items() if x}
+
+
+def shift_ints(vec: dict, offsets: tuple, blocks: tuple, l: int, p: int) -> dict:
+    """x_l times an int vector of consecutive blocks: block g starts at
+    offsets[g] and is (source offset, target offset, `int_action` table),
+    and the product is up to the scale of those tables."""
+    out: dict = {}
+    for coord, coeff in vec.items():
+        src, tgt, act = blocks[bisect_right(offsets, coord) - 1]
+        for x, ti, c in act[coord - src]:
+            if x == l:
+                k = tgt + ti
+                out[k] = out.get(k, 0) + coeff * c
+    return nonzero_ints(out, p) if out else out
 
 
 def _later_multiples(m: Monomial):

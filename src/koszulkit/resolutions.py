@@ -34,16 +34,17 @@ A differential is kept as the image of each generator: a vector V / S of
 the target, as an int vector V over its own denominator S (the kernel
 pair C over C[f] for a kernel vector; S = 1 over GF(p)).  The image of
 x_l*m times a generator is x_l times the image of m, so the images of a
-whole piece's basis follow by shifting int vectors through int x_l
-tables, each keeping its own denominator, and `kernel_of_columns` takes
-them as they are.  A zero image's multiples are zero.  Over an ungraded
-ring most generators are unit vectors e_f with f = (g', m'), and the
-images of the whole block of such a generator are the ring's products
-m * m' moved to the block of g': a table per m' kept on the ring
-(`_unit_images`), built by the same chain of shifts, so that every pair
-is literally the chained one.  Field vectors are built only where they
-are read: `ResolutionData.maps`, `ResolutionData.differential` and the
-solves of a chain-map lift.
+whole piece's basis follow by shifting int vectors through the ring's
+int x_l tables (`quotient.shift_ints`), each keeping its own
+denominator, and `kernel_of_columns` takes them as they are.  A zero
+image's multiples are zero.  Over an ungraded ring most generators are
+unit vectors e_f with f = (g', m'), and the images of the whole block
+of such a generator are the ring's products m * m' moved to the block
+of g': column m' of the ring's one product table
+(`QuotientRing.product_pairs`), built by the same chain of shifts, so
+that every pair is literally the chained one.  Field vectors are built
+only where they are read: `ResolutionData.maps`,
+`ResolutionData.differential` and the solves of a chain-map lift.
 
 Every sweep needs a certified stopping degree.  Over an artinian ring
 components vanish above maxgen + top degree.  Over the polynomial ring
@@ -68,7 +69,7 @@ from .errors import BudgetError, InputError, NotArtinianError, PreconditionError
 from .linalg import (EchelonSolver, field_vector, int_vector, kernel_of_columns,
                      vec_add_terms, vec_combine)
 from .poly import Polynomial
-from .quotient import QuotientRing
+from .quotient import ZERO, QuotientRing, nonzero_ints, shift_ints
 from .tables import BettiTable
 
 
@@ -205,25 +206,6 @@ class FreeModule:
 # -- component plumbing -----------------------------------------------
 
 
-def _nonzero(vec: dict, p: int) -> dict:
-    """An int vector without its zero entries, reduced mod p when p."""
-    if p:
-        return {k: r for k, x in vec.items() if (r := x % p)}
-    return vec if all(vec.values()) else {k: x for k, x in vec.items() if x}
-
-
-def _shift_ints(vec: dict, offsets: tuple, blocks: tuple, l: int, p: int) -> dict:
-    """x_l times an int vector, up to the scale of FreeModule.int_shifts."""
-    out: dict = {}
-    for coord, coeff in vec.items():
-        src, tgt, act = blocks[bisect_right(offsets, coord) - 1]
-        for x, ti, c in act[coord - src]:
-            if x == l:
-                k = tgt + ti
-                out[k] = out.get(k, 0) + coeff * c
-    return _nonzero(out, p) if out else out
-
-
 def _shift_all(vec: dict, offsets: tuple, blocks: tuple, p: int,
                stored: Optional[set] = None) -> list[dict]:
     """The nonzero ones among x_1 * vec, ..., x_n * vec for an int vector,
@@ -243,7 +225,7 @@ def _shift_all(vec: dict, offsets: tuple, blocks: tuple, p: int,
     for out in outs.values():
         if stored:
             out = {k: x for k, x in out.items() if k not in stored}
-        out = _nonzero(out, p)
+        out = nonzero_ints(out, p)
         if out:
             result.append(out)
     return result
@@ -314,39 +296,15 @@ def _saturated_pivots(module: FreeModule, piece: int, zeros, dense, stored: set)
     return units
 
 
-_ZERO = ({}, 1)  # shared by the many zero images; no caller changes a pair
-
-
 def _unit_coordinate(V: dict, S) -> Optional[int]:
     """f when the int pair (V, S) is the unit vector ({f: 1}, 1) with
     int entries, else None; a gmpy2 mpz 1 would give other value types
-    down the chain of shifts than the int 1 of `_unit_images`."""
+    down the chain of shifts than the int 1 of the ring's product pairs."""
     if S == 1 and len(V) == 1:
         (f, x), = V.items()
         if x == 1 and type(x) is type(S) is int:
             return f
     return None
-
-
-def _unit_images(ring: QuotientRing, i: int, scale: int) -> list:
-    """The int pairs of m * m_i for the monomials m of an ungraded ring,
-    in order, by the chain of `_basis_images` from ({i: 1}, 1): the image
-    block of a generator whose image is the unit vector of m_i in a block
-    at offset 0.  Cached on the ring per (i, scale)."""
-    rows = ring._unit_images.get((i, scale))
-    if rows is None:
-        rows = ring._unit_images[(i, scale)] = []
-        offsets, blocks = (0,), ((0, 0, ring.int_action(0, scale)),)
-        p = ring.field.char
-        for step in ring.divisors(0):
-            if step is None:
-                rows.append(({i: 1}, 1))
-                continue
-            l, k = step
-            V, S = rows[k]
-            W = _shift_ints(V, offsets, blocks, l, p) if V else None
-            rows.append((W, S * scale) if W else _ZERO)
-    return rows
 
 
 def _basis_images(source: FreeModule, target: FreeModule, vectors, j: int,
@@ -360,8 +318,10 @@ def _basis_images(source: FreeModule, target: FreeModule, vectors, j: int,
     an ungraded piece and lies in the previous piece of a graded ring.
     The shift's int table is `scale` times x_l, and so is S.  A zero
     image's multiples are zero.  Over an ungraded ring, the block of a
-    generator whose image is a unit vector is that chain read from the
-    ring's `_unit_images`, moved to the block of the unit vector.
+    generator whose image is the unit vector of m_i is that chain read
+    from the ring's products m * m_i (column m_i of `product_pairs` of
+    the whole ring, whose shifts are those of the target's one piece),
+    moved to the block of the unit vector.
     """
     out = memo.get(j)
     if out is None:
@@ -374,9 +334,9 @@ def _basis_images(source: FreeModule, target: FreeModule, vectors, j: int,
             if not ring.graded and (f := _unit_coordinate(*vectors[g])) is not None:
                 starts = target.offsets(0)
                 o = starts[bisect_right(starts, f) - 1]
-                rows = _unit_images(ring, f - o, target.int_shifts(0)[1])
-                out.extend([({k + o: x for k, x in W.items()}, S) if W else _ZERO
-                            for W, S in rows] if o else rows)
+                column = map(itemgetter(f - o), ring.product_pairs(0, 0))
+                out.extend([({k + o: x for k, x in W.items()}, S) if W else ZERO
+                            for W, S in column] if o else column)
                 continue
             for step in ring.divisors(j - d):
                 if step is None:
@@ -388,8 +348,8 @@ def _basis_images(source: FreeModule, target: FreeModule, vectors, j: int,
                     offsets, scale, blocks = target.int_shifts(below)
                 l, i = step
                 V, S = prev[prev_offsets[g] + i]
-                W = _shift_ints(V, offsets, blocks, l, p) if V else None
-                out.append((W, S * scale) if W else _ZERO)
+                W = shift_ints(V, offsets, blocks, l, p) if V else None
+                out.append((W, S * scale) if W else ZERO)
     return out
 
 

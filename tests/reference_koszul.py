@@ -2,7 +2,7 @@
 tests only.
 
 The production code reads every product of monomials off the ring's
-coordinate layer (`QuotientRing.var_action`) and finds positions by
+coordinate layer (`QuotientRing.int_action`) and finds positions by
 index arithmetic.  This module keeps the code that layer replaced: Koszul
 pieces as explicit (monomial, exterior monomial) coordinate lists with a
 dict index, differential entries from `mono_product` per entry, the

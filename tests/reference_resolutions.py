@@ -14,13 +14,17 @@ columns travelled as indices: every kernel vector, the unit ones
 included, is an (f, C) pair of `reference_linalg.int_kernel`, the
 saturation is restricted by a `keep` dict of the free columns
 (`saturated_pivots`), and `int_basis_images` shifts every basis image
-through the x_l tables, unit generators included.  `saturation_pivots`
-keeps the full echelon saturation whose pivot set both read off.
+through the x_l tables, unit generators included, with its own copy of
+the int shift (`_shift_ints`).  `saturation_pivots` keeps the full
+echelon saturation whose pivot set both read off.  `unit_images` keeps
+the per-(m_i, scale) chain of shifts that gave the image block of a
+unit generator before the engine read it off the ring's product pairs.
 
 The engine also shifts the basis images of a map as int vectors, each
 over its own denominator.  `reference_tor_map_vanishes` keeps the field
 path that replaces: the images are field vectors shifted through the
-field x_l tables of the ring, and the lift of a chain map solves on them.
+field x_l tables of `reference_quotient.var_action`, and the lift of a
+chain map solves on them.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ from functools import partial
 
 from koszulkit.linalg import EchelonSolver, vec_add_terms, vec_combine
 from koszulkit.poly import Polynomial
-from koszulkit.resolutions import (ModulePresentation, TorMapReport, _nonzero, _shift_ints,
-                                   minimal_resolution)
+from koszulkit.resolutions import ModulePresentation, TorMapReport, minimal_resolution
 
 from reference_linalg import Subspace, int_kernel, kernel_of_columns
+from reference_quotient import var_action
 
 
 def _piece(ring, e):
@@ -188,6 +192,25 @@ def reference_resolution(data):
 # -- the sweep on (f, C) pairs and keep dicts ---------------------------
 
 
+def _nonzero(vec: dict, p: int) -> dict:
+    """An int vector without its zero entries, reduced mod p when p."""
+    if p:
+        return {k: r for k, x in vec.items() if (r := x % p)}
+    return {k: x for k, x in vec.items() if x}
+
+
+def _shift_ints(vec: dict, offsets: tuple, blocks: tuple, l: int, p: int) -> dict:
+    """x_l times an int vector, up to the scale of FreeModule.int_shifts."""
+    out: dict = {}
+    for coord, coeff in vec.items():
+        src, tgt, act = blocks[bisect_right(offsets, coord) - 1]
+        for x, ti, c in act[coord - src]:
+            if x == l:
+                k = tgt + ti
+                out[k] = out.get(k, 0) + coeff * c
+    return _nonzero(out, p)
+
+
 def shift_all(vec: dict, offsets: tuple, blocks: tuple, p: int, keep=None) -> list[dict]:
     """The nonzero ones among x_1 * vec, ..., x_n * vec; with `keep`,
     only target coordinates k in keep survive, renamed keep[k]."""
@@ -265,6 +288,26 @@ def saturated_pivots(module, piece, feed, keep) -> set:
 _ZERO = ({}, 1)
 
 
+def unit_images(ring, i, scale) -> list:
+    """The int pairs of m * m_i for the monomials m of an ungraded ring,
+    in order, by the chain of shifts from ({i: 1}, 1) through the int x_l
+    tables at `scale`: the image block of a generator whose image is the
+    unit vector of m_i in a block at offset 0, as the sweep kept it per
+    (i, scale) on the ring."""
+    rows = []
+    offsets, blocks = (0,), ((0, 0, ring.int_action(0, scale)),)
+    p = ring.field.char
+    for step in ring.divisors(0):
+        if step is None:
+            rows.append(({i: 1}, 1))
+            continue
+        l, k = step
+        V, S = rows[k]
+        W = _shift_ints(V, offsets, blocks, l, p) if V else None
+        rows.append((W, S * scale) if W else _ZERO)
+    return rows
+
+
 def int_basis_images(source, target, vectors, j, memo) -> list[tuple]:
     """Int images (V, S) of the piece-j basis of source under the map
     sending generator g to the int pair vectors[g]; the image of
@@ -337,7 +380,7 @@ def _shifts(module, j):
     ring = module.ring
     src = module.offsets(j)
     tgt = module.offsets(ring.piece_of(j + 1))
-    return src, [tuple((src[g], tgt[g], ring.var_action(l, j - d))
+    return src, [tuple((src[g], tgt[g], var_action(ring, l, j - d))
                        for g, d in enumerate(module.degrees))
                  for l in range(ring.n)]
 

@@ -28,25 +28,28 @@ RANDOM_RING_FIELDS = {
 }
 
 
-def artinian_rings(field, coefficients, orders=(MonomialOrder.GREVLEX,)):
-    """Hypothesis strategy: a graded ring in 2-3 variables with 1-3
-    quadrics plus m^3, in one of the given term orders, and its ungraded
+def artinian_rings(field, coefficients, orders=(MonomialOrder.GREVLEX,), degree=2,
+                   variables=(2, 3)):
+    """Hypothesis strategy: a graded ring in 2-3 variables (`variables`)
+    with 1-3 forms of the given degree, quadrics by default, plus
+    m^(degree + 1), in one of the given term orders, and its ungraded
     twin: r0 + r1*x_n replaces r0, which keeps the ideal."""
     from hypothesis import strategies as st
 
     @st.composite
     def build(draw):
-        n = draw(st.integers(2, 3))
+        n = draw(st.integers(*variables))
         order = draw(st.sampled_from(orders))
-        quads = list(monomials_of_degree(n, 2))
+        monos = list(monomials_of_degree(n, degree))
         coeff = st.sampled_from(coefficients)
-        quadrics = []
+        forms = []
         for _ in range(draw(st.integers(1, 3))):
-            terms = [(m, field.of(c)) for m, c in zip(quads, draw(
-                st.lists(coeff, min_size=len(quads), max_size=len(quads))))]
-            quadrics.append(Polynomial(n, field, order, [(m, c) for m, c in terms if c]))
-        cubes = [Polynomial.from_monomial(n, field, order, m) for m in monomials_of_degree(n, 3)]
-        rels = [q for q in quadrics if q] + cubes
+            terms = [(m, field.of(c)) for m, c in zip(monos, draw(
+                st.lists(coeff, min_size=len(monos), max_size=len(monos))))]
+            forms.append(Polynomial(n, field, order, [(m, c) for m, c in terms if c]))
+        top = [Polynomial.from_monomial(n, field, order, m)
+               for m in monomials_of_degree(n, degree + 1)]
+        rels = [f for f in forms if f] + top
         names = tuple("xyz"[:n])
         ring = QuotientRing(field, names, rels, order)
         twin = QuotientRing(field, names,

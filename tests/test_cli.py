@@ -277,15 +277,41 @@ def test_closed_stderr_keeps_the_exit_code(monkeypatch):
     assert proc.returncode == 3 and proc.stdout == b""
 
 
+BIG_RING = "field Q\nvars x,y\nideal:\nx^2\ny^200000\n"  # dimension 400000
+
+
 def test_gb_builds_no_standard_basis(monkeypatch):
     # R = Q[x,y]/(x^2, y^200000) has dimension 400000; building it for
     # `gb` enumerates no standard monomial, so the basis prints at once
     _child_imports_this_koszulkit(monkeypatch)
-    proc = subprocess.run([sys.executable, "-m", "koszulkit", "gb", "-"],
-                          input="field Q\nvars x,y\nideal:\nx^2\ny^200000\n",
+    proc = subprocess.run([sys.executable, "-m", "koszulkit", "gb", "-"], input=BIG_RING,
                           capture_output=True, text=True, timeout=5)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["x^2", "y^200000"]
+
+
+@pytest.mark.parametrize("command", ["socle", "homology"])
+def test_dimension_budget_stops_before_enumerating(monkeypatch, command):
+    # the dimension comes from the Hilbert series of the lead monomials,
+    # so the ring is refused before any standard monomial is enumerated
+    _child_imports_this_koszulkit(monkeypatch)
+    proc = subprocess.run([sys.executable, "-m", "koszulkit", command, "-"], input=BIG_RING,
+                          capture_output=True, text=True, timeout=2)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr == ("error: dimension budget of 100000 standard monomials exceeded: "
+                           "the ring has 400000\n")
+
+
+@pytest.mark.parametrize("cycle", ["T1^10000000", "a^100000000*T1"])
+def test_huge_koszul_powers_are_squared(monkeypatch, cycle):
+    # powers take about log2(exponent) products, and T1^2 = 0 and a^k = 0
+    # in socle4 for k > 2, so both cycles are zero
+    _child_imports_this_koszulkit(monkeypatch)
+    proc = subprocess.run([sys.executable, "-m", "koszulkit", "check", "trivial-products",
+                           "socle4", "--cycles", cycle],
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("[ok] z1*z1\nverdict: true\n")
 
 
 def test_resolution_budget_stops_a_huge_sweep(monkeypatch):

@@ -87,13 +87,38 @@ def test_homology_engines_agree_and_serre_bound_holds(name):
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(artinian_rings(field, coefficients, (MonomialOrder.GREVLEX, MonomialOrder.LEX)))
     def check(rings):
-        ring, twin = rings
-        h = homology_h_polynomial(ring)
-        assert homology_h_polynomial(twin) == h
-        betti = betti_numbers_k(ring, 5).betti_numbers()
-        bound = expand(golod_quotient_series(ring.n, h), 5)
+        ring = rings[0]
+        betti, bound = _betti_and_serre_bound(*rings)
         assert len(betti) == len(bound) and all(b <= c for b, c in zip(betti, bound))
         if lofwall_golod_test(ring, 1):
             assert betti == bound
 
     check()
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
+def test_golod_rings_meet_the_serre_bound(name):
+    # random cubics plus every quartic monomial in 3 variables: I lies in
+    # m^3 and contains m^4, so Lofwall's test holds with t = 2, the ring is
+    # Golod, and Serre's bound is met on every draw
+    pytest.importorskip("hypothesis")
+    field, coefficients = RANDOM_RING_FIELDS[name]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(artinian_rings(field, coefficients, (MonomialOrder.GREVLEX, MonomialOrder.LEX),
+                          degree=3, variables=(3, 3)))
+    def check(rings):
+        assert lofwall_golod_test(rings[0], 2)
+        betti, bound = _betti_and_serre_bound(*rings)
+        assert betti == bound
+
+    check()
+
+
+def _betti_and_serre_bound(ring, twin):
+    """The Betti numbers of k up to degree 5 and Serre's bound from the
+    homology, after checking that the twin's homology is the ring's."""
+    h = homology_h_polynomial(ring)
+    assert homology_h_polynomial(twin) == h
+    betti = betti_numbers_k(ring, 5).betti_numbers()
+    return betti, expand(golod_quotient_series(ring.n, h), 5)

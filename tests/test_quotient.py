@@ -11,6 +11,7 @@ from koszulkit import corpus
 from koszulkit.conditions import build_stretched_ring
 from koszulkit.errors import InputError, NotArtinianError
 from koszulkit.fields import QQ
+from koszulkit.groebner import artinian_dim, hilbert_numerator
 from koszulkit.linalg import Subspace
 from koszulkit.poly import MonomialOrder, Polynomial, monomials_of_degree
 from koszulkit.quotient import QuotientRing, truncated_ring
@@ -18,7 +19,8 @@ from koszulkit.ringdef import parse_polynomial, parse_ring_definition
 
 import reference_koszul
 import reference_quotient
-from support import RANDOM_RING_FIELDS, artinian_rings, random_stretched_spec
+from reference_resolutions import unit_images
+from support import RANDOM_RING_FIELDS, artinian_rings, random_stretched_spec, stretched_specs
 
 
 def ring_of(text):
@@ -223,5 +225,94 @@ def test_normal_forms_and_products_match_reference(name):
                 for q in polys:
                     assert _literal_terms(ring.multiply(p, q)) == _literal_terms(
                         reference_quotient.multiply(ring, p, q))
+
+    check()
+
+
+def _typed(x):
+    """Ints as (type, value) inside nested tuples, lists and dicts."""
+    if isinstance(x, dict):
+        return [(k, _typed(v)) for k, v in x.items()]
+    if isinstance(x, (tuple, list)):
+        return [_typed(v) for v in x]
+    return type(x), x
+
+
+def _pieces(ring):
+    if ring.graded:
+        return list(range(ring.top_degree + 1)) + [ring.whole_piece]
+    return [0]
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
+def test_int_tables_match_the_field_builders(name):
+    # the ring keeps one multiplication table, in ints; the field x_l
+    # tables and product rows it replaced give literally the same x_l
+    # tables, structure constants and spans: values, types, entry order.
+    # Over an ungraded ring column m_i of the products is the chain of
+    # shifts that the sweep kept per m_i for a unit generator
+    pytest.importorskip("hypothesis")
+    field, coefficients = RANDOM_RING_FIELDS[name]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(artinian_rings(field, coefficients, (MonomialOrder.GREVLEX, MonomialOrder.LEX)),
+           stretched_specs(field), st.randoms(use_true_random=False))
+    def check(rings, spec, rnd):
+        for ring in rings + (build_stretched_ring(spec),):
+            pieces = _pieces(ring)
+            for e in pieces:
+                scale = ring.action_scale(e)
+                assert scale == reference_quotient.action_scale(ring, e)
+                assert _typed(ring.int_action(e, scale)) == _typed(
+                    reference_quotient.int_action(ring, e, scale))
+            for e in pieces:
+                for f in pieces:
+                    if (e == ring.whole_piece) == (f == ring.whole_piece):
+                        assert _typed(ring.int_mul_table(e, f)) == _typed(
+                            reference_quotient.int_mul_table(ring, e, f))
+            for t in range(ring.top_degree + 2):
+                assert _typed(ring.power_ideal_subspace(t).basis_pairs()) == _typed(
+                    reference_quotient.power_ideal_subspace(ring, t).basis_pairs())
+            gens = [ring.vec_to_poly({k: field.of(rnd.choice(coefficients))
+                                      for k in rnd.sample(range(ring.dim), 2)})
+                    for _ in range(2)]
+            for some in ([g] for g in gens + [ring.variable(ring.n - 1)]):
+                assert _typed(ring.ideal_span(some).basis_pairs()) == _typed(
+                    reference_quotient.ideal_span(ring, some).basis_pairs())
+            if not ring.graded:
+                scale = ring.action_scale(0)
+                products = ring.product_pairs(0, 0)
+                for i in range(ring.dim):
+                    assert _typed([row[i] for row in products]) == _typed(
+                        unit_images(ring, i, scale))
+
+    check()
+
+
+def _numerator_dim(ring):
+    leads = (lm.exponents for lm in ring.lead_monomials)
+    return artinian_dim(hilbert_numerator(leads), ring.n)
+
+
+def test_numerator_dimension_counts_corpus_standard_monomials():
+    # the dimension budget reads the dimension off the Hilbert series of
+    # the lead monomials before std_monomials enumerates them
+    for name in corpus.names():
+        for order in (MonomialOrder.GREVLEX, MonomialOrder.LEX):
+            ring = corpus.get_definition(name).build(order=order)
+            if ring.is_artinian:
+                assert _numerator_dim(ring) == len(ring.std_monomials), (name, order)
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
+def test_numerator_dimension_counts_random_standard_monomials(name):
+    pytest.importorskip("hypothesis")
+    field, coefficients = RANDOM_RING_FIELDS[name]
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(artinian_rings(field, coefficients, (MonomialOrder.GREVLEX, MonomialOrder.LEX)))
+    def check(rings):
+        for ring in rings:  # graded and ungraded
+            assert _numerator_dim(ring) == len(ring.std_monomials)
 
     check()
