@@ -28,9 +28,10 @@ appear only where a polynomial enters or leaves (`poly_to_vec`,
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .errors import BudgetError, InputError, NotArtinianError
@@ -87,9 +88,9 @@ class QuotientRing:
         # the coordinate layer, filled per piece on first use
         self.whole_piece = None if self.graded else 0
         self._indexes: dict = {}
+        self._piece_shifts: dict = {}
         self._int_actions: dict = {}
         self._grouped_actions: dict = {}
-        self._action_scales: dict = {}
         self._divisors: dict = {}
         self._products: dict = {}
         self._int_products: dict = {}
@@ -226,20 +227,35 @@ class QuotientRing:
             index = self._indexes[e] = {m: i for i, m in enumerate(self.piece(e))}
         return index
 
+    def _piece_shift(self, e) -> tuple:
+        """(`action_scale(e)`, blocks) with blocks the int table of piece
+        e at that scale as the one block of `shift_ints`; the scale and
+        the table come from one pass over the normal forms of x_l * b."""
+        shift = self._piece_shifts.get(e)
+        if shift is None:
+            p = self.field.char
+            index = self.piece_index(self._piece_after(e, 1))
+            xs = [self.variable(l).lead_monomial for l in range(self.n)]
+            terms = [[(l, index[m], c) for l, x in enumerate(xs)
+                      for m, c in self.mono_product(x, b).terms] for b in self.piece(e)]
+            scale = 1 if p else lcm(*(c.denominator for entries in terms for _l, _k, c in entries))
+            table = tuple(tuple((l, k, c.v if p else c.numerator * (scale // c.denominator))
+                                for l, k, c in entries) for entries in terms)
+            shift = self._piece_shifts[e] = (scale, ((0, 0, table),))
+        return shift
+
     def int_action(self, e, scale: int) -> tuple:
         """Per monomial b of piece e, the (l, position, coefficient)
         triples of the normal forms of x_1 * b .. x_n * b in the next
         piece, in their term order: coefficients are residues over GF(p)
-        and `scale` times their value over Q."""
+        and `scale`, a multiple of `action_scale(e)`, times their value
+        over Q."""
         act = self._int_actions.get((e, scale))
         if act is None:
-            p = self.field.char
-            index = self.piece_index(self._piece_after(e, 1))
-            xs = [self.variable(l).lead_monomial for l in range(self.n)]
-            act = self._int_actions[(e, scale)] = tuple(
-                tuple((l, index[m], c.v if p else c.numerator * (scale // c.denominator))
-                      for l, x in enumerate(xs) for m, c in self.mono_product(x, b).terms)
-                for b in self.piece(e))
+            base, ((_src, _tgt, table),) = self._piece_shift(e)
+            f = 1 if self.field.char else scale // base
+            act = self._int_actions[(e, scale)] = table if f == 1 else tuple(
+                tuple((l, k, c * f) for l, k, c in entries) for entries in table)
         return act
 
     def grouped_int_action(self, e, scale: int) -> tuple:
@@ -260,13 +276,7 @@ class QuotientRing:
     def action_scale(self, e) -> int:
         """The lcm of the denominators in the x_l tables out of piece e
         over Q; 1 over GF(p)."""
-        scale = self._action_scales.get(e)
-        if scale is None:
-            xs = [self.variable(l).lead_monomial for l in range(self.n)]
-            scale = self._action_scales[e] = 1 if self.field.char else lcm(
-                *(c.denominator for b in self.piece(e) for x in xs
-                  for _m, c in self.mono_product(x, b).terms))
-        return scale
+        return self._piece_shift(e)[0]
 
     def divisors(self, e) -> tuple:
         """Per monomial m of piece e: None for m = 1, else (l, position of
@@ -288,7 +298,8 @@ class QuotientRing:
         """Per monomial m_a of piece e, per monomial m_b of piece f, the
         int pair (V, S) of m_a * m_b in the product piece, the vector
         V / S (S = 1 over GF(p)).  The row of 1 is the identity
-        ({b: 1}, 1); for m_a = x_l * m_a' (see `divisors`) it is the row
+        ({b: 1}, 1) in int also under gmpy2, as `resolutions._unit_coordinate`
+        reads it; for m_a = x_l * m_a' (see `divisors`) it is the row
         of m_a' shifted through the int table of x_l at the scale of its
         piece, and S times that scale: m_a' lies in the piece before e,
         or precedes m_a in the whole ring.  A zero product is ZERO."""
@@ -306,8 +317,7 @@ class QuotientRing:
                     below = self._piece_after(e, -1)
                     prev = rows if whole else self.product_pairs(below, f)
                     after = e if whole else below + f  # the piece of prev's vectors
-                    scale = self.action_scale(after)
-                    blocks = ((0, 0, self.int_action(after, scale)),)
+                    scale, blocks = self._piece_shift(after)
                 l, i = step
                 rows.append([(W, S * scale) if V and (W := shift_ints(V, (0,), blocks, l, p))
                              else ZERO for V, S in prev[i]])
@@ -321,13 +331,16 @@ class QuotientRing:
         their value over Q, one lcm of denominators for the whole table,
         so a product read off the table is one multiple of its value.
         The pairs of `product_pairs` are rescaled to it: the value x / S
-        of an entry has the denominator S / gcd(x, S) in lowest terms."""
+        of an entry has the denominator S / gcd(x, S) in lowest terms;
+        over Q every entry has the type of a rational's numerator."""
         out = self._int_products.get((e, f))
         if out is None:
             rows = self.product_pairs(e, f)
             scale = lcm(*(S // gcd(x, S) for row in rows for V, S in row for x in V.values()))
+            # the int 1s of the row of 1 get the type of a rational's numerator
+            unit = scale if self.field.char else self.field.one.numerator * scale
             out = self._int_products[(e, f)] = (scale, tuple(
-                tuple(tuple((k, x * scale // S) for k, x in V.items()) for V, S in row)
+                tuple(tuple((k, x * unit // S) for k, x in V.items()) for V, S in row)
                 for row in rows))
         return out
 
@@ -365,26 +378,20 @@ class QuotientRing:
     def power_ideal_subspace(self, t: int) -> Subspace:
         """The image of the t-th power of the maximal ideal, as a subspace of R.
 
-        Over a graded ring it is spanned by the standard monomials of
-        degree t and up.  Otherwise the nonzero normal forms of the
-        degree-t monomials (`_power_layer`, no Groebner reduction) seed
-        the ideal span in `monomials_of_degree` order (ascending
-        exponent vectors)."""
+        Over a graded ring, and for t <= 0, it is spanned by the standard
+        monomials of degree t and up: a tail of the basis.  Otherwise the
+        nonzero normal forms of the degree-t monomials (`_power_layer`, no
+        Groebner reduction) seed the ideal span in `monomials_of_degree`
+        order (ascending exponent vectors)."""
         self.require_artinian("powers of the maximal ideal")
-        if t <= 0:
-            space = Subspace(self.field)
-            for i in range(self.dim):
-                space.extend_ints({i: 1})
-            return space
         cached = self._power_subspaces.get(t)
         if cached is not None:
             return cached
-        if self.graded:
+        if t <= 0 or self.graded:
+            one = 1 if self.field.char else self.field.one.numerator  # as `int_vector` has it
             space = Subspace(self.field)
-            idx = self.piece_index(self.whole_piece)
-            for d in range(t, self.top_degree + 1):
-                for m in self.std_basis(d):
-                    space.extend_ints({idx[m]: 1})
+            for i in range(bisect_left(self.std_monomials, t, key=attrgetter("degree")), self.dim):
+                space.extend_ints({i: one})
         else:
             layer = self._power_layer(t)
             space = self._span([layer[m] for m in sorted(layer, key=lambda m: m.exponents)])
@@ -426,8 +433,7 @@ class QuotientRing:
         """x_l * vec for an int vector of the whole ring, up to the scale
         of its table, entries in descending term order as a polynomial's
         terms are."""
-        whole = self.whole_piece
-        blocks = ((0, 0, self.int_action(whole, self.action_scale(whole))),)
+        blocks = self._piece_shift(self.whole_piece)[1]
         q = shift_ints(vec, (0,), blocks, l, self.field.char)
         key, monos = self.order.key, self.std_monomials
         return {k: q[k] for k in sorted(q, key=lambda k: key(monos[k]), reverse=True)}

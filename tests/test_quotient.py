@@ -263,8 +263,9 @@ def test_int_tables_match_the_field_builders(name):
             for e in pieces:
                 scale = ring.action_scale(e)
                 assert scale == reference_quotient.action_scale(ring, e)
-                assert _typed(ring.int_action(e, scale)) == _typed(
-                    reference_quotient.int_action(ring, e, scale))
+                for k in (1, 6):  # the piece's own scale and a multiple of it
+                    assert _typed(ring.int_action(e, k * scale)) == _typed(
+                        reference_quotient.int_action(ring, e, k * scale))
             for e in pieces:
                 for f in pieces:
                     if (e == ring.whole_piece) == (f == ring.whole_piece):
