@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import re
 import sys
 import time
@@ -26,6 +27,7 @@ from .conditions import (CycleSet, StretchedSpec, build_stretched_ring,
                          check_P_local, check_trivial_products, check_Z_graded)
 from .errors import (BudgetError, InputError, NotACycleError, NotArtinianError,
                      PreconditionError)
+from .fields import RATIONAL_BACKEND
 from .koszul import homology_algebra, homology_h_polynomial
 from .poly import MonomialOrder
 from .quotient import QuotientRing, truncated_ring
@@ -316,6 +318,14 @@ def cmd_stretched_build(args) -> int:
     return 0
 
 
+def cmd_info(args) -> int:
+    from . import __version__
+    print("koszulkit %s" % __version__)
+    print("rationals: %s" % RATIONAL_BACKEND)
+    print("python: %s" % platform.python_version())
+    return 0
+
+
 def cmd_corpus_list(args) -> int:
     for name in corpus.names():
         print(name)
@@ -441,6 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--a", help="symmetric invertible matrix, e.g. '1,0;0,1'")
     p.set_defaults(func=cmd_stretched_build)
+
+    p = sub.add_parser("info", help="version, rational backend and Python version")
+    p.set_defaults(func=cmd_info)
 
     corp = sub.add_parser("corpus", help="built-in ring definitions")
     cosub = corp.add_subparsers(dest="corpus_command", required=True)

@@ -14,8 +14,10 @@ from .errors import InputError
 # rational(num, den=1) is the backend's constructor, in lowest terms
 try:
     from gmpy2 import mpq as rational
+    RATIONAL_BACKEND = "gmpy2"
 except ImportError:  # gmpy2 is optional; the stdlib path is the default
     from fractions import Fraction as rational
+    RATIONAL_BACKEND = "fractions.Fraction"
 
 
 DEFAULT_MODULUS = 32003

@@ -12,7 +12,11 @@ on the ring's int coordinate layer: a differential column is an int pair
 (V, S), ints V over the piece's one scale S read off
 `QuotientRing.int_action`, which `kernel_of_columns` takes as it is.
 Cycles and filtered slices stay int pairs; field vectors are built only
-for representatives, generators, class coordinates and witnesses.
+for representatives, generators, class coordinates and witnesses.  The
+cycle test `KoszulElement.is_cycle` reads the same tables: each
+component of an element in one piece goes through them column by
+column, and only an ungraded ring that is not artinian, which has no
+pieces, takes `diff` through `Polynomial` products.
 Products of cycles, where only their span matters (minimal generators
 and the checks in `conditions`), are int vectors from the ring's
 structure constants and a table of exterior shuffle signs
@@ -35,11 +39,12 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache
+from math import comb
 from typing import Optional, Sequence
 
 from .errors import NotACycleError, NotArtinianError, PreconditionError
-from .linalg import (EchelonSolver, combine_ints, field_vector, kernel_of_columns, null_pairs,
-                     vec_add_terms)
+from .linalg import (EchelonSolver, combine_ints, field_vector, int_vector, kernel_of_columns,
+                     null_pairs, vec_add_terms)
 from .poly import Polynomial, power
 from .quotient import QuotientRing
 
@@ -198,7 +203,25 @@ class KoszulElement:
         return KoszulElement(ring, vec_add_terms({}, faces()), normalize=False)
 
     def is_cycle(self) -> bool:
-        return self.diff().is_zero()
+        """Is d of this element zero?
+
+        Each component in one piece, a bidegree over a graded ring or a
+        homological degree over an ungraded artinian one, goes through the
+        int x_l table of its ring piece (`_maps_to_zero`); d maps distinct
+        components into distinct pieces.  A ring without pieces, ungraded
+        and not artinian, takes `diff`.
+        """
+        ring = self.ring
+        if not ring.graded and not ring.is_artinian:
+            return self.diff().is_zero()
+        parts: dict = {}
+        for key, poly in self.terms.items():
+            for mono, c in poly.terms:
+                e = mono.degree if ring.graded else ring.whole_piece
+                parts.setdefault((len(key), e), []).append((key, mono, c))
+        return all(_maps_to_zero(component_piece(ring, i, i + e) if ring.graded
+                                 else full_piece(ring, i), triples)
+                   for (i, e), triples in parts.items())
 
     def __eq__(self, other):
         if isinstance(other, int) and other == 0:
@@ -246,16 +269,22 @@ class Piece:
         return len(self.monos) * len(self.exts)
 
     def vector_of(self, el: KoszulElement) -> dict:
+        return self.vector_of_terms((key, mono, coeff) for key, poly in el.terms.items()
+                                    for mono, coeff in poly.terms)
+
+    def vector_of_terms(self, terms) -> dict:
+        """The vector of the sum of the terms coeff * mono * T_key, given
+        as triples (key, mono, coeff) with distinct (key, mono)."""
         index = self.ring.piece_index(self.ring_piece)
+        ext_index = self.ext_index
         width = len(self.exts)
         vec = {}
-        for key, poly in el.terms.items():
-            b = self.ext_index.get(key)
-            for mono, coeff in poly.terms:
-                a = index.get(mono)
-                if a is None or b is None:
-                    raise ValueError("element does not lie in this piece")
-                vec[a * width + b] = coeff
+        for key, mono, coeff in terms:
+            a = index.get(mono)
+            b = ext_index.get(key)
+            if a is None or b is None:
+                raise ValueError("element does not lie in this piece")
+            vec[a * width + b] = coeff
         return vec
 
     def element_of(self, vec: dict) -> KoszulElement:
@@ -354,19 +383,49 @@ def differential_columns(ring: QuotientRing, source: Piece, target: Piece) -> li
         return []
     p, width = ring.field.char, len(target.exts)
     scale = ring.action_scale(source.ring_piece)
-    # per exterior monomial s: x_l in s -> (position of s without l, odd?)
-    faces = [{l: (target.ext_index[key[:pos] + key[pos + 1:]], pos % 2)
-              for pos, l in enumerate(key)} for key in source.exts]
-    columns = []
-    for entries in ring.int_action(source.ring_piece, scale):
-        for face in faces:
-            col = {}
-            for l, ti, c in entries:
-                if l in face:
-                    b, odd = face[l]
-                    col[ti * width + b] = (p - c if p else -c) if odd else c
-            columns.append((col, scale))
-    return columns
+    faces = _faces(ring.n, source.hom_degree)
+    return [(_face_column(entries, face, width, p), scale)
+            for entries in ring.int_action(source.ring_piece, scale) for face in faces]
+
+
+@lru_cache(maxsize=None)
+def _faces(n: int, i: int) -> tuple:
+    """Per exterior monomial s of length i, in the order of
+    `exterior_monomials`: x_l in s -> (position of s without l among the
+    monomials of length i - 1, odd?), the faces of d(T_s) and their signs."""
+    index = {ext: b for b, ext in enumerate(exterior_monomials(n, i - 1))} if i else {}
+    return tuple({l: (index[s[:pos] + s[pos + 1:]], pos % 2) for pos, l in enumerate(s)}
+                 for s in exterior_monomials(n, i))
+
+
+def _face_column(entries, face: dict, width: int, p: int) -> dict:
+    """d(m T_s) as an int vector of the next piece: entries are the
+    `int_action` triples (l, position, c) of the monomial m, face the
+    `_faces` entry of s, width the number of exterior monomials there."""
+    col = {}
+    for l, ti, c in entries:
+        if l in face:
+            b, odd = face[l]
+            col[ti * width + b] = (p - c if p else -c) if odd else c
+    return col
+
+
+def _maps_to_zero(piece: Piece, terms: list) -> bool:
+    """Is d of the element with these (key, mono, coeff) terms of piece
+    zero?  Its int vector goes through the piece's int x_l table, column
+    by column as in `differential_columns`."""
+    ring, i, e = piece.ring, piece.hom_degree, piece.ring_piece
+    p, width = ring.field.char, len(piece.exts)
+    action = ring.int_action(e, ring.action_scale(e))
+    faces = _faces(ring.n, i)
+    target_width = comb(ring.n, i - 1) if i else 0
+    image: dict = {}
+    get = image.get
+    for k, x in int_vector(piece.vector_of_terms(terms), p)[0].items():
+        a, b = divmod(k, width)
+        for t, c in _face_column(action[a], faces[b], target_width, p).items():
+            image[t] = get(t, 0) + x * c
+    return not any(y % p for y in image.values()) if p else not any(image.values())
 
 
 class HomologyPiece:

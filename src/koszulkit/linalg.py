@@ -17,9 +17,13 @@ vectors enter or leave it.
   value is row / row[pivot]; its combination has the same scale, and
   the entries of the two have no common factor.  Eliminating pivot c
   with g = gcd(V[c], P), P = row[c], sets V := (P/g) V - (V[c]/g) row
-  (the combination likewise) and D := (P/g) D, then divides V, C and D
-  by their common gcd: fraction-free elimination with one content gcd
-  per row operation (Bareiss 1968 in its simplest form).
+  (the combination likewise) and D := (P/g) D: fraction-free
+  elimination (Bareiss 1968 in its simplest form).  After the last row
+  operation V, C and D are divided by their common gcd, one content gcd
+  per reduced vector.  That is literally what a gcd after every row
+  operation gives: either way V / D and C / D are the same field
+  values, and those have exactly one int form with D > 0 and
+  gcd(D, V, C) = 1.
 
 A vector that matters only up to a nonzero scale, such as one spanning
 a saturation, can skip the field altogether: `EchelonSolver.add_ints`
@@ -150,8 +154,10 @@ def _eliminate_q(V: dict, C, D: int, rows: dict, combos: dict):
     """Clear every coordinate of V / D that is a pivot of rows.
 
     Returns the new (V, C, D); the true values V / D and C / D change
-    exactly as field-element elimination would change them.
+    exactly as field-element elimination would change them.  A call that
+    eliminates nothing returns its input as it is.
     """
+    eliminated = False
     heap = list(V)
     heapify(heap)
     while heap:
@@ -188,15 +194,16 @@ def _eliminate_q(V: dict, C, D: int, rows: dict, combos: dict):
                     del V[cc]
         if C is not None:
             _sub_scaled(C, a, combos[c], 0)
-        if D != 1:
-            g = gcd(D, *V.values())
-            if g != 1 and C:
-                g = gcd(g, *C.values())
-            if g != 1:
-                V = {k: x // g for k, x in V.items()}
-                if C is not None:
-                    C = {t: x // g for t, x in C.items()}
-                D //= g
+        eliminated = True
+    if eliminated and D != 1:  # the one content gcd (see the module docstring)
+        g = gcd(D, *V.values())
+        if g != 1 and C:
+            g = gcd(g, *C.values())
+        if g != 1:
+            V = {k: x // g for k, x in V.items()}
+            if C is not None:
+                C = {t: x // g for t, x in C.items()}
+            D //= g
     return V, C, D
 
 

@@ -23,6 +23,10 @@ keeps its own result per (t, i) and builds its own restricted
 differential of field vectors, and the ungraded homology dimensions run
 their own kernel and span per degree.
 
+`is_cycle` is the cycle test as it was before it read the int x_l
+tables: d of the element through `Polynomial` products, then a zero
+test.
+
 Nothing here calls the code it is compared against: differentials come
 from `differential_columns` over `piece_coords`, and every kernel, span
 and solve is the field-element copy in `reference_linalg`.  Cycles of
@@ -337,3 +341,8 @@ def homology_h_polynomial(ring):
     while len(dims) > 1 and dims[-1] == 0:
         dims.pop()
     return dims
+
+
+def is_cycle(el):
+    """Is d(el) zero, with d through `Polynomial` products (`diff`)?"""
+    return el.diff().is_zero()

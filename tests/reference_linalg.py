@@ -10,11 +10,16 @@ literally equal results.
 as indices and unit columns skipped the elimination: every free column
 gives a pair (f, C), the zero ones ({f: 1}), and every nonzero column is
 reduced through the heap.
+
+`eliminate_q` is the int elimination over Q as it was before it took
+one content gcd per reduced vector: it divides V, C and D by their
+common gcd after every row operation.
 """
 
 from __future__ import annotations
 
 import heapq
+from math import gcd
 from typing import Hashable, Iterable, Optional
 
 from koszulkit.linalg import EchelonSolver as IntEchelonSolver, vec_add_scaled
@@ -161,3 +166,59 @@ def int_kernel(columns, field) -> list[tuple[int, dict]]:
         else:
             kernel.append((f, C))
     return kernel
+
+
+def eliminate_q(V: dict, C, D: int, rows: dict, combos: dict):
+    """Clear every coordinate of V / D that is a pivot of rows, with a
+    content gcd after every row operation; returns the new (V, C, D)."""
+    heap = list(V)
+    heapq.heapify(heap)
+    while heap:
+        c = heapq.heappop(heap)
+        a = V.get(c)
+        if a is None:
+            continue
+        row = rows.get(c)
+        if row is None:
+            continue
+        del V[c]
+        P = row[c]
+        if P != 1:
+            g = gcd(a, P)
+            a //= g
+            if g != P:
+                s = P // g
+                V = {k: x * s for k, x in V.items()}
+                if C is not None:
+                    C = {t: x * s for t, x in C.items()}
+                D *= s
+        for cc, rv in row.items():
+            if cc == c:
+                continue
+            nv = V.get(cc)
+            if nv is None:
+                V[cc] = -a * rv
+                heapq.heappush(heap, cc)
+            else:
+                nv -= a * rv
+                if nv:
+                    V[cc] = nv
+                else:
+                    del V[cc]
+        if C is not None:
+            for t, x in combos[c].items():
+                nv = C.get(t, 0) - a * x
+                if nv:
+                    C[t] = nv
+                else:
+                    del C[t]
+        if D != 1:
+            g = gcd(D, *V.values())
+            if g != 1 and C:
+                g = gcd(g, *C.values())
+            if g != 1:
+                V = {k: x // g for k, x in V.items()}
+                if C is not None:
+                    C = {t: x // g for t, x in C.items()}
+                D //= g
+    return V, C, D

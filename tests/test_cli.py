@@ -1,9 +1,11 @@
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import jsonschema
 import pytest
 
 import koszulkit
-from koszulkit import corpus
+from koszulkit import corpus, fields
 from koszulkit.cli import main
 from koszulkit.ringdef import format_ring_definition, parse_ring_definition
 
@@ -346,3 +348,26 @@ def test_gb_of_large_powers_plus_a_quadric(monkeypatch):
     expected += ["%s*%s*%s" % (power(v, k), power("c", 40 - k), power("d", 40 - k))
                  for k in range(39, 0, -1) for v in "ba"]
     assert proc.stdout.splitlines() == expected
+
+
+def test_info_prints_version_backend_and_python(capsys):
+    rc, out, err = run(capsys, ["info"])
+    backend = "fractions.Fraction" if fields.rational is Fraction else "gmpy2"
+    assert (rc, err) == (0, "")
+    assert out == "koszulkit %s\nrationals: %s\npython: %s\n" % (
+        koszulkit.__version__, backend, platform.python_version())
+
+
+CUSP = "field Q\nvars x,y\nideal:\nx^2 - y^3\n"
+
+
+def test_cycles_of_a_non_artinian_ungraded_ring(capsys, monkeypatch):
+    # x^2 - y^3 has no pieces, so its cycles are tested through diff
+    monkeypatch.setattr(sys, "stdin", io.StringIO(CUSP))
+    rc, out, err = run(capsys, ["check", "trivial-products", "-", "--cycles", "x*T1 - y^2*T2"])
+    assert (rc, err) == (0, "")
+    assert out == ("condition: trivial-products\nhypotheses:\n  (none)\npieces:\n"
+                   "  [ok] z1*z1\nverdict: true\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(CUSP))
+    rc, out, err = run(capsys, ["check", "trivial-products", "-", "--cycles", "x*T1"])
+    assert (rc, out, err) == (3, "", "error: element 'z1' has nonzero differential\n")

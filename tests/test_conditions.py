@@ -153,6 +153,11 @@ def test_nonlinear_generation_preconditions():
     assert mixed.is_cycle() and mixed.bidegree() is None
     with pytest.raises(InputError):
         check_nonlinear_generated_by(ring, [mixed])
+    # neither a cycle nor bihomogeneous: the cycle test comes first
+    broken = mixed + parse_koszul_element("T1", ring)
+    assert not broken.is_cycle() and broken.bidegree() is None
+    with pytest.raises(NotACycleError):
+        check_nonlinear_generated_by(ring, [broken])
 
 
 def test_lofwall_bound():

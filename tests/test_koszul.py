@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -13,16 +14,18 @@ from koszulkit.conditions import (CycleSet, build_stretched_ring, check_nonlinea
                                   check_P_graded, check_P_local, check_Z_graded,
                                   stretched_F_cycle)
 from koszulkit.errors import NotACycleError, PreconditionError
+from koszulkit.fields import PrimeField
 from koszulkit.koszul import (KoszulElement, component_piece, differential_columns,
                               filtered_boundaries, filtered_cycles, full_piece,
                               homology_algebra, homology_h_polynomial,
                               internal_degree_bounds, product_ints)
 from koszulkit.linalg import Subspace, field_vector, int_vector, vec_combine
-from koszulkit.poly import MonomialOrder
+from koszulkit.poly import MonomialOrder, Polynomial
 from koszulkit.ringdef import format_koszul_element, parse_koszul_element
 
 import reference_koszul as reference
-from support import SEED, RANDOM_RING_FIELDS, artinian_rings, random_stretched_spec
+from support import (SEED, RANDOM_RING_FIELDS, artinian_rings, random_stretched_spec,
+                     stretched_specs)
 
 # Nonzero bigraded dimensions of the Koszul homology of each corpus ring.
 DIMS = {
@@ -443,3 +446,67 @@ def test_stretched_filtration_matches_reference(name):
     for _ in range(4):
         ring = build_stretched_ring(random_stretched_spec(rng, field))
         _assert_filtration_matches_reference(ring)
+
+
+CYCLE_FIELDS = dict(RANDOM_RING_FIELDS, GF2=(PrimeField(2), [0, 0, 1]))
+
+
+def _cycles(ring):
+    """Cycles of every kind the callers test: over a graded ring the
+    algebra generators and every representative, else the cycles of each
+    whole K_i (the filtration at t = 0), K_0 included."""
+    if ring.graded:
+        alg = homology_algebra(ring)
+        return [el for _label, _bd, el in alg.generators()] + [
+            el for (i, j) in sorted(alg.pieces) for el in alg.representatives(i, j)]
+    out = []
+    for i in range(ring.n + 1):
+        piece, cycles = filtered_cycles(ring, 0, i)
+        out += [piece.element_of_ints(V, S) for V, S in cycles]
+    return out
+
+
+def _term(draw, ring):
+    """A drawn element c * m * T_s: a standard monomial m, an exterior
+    monomial s and a nonzero c."""
+    mono = draw(st.sampled_from(ring.std_monomials))
+    key = draw(st.sampled_from([s for i in range(ring.n + 1)
+                                for s in itertools.combinations(range(ring.n), i)]))
+    c = ring.field.of(draw(st.integers(1, 6)))
+    p = Polynomial.from_monomial(ring.n, ring.field, ring.order, mono, c)
+    return KoszulElement.term(ring, p, key)
+
+
+@pytest.mark.parametrize("name", sorted(CYCLE_FIELDS))
+def test_is_cycle_matches_polynomial_differential(name):
+    # the int-table cycle test agrees with d through Polynomial products on
+    # cycles, on cycles plus a drawn term (mostly not cycles), on zero and
+    # K_0 elements, and on sums of two elements in different bidegrees
+    pytest.importorskip("hypothesis")
+    field, coefficients = CYCLE_FIELDS[name]
+    seen = set()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(artinian_rings(field, coefficients), stretched_specs(field), st.data())
+    def check(rings, spec, data):
+        stretched = build_stretched_ring(spec)
+        for ring in rings + (stretched,):
+            cycles = _cycles(ring) + [KoszulElement.zero(ring)]
+            if ring is stretched:
+                cycles.append(stretched_F_cycle(spec, ring))
+            draw = data.draw
+            elements = cycles + [el + _term(draw, ring) for el in cycles]
+            elements += [draw(st.sampled_from(elements)) + draw(st.sampled_from(elements))
+                         for _ in range(4)]
+            for el in elements:
+                got = el.is_cycle()
+                assert got == reference.is_cycle(el), (ring, el)
+                seen.add(("graded" if ring.graded else "ungraded", got))
+                if el.terms and el.bidegree() is None:
+                    seen.add("mixed")
+                if el.homological_degree() == 0:
+                    seen.add("K_0")
+
+    check()
+    assert seen >= {("graded", True), ("graded", False), ("ungraded", True),
+                    ("ungraded", False), "mixed", "K_0"}

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 try:
@@ -7,7 +5,8 @@ try:
 except ImportError:  # only the reference comparison needs it; it skips
     pass
 
-from koszulkit.fields import PrimeField, QQ
+from koszulkit import linalg
+from koszulkit.fields import PrimeField, QQ, rational
 from koszulkit.linalg import (EchelonSolver, Subspace, field_vector, int_vector,
                               kernel_of_columns, null_pairs, vec_add_scaled, vec_combine)
 
@@ -161,10 +160,10 @@ NCOORDS = 7
 def _entries(field):
     if field.char:
         return st.integers(1, field.char - 1).map(field.of)
-    small = st.integers(-3, 3).filter(bool).map(Fraction)
-    large = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30).filter(bool),
+    small = st.integers(-3, 3).filter(bool).map(rational)
+    large = st.builds(rational, st.integers(-10 ** 30, 10 ** 30).filter(bool),
                       st.integers(1, 10 ** 20))
-    return st.one_of(small, st.builds(Fraction, st.integers(-9, 9).filter(bool),
+    return st.one_of(small, st.builds(rational, st.integers(-9, 9).filter(bool),
                                       st.integers(1, 12)), large)
 
 
@@ -269,3 +268,65 @@ def test_int_kernel_matches_reference(name):
         assert stored == set(range(len(columns))) - {f for f, _C in want}
 
     check()
+
+
+def _eliminations():
+    """An echelon over Q with tracked combinations, built from drawn
+    vectors, and calls (V, C, D) of `_eliminate_q` on it: V / D a drawn
+    vector or an int vector known up to scale (D = 1), C None or a drawn
+    combination over D, and every part scaled by a drawn factor, so that
+    the input need not be in lowest terms.  Every input int has the type
+    of a rational's numerator (the type of each output int follows the
+    operands it met, which differ between the two eliminations)."""
+    entry = _entries(QQ)
+    vector = st.dictionaries(st.integers(0, NCOORDS - 1), entry, max_size=5)
+    one = rational(1).numerator
+
+    @st.composite
+    def build(draw):
+        solver = EchelonSolver(QQ, track=True)
+        for j, vec in enumerate(draw(st.lists(vector, max_size=8))):
+            solver.add(vec, tag=j)
+        calls = []
+        for vec in draw(st.lists(vector, min_size=1, max_size=4)):
+            V, D = int_vector(vec, 0)
+            if draw(st.booleans()):
+                D = 1  # an int vector known up to scale, as `add_ints` takes
+            k = one * draw(st.integers(1, 6))
+            C = None
+            if draw(st.booleans()):
+                C = {t: draw(st.integers(-3, 3)) * D * k
+                     for t in draw(st.lists(st.integers(0, 9), max_size=3))}
+            calls.append(({c: x * k for c, x in V.items()}, C, D * k))
+        return solver, calls
+
+    return build()
+
+
+def test_one_content_gcd_matches_a_gcd_per_row_operation():
+    # the elimination over Q with one content gcd per reduced vector gives
+    # literally what a content gcd after every row operation gave
+    pytest.importorskip("hypothesis")
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_eliminations())
+    def check(case):
+        solver, calls = case
+        rows, combos = solver._rows, solver._combos
+        for V, C, D in calls:
+            copy = None if C is None else dict(C)
+            got = linalg._eliminate_q(dict(V), copy, D, rows, combos)
+            want = ref.eliminate_q(dict(V), None if C is None else dict(C), D, rows, combos)
+            assert [_literal(got[0]), _literal(got[1]), (type(got[2]), got[2])] == \
+                [_literal(want[0]), _literal(want[1]), (type(want[2]), want[2])]
+            if not set(V) & set(rows):  # nothing to eliminate: the input comes back
+                assert got[0] == V and got[1] is copy and got[2] == D
+                seen.add("nothing")
+            seen.add("tracked" if C is not None else "untracked")
+            seen.add("D = 1" if D == 1 else "D > 1")
+            if any(abs(x) > 10 ** 20 for x in V.values()):
+                seen.add("large")
+
+    check()
+    assert seen == {"nothing", "tracked", "untracked", "D = 1", "D > 1", "large"}

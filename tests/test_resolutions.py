@@ -11,7 +11,7 @@ except ImportError:  # only the reference comparison needs it; it skips
 from koszulkit import corpus, resolutions
 from koszulkit.conditions import StretchedSpec, build_stretched_ring
 from koszulkit.errors import InputError, PreconditionError
-from koszulkit.fields import PrimeField, QQ
+from koszulkit.fields import PrimeField, QQ, rational
 from koszulkit.poly import MonomialOrder
 from koszulkit.quotient import QuotientRing
 from koszulkit.resolutions import (ModulePresentation, betti_numbers_k,
@@ -242,12 +242,12 @@ def test_differentials_compose_to_zero(name, module):
 def test_tor_map_reports_pinned():
     # the identity m^2 -> m^2 over socle4 reduces to the identity matrix
     ranks = (10, 33, 167)
-    one = "Fraction(1, 1)"
+    one = repr(rational(1))
     assert tor_map_vanishes(corpus.get_ring("socle4"), 2, 2, 2) == TorMapReport(
         2, 2, 2, False, (False, False, False),
         tuple((i, g, g, one) for i, rank in enumerate(ranks) for g in range(rank)))
     ring = build_stretched_ring(StretchedSpec(3, 1, 3, a=((1, -1), (-1, 0))))
-    minus = "Fraction(-1, 1)"
+    minus = repr(rational(-1))
     assert tor_map_vanishes(ring, 3, 2, 2) == TorMapReport(
         3, 2, 2, False, (True, False, False),
         ((1, 0, 2, minus), (2, 0, 6, minus), (2, 1, 7, minus)))
