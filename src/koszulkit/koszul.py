@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache
 from math import comb
 from typing import Optional, Sequence
 
-from .errors import NotACycleError, NotArtinianError, PreconditionError
+from .errors import BudgetError, NotACycleError, NotArtinianError, PreconditionError
 from .linalg import (EchelonSolver, combine_ints, field_vector, int_vector, kernel_of_columns,
                      null_pairs, vec_add_terms)
 from .poly import Polynomial, power
@@ -495,6 +495,13 @@ def internal_degree_bounds(ring: QuotientRing) -> list[int]:
     return bounds
 
 
+# Coordinates one bidegree piece of the Koszul complex may hold, dim
+# R_(j-i) * C(n, i); a larger piece raises BudgetError before any piece
+# is built.  R = Q[x_1..x_n]/m^3 passes for n = 11 (largest piece 30492)
+# and is refused for n = 12 (72072).
+HOMOLOGY_BUDGET = 50000
+
+
 class HomologyAlgebra:
     """All bidegree components of the homology of the Koszul complex."""
 
@@ -503,6 +510,15 @@ class HomologyAlgebra:
             raise PreconditionError("the bigraded homology algebra needs a graded ring")
         self.ring = ring
         self.bounds = internal_degree_bounds(ring)
+        n = ring.n
+        # the pieces (i, j) below and the sources (i + 1, j) of their boundaries
+        size, i, j = max((len(ring.piece(j - i)) * comb(n, i), i, j)
+                         for a in range(n + 1) for j in range(a, self.bounds[a] + 1)
+                         for i in (a, a + 1) if i <= n)
+        if size > HOMOLOGY_BUDGET:
+            raise BudgetError(
+                "homology budget of %d coordinates per piece exceeded: piece (%d,%d) "
+                "of the Koszul complex needs %d" % (HOMOLOGY_BUDGET, i, j, size))
         self.pieces: dict[tuple[int, int], HomologyPiece] = {}
         self._generators = None
         # the differential out of (i + 1, j) gives the boundaries of

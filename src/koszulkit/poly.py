@@ -9,6 +9,7 @@ display form.  Coefficients live in one of the fields from
 from __future__ import annotations
 
 import itertools
+import operator
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
@@ -92,18 +93,19 @@ def monomials_of_degree(arity: int, degree: int) -> Iterator[Monomial]:
         yield Monomial(exps)
 
 
-def power(one, base, exponent: int):
+def power(one, base, exponent: int, times=operator.mul):
     """base ** exponent by repeated squaring from `one`, for any
-    associative product: about log2(exponent) products, not exponent."""
+    associative product `times`: about log2(exponent) products, not
+    exponent."""
     if exponent < 0:
         raise ValueError("negative exponent")
     result = one
     while exponent:
         if exponent & 1:
-            result = result * base
+            result = times(result, base)
         exponent >>= 1
         if exponent:
-            base = base * base
+            base = times(base, base)
     return result
 
 

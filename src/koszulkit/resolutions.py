@@ -46,6 +46,13 @@ that every pair is literally the chained one.  Field vectors are built
 only where they are read: `ResolutionData.maps`,
 `ResolutionData.differential` and the solves of a chain-map lift.
 
+The pairs of the last step are built only where they are read, too.
+The Betti numbers need only the count of its new generators, the free
+columns that are not pivots, and no later sweep shifts its images; so
+its sweep keeps each piece's kernel and pivots, and
+`ResolutionData.int_maps` builds that step's pairs on first read, by
+the same code that builds the other steps' pairs at once.
+
 Every sweep needs a certified stopping degree.  Over an artinian ring
 components vanish above maxgen + top degree.  Over the polynomial ring
 the regularity of a finite-length module (its top degree) or the Taylor
@@ -58,7 +65,7 @@ homological degree.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
 from math import lcm
@@ -485,6 +492,12 @@ class ResolutionData:
     cokernel the resolved module has chain[0] as its zeroth step; for a
     submodule the chain is shifted by one and maps[0] is the evaluation
     into the ambient module.
+
+    The sweep of the last step only counts its generators, which is all
+    that `betti_numbers`, `bigraded_betti` and `exactness_log` read; the
+    pairs of that step are built on the first read of `int_maps` (and so
+    of `maps`, `differential` and a chain-map lift), and every later read
+    returns the same list.
     """
 
     def __init__(self, ring: QuotientRing, pres: ModulePresentation, limit: int):
@@ -492,8 +505,17 @@ class ResolutionData:
         self.presentation = pres
         self.limit = limit
         self.chain: list[FreeModule] = []
-        self.int_maps: list[list[tuple]] = []
+        # one list of int pairs per step; the last may still be the
+        # function that builds it (see `_sweep`)
+        self._int_maps: list = []
         self.exactness_log: list[tuple] = []
+
+    @property
+    def int_maps(self) -> list[list[tuple]]:
+        steps = self._int_maps
+        if steps and callable(steps[-1]):
+            steps[-1] = steps[-1]()
+        return steps
 
     @cached_property
     def maps(self) -> list[list[dict]]:
@@ -591,7 +613,7 @@ def _closure(module: FreeModule, vectors) -> list[dict]:
     return span.int_rows()
 
 
-def _sweep(src: FreeModule, jmin: int, jmax: int, images):
+def _sweep(src: FreeModule, jmin: int, jmax: int, images, last: bool = False):
     """Every step after the first: the minimal generators of the kernel
     of the map whose piece-j basis images are images(j).
 
@@ -601,40 +623,64 @@ def _sweep(src: FreeModule, jmin: int, jmax: int, images):
     restrict x_l times a basis of the previous piece's kernel to them: an
     echelon of their span that pivots on the largest free column has f
     among the pivots that `_saturated_pivots` returns iff f is not a new
-    generator.
-    Returns (piece, int pair) pairs plus the per-piece log; the pair of
-    kernel vector f is (C, C[f]), with f moved last as in `null_pairs`,
-    and ({f: 1}, 1) for a zero column f.
+    generator.  Every pivot is a free column, so piece j has
+    len(zeros) + len(kernel) - len(pivots) new generators.
+    Returns the generator degrees, the per-piece log and the generators'
+    int pairs (`_new_pairs`); for the `last` step of a resolution, which
+    no later sweep reads, a function that builds those pairs from the
+    kept (zeros, kernel, pivots) of each piece when called.
     """
     ring = src.ring
     field = ring.field
-    gens = []
+    degrees = []
     log = []
+    pieces = []
     below = kernel_of_columns(images(ring.piece_of(jmin - 1)), field)
     for j in range(jmin, jmax + 1):
         # an ungraded ring's single piece feeds itself
         zeros, kernel, stored = kernel_of_columns(images(j), field) if ring.graded else below
         pivots = _saturated_pivots(src, ring.piece_of(j - 1), below[0],
                                    [C for _f, C in below[1]], stored)
-        # each list is ascending in f, so the sort merges two runs
-        new = sorted([(f, None) for f in zeros if f not in pivots] +
-                     [(f, C) for f, C in kernel if f not in pivots], key=itemgetter(0))
-        log.append((j, len(pivots), len(new), len(zeros) + len(kernel)))
+        count = len(zeros) + len(kernel) - len(pivots)
+        log.append((j, len(pivots), count, len(zeros) + len(kernel)))
+        degrees += [j] * count
+        _check_minimal(src.constant_slots(j), zeros, kernel, pivots)
         # free all but the next feed before storing
         below = (zeros, kernel, stored) if j < jmax else ()
+        pieces.append((zeros, kernel, pivots) if last else _new_pairs(zeros, kernel, pivots))
         del zeros, kernel, stored
-        constants = src.constant_slots(j)
-        for f, C in new:
-            if C is None:  # the unit vector e_f of a zero column
-                if f in constants:
-                    raise AssertionError("resolution lost minimality")
-                gens.append((j, ({f: 1}, 1)))
-                continue
-            if any(k in constants for k in C):
-                raise AssertionError("resolution lost minimality")
-            C[f] = C.pop(f)
-            gens.append((j, (C, C[f])))
-    return gens, log
+    if last:
+        return degrees, log, lambda: [v for found in pieces for v in _new_pairs(*found)]
+    return degrees, log, [v for pairs in pieces for v in pairs]
+
+
+def _check_minimal(constants: dict, zeros: list, kernel: list, pivots: set) -> None:
+    """A new generator of a minimal resolution has no entry at a constant
+    slot (`FreeModule.constant_slots`): neither a zero column's unit
+    vector nor a kernel vector may hold one."""
+    for f in constants:
+        if f not in pivots and (i := bisect_left(zeros, f)) < len(zeros) and zeros[i] == f:
+            raise AssertionError("resolution lost minimality")
+    for f, C in kernel:
+        if f not in pivots and any(k in constants for k in C):
+            raise AssertionError("resolution lost minimality")
+
+
+def _new_pairs(zeros: list, kernel: list, pivots: set) -> list[tuple]:
+    """The int pairs of one piece's new generators, ascending in their
+    free column f: ({f: 1}, 1) for a zero column f, and (C, C[f]) with f
+    moved last, as in `null_pairs`, for kernel vector f."""
+    # each list is ascending in f, so the sort merges two runs
+    new = sorted([(f, None) for f in zeros if f not in pivots] +
+                 [(f, C) for f, C in kernel if f not in pivots], key=itemgetter(0))
+    pairs = []
+    for f, C in new:
+        if C is None:  # the unit vector e_f of a zero column
+            pairs.append(({f: 1}, 1))
+            continue
+        C[f] = C.pop(f)
+        pairs.append((C, C[f]))
+    return pairs
 
 
 def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
@@ -676,7 +722,7 @@ def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
             if seed and log[-1][3] != len(seed):
                 raise AssertionError("given columns fail to generate their span")
         data.chain.append(FreeModule(ring, [d for d, _v in gens]))
-        data.int_maps.append([v for _d, v in gens])
+        data._int_maps.append([v for _d, v in gens])
         data.exactness_log.append((tor_of(1), log))
 
     while len(data.chain) - 1 < positions:
@@ -684,7 +730,7 @@ def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
         pos = len(data.chain)
         if src.rank == 0:
             data.chain.append(FreeModule(ring, []))
-            data.int_maps.append([])
+            data._int_maps.append([])
             continue
         jmin = min(src.degrees)
         jmax = window(tor_of(pos), max(src.degrees))
@@ -693,11 +739,11 @@ def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
             raise BudgetError(
                 "resolution budget of %d source coordinates per step exceeded: "
                 "step %d needs %d" % (RESOLUTION_BUDGET, tor_of(pos), source_dim))
-        images = partial(_basis_images, src, data.chain[-2], data.int_maps[-1], memo={})
-        gens, log = _sweep(src, jmin, jmax, images)
+        images = partial(_basis_images, src, data.chain[-2], data._int_maps[-1], memo={})
+        degrees, log, pairs = _sweep(src, jmin, jmax, images, last=pos == positions)
         data.exactness_log.append((tor_of(pos), log))
-        data.chain.append(FreeModule(ring, [d for d, _v in gens]))
-        data.int_maps.append([v for _d, v in gens])
+        data.chain.append(FreeModule(ring, degrees))
+        data._int_maps.append(pairs)
     return data
 
 

@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 
 from .errors import InputError, ParseError
 from .fields import PrimeField, QQ, RationalField
-from .poly import Monomial, MonomialOrder, Polynomial
+from .linalg import vec_add_terms
+from .poly import Monomial, MonomialOrder, Polynomial, power
 from .quotient import QuotientRing
 
 _TOKEN_RE = re.compile(r"(?P<nat>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
@@ -157,19 +158,44 @@ def _unknown_variable(node, line_no):
 def parse_polynomial(text: str, var_names: Sequence[str], field=QQ,
                      order: MonomialOrder = MonomialOrder.GREVLEX,
                      line_no: int = 1) -> Polynomial:
+    """Evaluate the expression to a term dict {exponent tuple:
+    coefficient}, zero coefficients dropped, and sort it once into a
+    Polynomial: the terms and coefficients that Polynomial arithmetic on
+    the leaves would give, since field arithmetic is exact."""
     node = _ExprParser(text, line_no).parse()
     name_index = {name: i for i, name in enumerate(var_names)}
     arity = len(var_names)
+    one = {(0,) * arity: field.one}
 
-    def leaf(nd) -> Polynomial:
-        if nd[0] == "num":
-            return Polynomial.constant(arity, field, order, nd[1])
-        idx = name_index.get(nd[1])
-        if idx is None:
-            raise _unknown_variable(nd, line_no)
-        return Polynomial.variable(arity, field, order, idx)
+    def times(a: dict, b: dict) -> dict:
+        return vec_add_terms({}, ((tuple(map(operator.add, ea, eb)), ca * cb)
+                                  for ea, ca in a.items() for eb, cb in b.items()))
 
-    return _evaluate(node, leaf)
+    def value(nd) -> dict:
+        kind = nd[0]
+        if kind == "num":
+            c = field.of(nd[1])
+            return {(0,) * arity: c} if c else {}
+        if kind == "var":
+            idx = name_index.get(nd[1])
+            if idx is None:
+                raise _unknown_variable(nd, line_no)
+            e = [0] * arity
+            e[idx] = 1
+            return {tuple(e): field.one}
+        if kind == "neg":
+            return {e: -c for e, c in value(nd[1]).items()}
+        if kind == "pow":
+            return power(one, value(nd[1]), nd[2], times)
+        a, b = value(nd[1]), value(nd[2])
+        if kind == "mul":
+            return times(a, b)
+        return vec_add_terms(dict(a), b.items() if kind == "add"
+                             else ((e, -c) for e, c in b.items()))
+
+    terms = sorted(((Monomial(e), c) for e, c in value(node).items()),
+                   key=lambda t: order.key(t[0]), reverse=True)
+    return Polynomial(arity, field, order, terms, _sorted=True)
 
 
 def parse_koszul_element(text: str, ring: QuotientRing, line_no: int = 1):

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import platform
@@ -302,6 +303,25 @@ def test_dimension_budget_stops_before_enumerating(monkeypatch, command):
     assert proc.returncode == 4 and proc.stdout == ""
     assert proc.stderr == ("error: dimension budget of 100000 standard monomials exceeded: "
                            "the ring has 400000\n")
+
+
+def _cube_of_maximal_ideal(n: int) -> str:
+    names = ["x%d" % k for k in range(1, n + 1)]
+    cubes = ("*".join(c) for c in itertools.combinations_with_replacement(names, 3))
+    return "field Q\nvars %s\nideal:\n%s\n" % (",".join(names), "\n".join(cubes))
+
+
+def test_homology_budget_stops_before_any_piece(monkeypatch):
+    # R = Q[x1..x12]/m^3 has a Koszul piece (6,8) of dim R_2 * C(12,6) =
+    # 78 * 924 coordinates; without the budget the run takes about 20 s
+    # and prints 274447 lines, with it no piece is built
+    _child_imports_this_koszulkit(monkeypatch)
+    proc = subprocess.run([sys.executable, "-m", "koszulkit", "homology", "-"],
+                          input=_cube_of_maximal_ideal(12), capture_output=True, text=True,
+                          timeout=5)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr == ("error: homology budget of 50000 coordinates per piece exceeded: "
+                           "piece (6,8) of the Koszul complex needs 72072\n")
 
 
 @pytest.mark.parametrize("cycle", ["T1^10000000", "a^100000000*T1"])

@@ -3,21 +3,22 @@ import random
 import pytest
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import assume, event, given, settings, strategies as st
 except ImportError:  # only the oracle over random rings needs it; it skips
     pass
 
 from koszulkit import corpus
-from koszulkit.conditions import lofwall_golod_test
+from koszulkit.conditions import build_stretched_ring, lofwall_golod_test
 from koszulkit.koszul import homology_h_polynomial
-from koszulkit.poly import MonomialOrder
-from koszulkit.resolutions import betti_numbers_k
+from koszulkit.poly import MonomialOrder, Polynomial
+from koszulkit.resolutions import ModulePresentation, betti_numbers_k, minimal_resolution
 from koszulkit.series import (RationalFunctionZ, expand, golod_formula_series,
                               golod_quotient_series, rf_equal, stretched_series)
 
 from support import (GRADED_CORPUS, RANDOM_RING_FIELDS, SEED, artinian_rings,
                      assert_dg_identities, assert_euler_identity,
-                     assert_gb_permutation_invariant, homology_dims_in_order)
+                     assert_gb_permutation_invariant, homology_dims_in_order,
+                     stretched_specs)
 
 
 def seeded(tag):
@@ -122,3 +123,46 @@ def _betti_and_serre_bound(ring, twin):
     assert homology_h_polynomial(twin) == h
     betti = betti_numbers_k(ring, 5).betti_numbers()
     return betti, expand(golod_quotient_series(ring.n, h), 5)
+
+
+def _recursion_start(betti: list, den: tuple) -> int:
+    """The least index s from which sum_k den[k] b_(i-k) = 0 for every
+    i = s..len(betti) - 1, with s >= deg den."""
+    s = len(betti)
+    while s > len(den) - 1 and not sum(c * betti[s - 1 - k] for k, c in enumerate(den)):
+        s -= 1
+    return s
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
+def test_cyclic_modules_share_the_stretched_denominator(name):
+    # the paper's theorem on random input: over a stretched ring every
+    # finitely generated module M has P_M(z) with the denominator of
+    # P_k(z) (`series.stretched_series`), so the Betti numbers of R/(f),
+    # f in m, satisfy its recursion from some index on, recorded as an
+    # event; the recursion must have started by limit - 2.  These are
+    # ungraded resolutions, so their last step is counted, not built
+    pytest.importorskip("hypothesis")
+    field, coefficients = RANDOM_RING_FIELDS[name]
+    limit = 6
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(stretched_specs(field), st.data())
+    def check(spec, data):
+        ring = build_stretched_ring(spec)
+        basis = ring.piece(0)[1:]  # the standard monomials in m
+        chosen = data.draw(st.lists(st.sampled_from(basis), min_size=1, max_size=3,
+                                    unique=True))
+        f = Polynomial(ring.n, field, ring.order,
+                       [(m, field.of(data.draw(st.sampled_from(coefficients))))
+                        for m in chosen])
+        f = ring.normal_form(f)
+        assume(f.terms)
+        pres = ModulePresentation.cyclic_quotient(ring, [f])
+        betti = minimal_resolution(ring, pres, limit).betti_numbers()
+        den = stretched_series(spec.v, spec.r).den
+        start = _recursion_start(betti, den)
+        event("recursion from b_%d" % start)
+        assert start <= limit - 2, (spec, f, betti)
+
+    check()

@@ -431,24 +431,59 @@ def _literal_ints(int_maps):
             for step in int_maps]
 
 
-def _assert_sweep_matches_reference(ring, modules, limit, monkeypatch):
-    # int_maps (values, entry order and types), the exactness log and the
-    # Betti numbers equal those of the full echelon saturation
+def _eager_sweep(src, jmin, jmax, images, last=False):
+    # the reference under the engine's call: every step's pairs, the last
+    # step's too, come built as a list
+    gens, log = reference_sweep(src, jmin, jmax, images)
+    return [d for d, _v in gens], log, [v for _d, v in gens]
+
+
+def _literal_columns(columns):
+    return [[(g, [(m.exponents, type(c), c) for m, c in p.terms]) for g, p in col.items()]
+            for col in columns]
+
+
+def _assert_sweep_matches_reference(ring, modules, limit, monkeypatch, tor=()):
+    # against the eager full echelon saturation: the Betti numbers, the
+    # bigraded ones and the exactness log, read while the last step is
+    # only counted; then int_maps read after the fact (values, entry
+    # order and types), maps and the last differential, where a second
+    # read returns the same lists; and the Tor reports of `tor`
     for pres in modules:
         data = minimal_resolution(ring, pres, limit)
         with monkeypatch.context() as patched:
-            patched.setattr(resolutions, "_sweep", reference_sweep)
+            patched.setattr(resolutions, "_sweep", _eager_sweep)
             patched.setattr(resolutions, "_basis_images", int_basis_images)
             ref = minimal_resolution(ring, pres, limit)
-        assert _literal_ints(data.int_maps) == _literal_ints(ref.int_maps)
-        assert data.exactness_log == ref.exactness_log
         assert data.betti_numbers() == ref.betti_numbers()
+        assert data.exactness_log == ref.exactness_log
+        if ring.graded:
+            assert data.bigraded_betti() == ref.bigraded_betti()
+        # a last step that ran a sweep is still counted, not built
+        assert callable(data._int_maps[-1]) == (data.chain[-2].rank > 0)
+        int_maps = data.int_maps
+        last = int_maps[-1]
+        assert _literal_ints(int_maps) == _literal_ints(ref.int_maps)
+        assert data.int_maps is int_maps and data.int_maps[-1] is last
+        assert _literal(data.maps) == _literal(ref.maps)
+        assert _literal_columns(data.differential(limit)) == \
+            _literal_columns(ref.differential(limit))
+    for s, b, tor_limit in tor:
+        report = tor_map_vanishes(ring, s, b, tor_limit)
+        with monkeypatch.context() as patched:
+            patched.setattr(resolutions, "_sweep", _eager_sweep)
+            assert report == tor_map_vanishes(ring, s, b, tor_limit)
 
 
-@pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
+# the fields of the sweep comparisons: GF(2) adds the field whose signs
+# and characteristic-two cancellations differ most from Q's
+SWEEP_FIELDS = dict(RANDOM_RING_FIELDS, GF2=(PrimeField(2), [0, 0, 1]))
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_FIELDS))
 def test_sweep_matches_reference_on_stretched_rings(name, monkeypatch):
     pytest.importorskip("hypothesis")
-    field = RANDOM_RING_FIELDS[name][0]
+    field = SWEEP_FIELDS[name][0]
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(stretched_specs(field))
@@ -457,19 +492,19 @@ def test_sweep_matches_reference_on_stretched_rings(name, monkeypatch):
         modules = (ModulePresentation.residue_field(ring),
                    ModulePresentation.power_module(ring, 2),
                    ModulePresentation.cyclic_quotient(ring, [ring.variable(0)]))
-        _assert_sweep_matches_reference(ring, modules, 4, monkeypatch)
+        _assert_sweep_matches_reference(ring, modules, 4, monkeypatch, tor=((2, 1, 2),))
 
     check()
 
 
-@pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
+@pytest.mark.parametrize("name", sorted(SWEEP_FIELDS))
 def test_sweep_matches_reference_on_ungraded_twins(name, monkeypatch):
     # unlike the stretched rings, the twins have products that are not
     # unit vectors and are not spanned by the unit ones, so the dense
     # pass of the saturation and the shifted images of dense generators
     # both count
     pytest.importorskip("hypothesis")
-    field, coefficients = RANDOM_RING_FIELDS[name]
+    field, coefficients = SWEEP_FIELDS[name]
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(artinian_rings(field, coefficients))
@@ -478,7 +513,26 @@ def test_sweep_matches_reference_on_ungraded_twins(name, monkeypatch):
         modules = (ModulePresentation.residue_field(twin),
                    ModulePresentation.power_module(twin, 2),
                    ModulePresentation.cyclic_quotient(twin, [twin.variable(0)]))
-        _assert_sweep_matches_reference(twin, modules, 4, monkeypatch)
+        _assert_sweep_matches_reference(twin, modules, 4, monkeypatch, tor=((2, 1, 2),))
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_FIELDS))
+def test_sweep_matches_reference_on_graded_artinian_rings(name, monkeypatch):
+    # the graded rings of `support.artinian_rings`, whose last step is
+    # counted over a window of pieces
+    pytest.importorskip("hypothesis")
+    field, coefficients = SWEEP_FIELDS[name]
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(artinian_rings(field, coefficients))
+    def check(rings):
+        ring = rings[0]
+        modules = (ModulePresentation.residue_field(ring),
+                   ModulePresentation.power_module(ring, 2),
+                   ModulePresentation.cyclic_quotient(ring, [ring.variable(0) ** 2]))
+        _assert_sweep_matches_reference(ring, modules, 4, monkeypatch, tor=((2, 1, 2),))
 
     check()
 
@@ -497,5 +551,6 @@ def test_sweep_matches_reference_on_corpus(name, monkeypatch):
     for r in rings:
         modules = [ModulePresentation.residue_field(r)]
         if r.is_artinian:
-            modules.append(ModulePresentation.power_module(r, 2))
+            modules += [ModulePresentation.power_module(r, 2),
+                        ModulePresentation.cyclic_quotient(r, [r.variable(0)])]
         _assert_sweep_matches_reference(r, modules, 3, monkeypatch)

@@ -2,11 +2,18 @@ import pytest
 
 from koszulkit import corpus
 from koszulkit.errors import InputError, ParseError
-from koszulkit.fields import QQ
+from koszulkit.fields import PrimeField, QQ
 from koszulkit.poly import MonomialOrder
 from koszulkit.ringdef import (format_koszul_element, format_polynomial,
                                format_ring_definition, parse_koszul_element,
                                parse_polynomial, parse_ring_definition)
+
+import reference_ringdef
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # only the reference comparison needs it; it skips
+    pass
 
 
 def test_case66_definition_shape():
@@ -99,3 +106,63 @@ def test_koszul_element_round_trip():
                  "(b*c + d^2)*T2*T3*T4 - b^2*T1*T2*T4", "-c^4*T1*T3*T4"):
         el = parse_koszul_element(text, R)
         assert parse_koszul_element(format_koszul_element(el), R) == el
+
+
+PARSE_FIELDS = {"Q": QQ, "GF32003": PrimeField(32003), "GF2": PrimeField(2)}
+PARSE_NAMES = ("x", "y", "z")
+
+
+def _expressions():
+    """Hypothesis strategy: expression texts over x, y, z, valid or not:
+    sums, differences and products, powers of names and of parenthesized
+    groups, unary minus where the grammar allows it and where it does
+    not, large literals, an unknown name, and stray characters."""
+    leaf = st.one_of(st.integers(0, 7).map(str),
+                     st.sampled_from(["32003", "32005", "100000000000000000003"]),
+                     st.sampled_from(PARSE_NAMES + ("w",)))
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from([" + ", "-", " - ", "*"]), inner).map("".join),
+            st.tuples(inner, st.integers(0, 3)).map(lambda t: "%s^%d" % t),
+            st.tuples(inner, st.integers(0, 3)).map(lambda t: "(%s)^%d" % t),
+            inner.map("(%s)".format),
+            inner.map("-{}".format))
+
+    @st.composite
+    def build(draw):
+        text = draw(st.recursive(leaf, extend, max_leaves=7))
+        if draw(st.integers(0, 5)) == 0:
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(list("+*^()$ "))) + text[at:]
+        return text
+
+    return build()
+
+
+def _parsed(parse, text, field, order):
+    try:
+        p = parse(text, PARSE_NAMES, field, order, line_no=3)
+    except ParseError as err:
+        return ("ParseError", str(err), err.line, err.column)
+    return (p.arity, p.field, p.order, [(m.exponents, type(c), c) for m, c in p.terms])
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_FIELDS))
+def test_term_dict_parse_matches_the_polynomial_evaluator(name):
+    # terms, their order and coefficient types, or the ParseError with
+    # its line and column, as the evaluator on Polynomial leaves gives
+    pytest.importorskip("hypothesis")
+    field = PARSE_FIELDS[name]
+    seen = set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_expressions(), st.sampled_from([MonomialOrder.GREVLEX, MonomialOrder.LEX]))
+    def check(text, order):
+        got = _parsed(parse_polynomial, text, field, order)
+        assert got == _parsed(reference_ringdef.parse_polynomial, text, field, order), text
+        seen.update(k for k in ("^", "-", "(") if k in text)
+        seen.add("error" if got[0] == "ParseError" else "zero" if not got[3] else "poly")
+
+    check()
+    assert seen == {"^", "-", "(", "error", "zero", "poly"}
