@@ -666,6 +666,8 @@ def filtered_component(ring: QuotientRing, t: int, i: int) -> tuple[Piece, list[
     key = ("F", t, i)
     cache = ring._koszul_filtration
     if key not in cache:
+        if not cache:
+            _require_filtration_budget(ring)
         piece = full_piece(ring, i)
         width = len(piece.exts)
         rows = ring.power_ideal_subspace(t).basis_pairs() if width else []
@@ -673,6 +675,18 @@ def filtered_component(ring: QuotientRing, t: int, i: int) -> tuple[Piece, list[
                  for b in range(width) for V, S in rows]
         cache[key] = (piece, basis)
     return cache[key]
+
+
+def _require_filtration_budget(ring: QuotientRing) -> None:
+    """Raise BudgetError when a whole component K_i, of dim R * C(n, i)
+    coordinates, is over HOMOLOGY_BUDGET.  Every caller of the filtration
+    walks K_0..K_n, so the largest is counted before the first is built."""
+    dim = len(ring.piece(ring.whole_piece))
+    size, i = max((dim * comb(ring.n, i), i) for i in range(ring.n + 1))
+    if size > HOMOLOGY_BUDGET:
+        raise BudgetError(
+            "homology budget of %d coordinates per piece exceeded: component K_%d "
+            "of the m-adic filtration needs %d" % (HOMOLOGY_BUDGET, i, size))
 
 
 def filtered_boundaries(ring: QuotientRing, t: int, i: int) -> EchelonSolver:

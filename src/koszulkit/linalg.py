@@ -355,9 +355,14 @@ class EchelonSolver:
 
     def solve(self, target: dict):
         """Express target in the inserted vectors: {tag: coeff} or None."""
+        return self.solve_ints(*int_vector(target, self._p))
+
+    def solve_ints(self, V: dict, D: int):
+        """`solve` for the target V / D given as ints (residues with D = 1
+        over GF(p)); consumes V.  The coefficients come as field values."""
         if not self.track:
             raise ValueError("solver was built without tracking")
-        V, C, D = self.reduce(target, {})
+        V, C, D = self._reduce_ints(V, D, {})
         if V:
             return None
         return field_vector(self._p, C, D, -1)
@@ -429,7 +434,8 @@ def field_vector(p: int, vec: dict, D: int, sign: int = 1) -> dict:
     return {c: rational(sign * x, D) for c, x in vec.items()}
 
 
-def kernel_of_columns(columns: Iterable[tuple[dict, int]], field) -> tuple[list, list, set]:
+def kernel_of_columns(columns: Iterable[tuple[dict, int]], field,
+                      solver: Optional[EchelonSolver] = None) -> tuple[list, list, set]:
     """Null space of the linear map whose j-th column is V_j / S_j, for
     the int pairs (V_j, S_j) of columns (S_j = 1 over GF(p)), as
     (zeros, kernel, stored).
@@ -443,8 +449,13 @@ def kernel_of_columns(columns: Iterable[tuple[dict, int]], field) -> tuple[list,
     null vector of free column f, with coefficient one at f and zero at
     every other free column.  Column j's combination starts at S_j, as it
     would for V_j / S_j, so no C depends on the scale of a column.
+
+    With `solver`, an empty tracked solver over the same field, the
+    columns go into it, each tagged by its position, and it keeps their
+    echelon for later solves.
     """
-    solver = EchelonSolver(field, track=True)
+    if solver is None:
+        solver = EchelonSolver(field, track=True)
     rows = solver._rows
     p = field.char
     zeros, kernel, stored = [], [], set()

@@ -30,6 +30,18 @@ coordinates, are echeloned (`_saturated_pivots`).  The products of a
 unit e_f are read off the action row of f, grouped by variable, and a
 new generator of a zero column gets its pair ({f: 1}, 1) only then.
 
+Over a graded ring the columns of piece j come generator by generator,
+in ascending degree, so the generators of degree j own its last
+columns, whose images are the generators themselves.  Those are minimal
+generators of the kernel the previous sweep resolved: independent
+modulo the span of the other columns, which is m times that kernel in
+degree j.  So they add no null vector, only echelon rows that no later
+column of the piece reads, and `kernel_of_columns` runs on the other
+columns alone (`_piece_kernel`; Schreyer's observation that the
+syzygies fall out of the reductions, Eisenbud, Commutative Algebra,
+Thm 15.10).  The single piece of an ungraded ring interleaves each
+generator's column with its multiples and is eliminated whole.
+
 A differential is kept as the image of each generator: a vector V / S of
 the target, as an int vector V over its own denominator S (the kernel
 pair C over C[f] for a kernel vector; S = 1 over GF(p)).  The image of
@@ -44,7 +56,8 @@ of g': column m' of the ring's one product table
 (`QuotientRing.product_pairs`), built by the same chain of shifts, so
 that every pair is literally the chained one.  Field vectors are built
 only where they are read: `ResolutionData.maps`,
-`ResolutionData.differential` and the solves of a chain-map lift.
+`ResolutionData.differential` and the solutions of a chain-map lift,
+whose systems and targets stay int pairs.
 
 The pairs of the last step are built only where they are read, too.
 The Betti numbers need only the count of its new generators, the free
@@ -73,8 +86,8 @@ from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .errors import BudgetError, InputError, NotArtinianError, PreconditionError
-from .linalg import (EchelonSolver, field_vector, int_vector, kernel_of_columns,
-                     vec_add_terms, vec_combine)
+from .linalg import (EchelonSolver, combine_ints, field_vector, int_vector,
+                     kernel_of_columns, vec_add_terms)
 from .poly import Polynomial
 from .quotient import ZERO, QuotientRing, nonzero_ints, shift_ints
 from .tables import BettiTable
@@ -624,21 +637,22 @@ def _sweep(src: FreeModule, jmin: int, jmax: int, images, last: bool = False):
     echelon of their span that pivots on the largest free column has f
     among the pivots that `_saturated_pivots` returns iff f is not a new
     generator.  Every pivot is a free column, so piece j has
-    len(zeros) + len(kernel) - len(pivots) new generators.
+    len(zeros) + len(kernel) - len(pivots) new generators.  Over a graded
+    ring the kernel of piece j skips the elimination of its last columns,
+    those of src's own generators of degree j (`_piece_kernel`).
     Returns the generator degrees, the per-piece log and the generators'
     int pairs (`_new_pairs`); for the `last` step of a resolution, which
     no later sweep reads, a function that builds those pairs from the
     kept (zeros, kernel, pivots) of each piece when called.
     """
     ring = src.ring
-    field = ring.field
     degrees = []
     log = []
     pieces = []
-    below = kernel_of_columns(images(ring.piece_of(jmin - 1)), field)
+    below = _piece_kernel(src, images, ring.piece_of(jmin - 1))
     for j in range(jmin, jmax + 1):
         # an ungraded ring's single piece feeds itself
-        zeros, kernel, stored = kernel_of_columns(images(j), field) if ring.graded else below
+        zeros, kernel, stored = _piece_kernel(src, images, j) if ring.graded else below
         pivots = _saturated_pivots(src, ring.piece_of(j - 1), below[0],
                                    [C for _f, C in below[1]], stored)
         count = len(zeros) + len(kernel) - len(pivots)
@@ -652,6 +666,21 @@ def _sweep(src: FreeModule, jmin: int, jmax: int, images, last: bool = False):
     if last:
         return degrees, log, lambda: [v for found in pieces for v in _new_pairs(*found)]
     return degrees, log, [v for pairs in pieces for v in pairs]
+
+
+def _piece_kernel(src: FreeModule, images, j: int) -> tuple:
+    """`kernel_of_columns` of images(j).  Over a graded ring the last
+    columns of piece j, those of src's generators of degree j, add no
+    null vector (see the module docstring): they go into `stored`
+    without elimination, and the result is literally that of the whole
+    piece."""
+    columns = images(j)
+    if not src.ring.graded:
+        return kernel_of_columns(columns, src.ring.field)
+    first = len(columns) - len(src.constant_slots(j))
+    zeros, kernel, stored = kernel_of_columns(columns[:first], src.ring.field)
+    stored.update(range(first, len(columns)))
+    return zeros, kernel, stored
 
 
 def _check_minimal(constants: dict, zeros: list, kernel: list, pivots: set) -> None:
@@ -847,8 +876,8 @@ def tor_map_vanishes(ring: QuotientRing, s: int, b: int, limit: int) -> TorMapRe
 def _lift(ring, res_s, res_b, limit):
     """Chain map between the two resolutions over the inclusion, as the
     field vectors lifts[p - 1][g] of res_b.chain[p], one per generator g
-    of res_s.chain[p], p >= 1.  Basis images are shifted as int pairs and
-    turn into field vectors only for the solves."""
+    of res_s.chain[p], p >= 1.  Basis images, targets and the systems
+    solved stay int pairs; only the solutions turn into field vectors."""
     p = ring.field.char
     # position 0 is the shared ambient copy of R; the lift starts as
     # the identity and is pushed up the two chains one step at a time
@@ -862,18 +891,17 @@ def _lift(ring, res_s, res_b, limit):
                          res_b.int_maps[q - 1], memo={})
         systems: dict = {}
         cur = []
-        for d, v in zip(res_s.chain[q].degrees, res_s.maps[q - 1]):
-            basis = composed(d)
-            tvec = vec_combine(v, {k: field_vector(p, *basis[k]) for k in v})
-            if not tvec:
+        for d, v in zip(res_s.chain[q].degrees, res_s.int_maps[q - 1]):
+            T, D = combine_ints(v, composed(d), p)
+            if not T:
                 cur.append({})
                 continue
             system = systems.get(d)
             if system is None:
+                # the columns of the images, tagged by position
                 system = systems[d] = EchelonSolver(ring.field, track=True)
-                for j, (V, S) in enumerate(images(d)):
-                    system.add(field_vector(p, V, S), tag=j)
-            sol = system.solve(tvec)
+                kernel_of_columns(images(d), ring.field, system)
+            sol = system.solve_ints(T, D)
             if sol is None:
                 raise AssertionError("chain map lift failed; resolution not exact")
             cur.append(sol)

@@ -324,6 +324,21 @@ def test_homology_budget_stops_before_any_piece(monkeypatch):
                            "piece (6,8) of the Koszul complex needs 72072\n")
 
 
+
+def test_filtration_budget_stops_before_any_piece(monkeypatch):
+    # x1*x2 - x3^3 makes R = Q[x1..x12]/(m^3, x1*x2 - x3^3) ungraded, so
+    # P(1,1) runs on the m-adic filtration of whole components K_i; K_6
+    # has dim R * C(12,6) = 90 * 924 coordinates.  Without the budget the
+    # run took about 11 s and exited 1; with it no filtered piece is built
+    _child_imports_this_koszulkit(monkeypatch)
+    ring = _cube_of_maximal_ideal(12) + "x1*x2 - x3^3\n"
+    proc = subprocess.run([sys.executable, "-m", "koszulkit", "check", "p-cond", "-", "--local",
+                           "--t", "1", "--r", "1", "--cycle", "x1*x2*T1"],
+                          input=ring, capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr == ("error: homology budget of 50000 coordinates per piece exceeded: "
+                           "component K_6 of the m-adic filtration needs 83160\n")
+
 @pytest.mark.parametrize("cycle", ["T1^10000000", "a^100000000*T1"])
 def test_huge_koszul_powers_are_squared(monkeypatch, cycle):
     # powers take about log2(exponent) products, and T1^2 = 0 and a^k = 0

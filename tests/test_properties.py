@@ -8,6 +8,8 @@ except ImportError:  # only the oracle over random rings needs it; it skips
     pass
 
 from koszulkit import corpus
+from koszulkit.fields import PrimeField
+from koszulkit.ringdef import parse_ring_definition
 from koszulkit.conditions import build_stretched_ring, lofwall_golod_test
 from koszulkit.koszul import homology_h_polynomial
 from koszulkit.poly import MonomialOrder, Polynomial
@@ -166,3 +168,54 @@ def test_cyclic_modules_share_the_stretched_denominator(name):
         assert start <= limit - 2, (spec, f, betti)
 
     check()
+
+
+# the fields of the resolution oracles: GF(2) adds the field whose signs
+# and characteristic-two cancellations differ most from Q's
+ORACLE_FIELDS = dict(RANDOM_RING_FIELDS, GF2=(PrimeField(2), [0, 0, 1]))
+
+
+def _hilbert_betti_product(ring, data, limit: int) -> list:
+    """H_R(w) * sum_(i,j) (-1)^i beta_ij w^j up to w^limit, for the
+    bigraded Betti numbers of a resolution of k to step `limit`: every
+    beta_ij with j <= limit has i <= j, so the sum is complete there."""
+    signed = [0] * (limit + 1)
+    for (i, j), count in data.bigraded_betti().items():
+        if j <= limit:
+            signed[j] += (-1) ** i * count
+    hilbert = [len(ring.std_basis(d)) for d in range(limit + 1)]
+    return [sum(hilbert[d] * signed[e - d] for d in range(e + 1)) for e in range(limit + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_hilbert_betti_identity_on_random_rings(name):
+    # the minimal resolution F of k is exact, so sum_i (-1)^i H_(F_i)(w) =
+    # H_k(w) = 1, and H_(F_i)(w) = H_R(w) * sum_j beta_ij w^j; a generator
+    # the sweep drops or adds in any bidegree breaks the identity
+    pytest.importorskip("hypothesis")
+    field, coefficients = ORACLE_FIELDS[name]
+    limit = 5
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(artinian_rings(field, coefficients))
+    def check(rings):
+        ring = rings[0]
+        data = betti_numbers_k(ring, limit)
+        assert _hilbert_betti_product(ring, data, limit) == [1] + [0] * limit
+
+    check()
+
+
+@pytest.mark.parametrize("name", GRADED_CORPUS)
+def test_betti_tables_agree_over_q_and_gf32003(name):
+    # the corpus rings have the same Betti table of k over Q and over
+    # GF(32003): the two fields run the sweep on different int paths
+    # (fraction-free elimination against residues)
+    text = corpus.get_text(name)
+    assert "field Q\n" in text
+    ring_p = parse_ring_definition(text.replace("field Q\n", "field GF(32003)\n")).build()
+    ring_q = corpus.get_ring(name)
+    limit = 5
+    data = betti_numbers_k(ring_q, limit)
+    assert betti_numbers_k(ring_p, limit).bigraded_betti() == data.bigraded_betti()
+    assert _hilbert_betti_product(ring_q, data, limit) == [1] + [0] * limit

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +13,7 @@ from koszulkit import corpus, resolutions
 from koszulkit.conditions import StretchedSpec, build_stretched_ring
 from koszulkit.errors import InputError, PreconditionError
 from koszulkit.fields import PrimeField, QQ, rational
+from koszulkit.linalg import kernel_of_columns
 from koszulkit.poly import MonomialOrder
 from koszulkit.quotient import QuotientRing
 from koszulkit.resolutions import (ModulePresentation, betti_numbers_k,
@@ -22,7 +24,8 @@ from koszulkit.ringdef import (format_field, format_polynomial, parse_polynomial
 from koszulkit.series import poly_mul
 
 from reference_linalg import Subspace
-from reference_resolutions import (int_basis_images, piece_images, reference_resolution,
+from reference_resolutions import (int_basis_images, piece_images, reference_lift,
+                                   reference_resolution,
                                    reference_sweep, reference_tor_map_vanishes,
                                    saturated_pivots, saturation_pivots, shift_all)
 from support import (GRADED_CORPUS, RANDOM_RING_FIELDS, SEED, artinian_rings,
@@ -554,3 +557,77 @@ def test_sweep_matches_reference_on_corpus(name, monkeypatch):
             modules += [ModulePresentation.power_module(r, 2),
                         ModulePresentation.cyclic_quotient(r, [r.variable(0)])]
         _assert_sweep_matches_reference(r, modules, 3, monkeypatch)
+
+
+def _literal_kernel(null_space):
+    zeros, kernel, stored = null_space
+    return zeros, [(f, [(k, type(x), x) for k, x in C.items()]) for f, C in kernel], stored
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_FIELDS))
+def test_generator_columns_are_stored_unreduced(name):
+    # in piece j of a graded step, the columns of the generators of
+    # degree j come last and add no null vector, so `_piece_kernel`
+    # stores them without elimination; its (zeros, kernel, stored) must
+    # be literally those of `kernel_of_columns` on every column (ints,
+    # entry order, value types), in every piece of every sweep window
+    pytest.importorskip("hypothesis")
+    field, coefficients = SWEEP_FIELDS[name]
+    seen = {"mixed": 0, "generators only": 0, "no generators": 0,
+            "kernel beside generators": 0, "cokernel": 0, "submodule": 0}
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(artinian_rings(field, coefficients))
+    def check(rings):
+        ring = rings[0]
+        for pres in (ModulePresentation.residue_field(ring),
+                     ModulePresentation.power_module(ring, 2),
+                     ModulePresentation.cyclic_quotient(ring, [ring.variable(0) ** 2])):
+            data = minimal_resolution(ring, pres, 4)
+            chain, int_maps = data.chain, data.int_maps
+            for p in range(1, len(chain) - 1):
+                src = chain[p]
+                if not src.rank:
+                    continue
+                seen[pres.mode] += 1
+                images = partial(resolutions._basis_images, src, chain[p - 1],
+                                 int_maps[p - 1], memo={})
+                for j in range(min(src.degrees) - 1, max(src.degrees) + ring.top_degree + 1):
+                    got = resolutions._piece_kernel(src, images, j)
+                    want = kernel_of_columns(images(j), field)
+                    assert _literal_kernel(got) == _literal_kernel(want)
+                    gens, width = len(src.constant_slots(j)), len(images(j))
+                    if not gens:
+                        seen["no generators"] += 1
+                    elif gens == width:
+                        seen["generators only"] += 1
+                    else:
+                        seen["mixed"] += 1
+                        seen["kernel beside generators"] += bool(want[1])
+
+    check()
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_FIELDS))
+def test_int_lift_matches_the_field_lift(name):
+    # `_lift` builds its systems and targets from int pairs and turns
+    # only the solutions into field values; the reference solves on field
+    # vectors shifted through field tables, so the lifts must agree
+    # literally (entry order and value types), graded and ungraded
+    pytest.importorskip("hypothesis")
+    field, coefficients = SWEEP_FIELDS[name]
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(artinian_rings(field, coefficients))
+    def check(rings):
+        for ring in rings:
+            for s, b in ((3, 2), (2, 1), (2, 2)):
+                res_s = minimal_resolution(ring, ModulePresentation.power_module(ring, s), 2)
+                res_b = minimal_resolution(ring, ModulePresentation.power_module(ring, b), 2)
+                got = resolutions._lift(ring, res_s, res_b, 2)
+                assert _literal(got) == _literal(reference_lift(ring, res_s, res_b, 2)[1:])
+                assert tor_map_vanishes(ring, s, b, 2) == \
+                    reference_tor_map_vanishes(ring, s, b, 2)
+
+    check()
