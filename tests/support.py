@@ -27,6 +27,11 @@ RANDOM_RING_FIELDS = {
     "GF32003": (PrimeField(32003), [0, 0, 1, -1, 2, 16002, 31999]),
 }
 
+# the fields of the resolution sweep's comparisons and oracles: GF(2) adds
+# the field whose signs and characteristic-two cancellations differ most
+# from Q's
+SWEEP_FIELDS = dict(RANDOM_RING_FIELDS, GF2=(PrimeField(2), [0, 0, 1]))
+
 
 def artinian_rings(field, coefficients, orders=(MonomialOrder.GREVLEX,), degree=2,
                    variables=(2, 3)):

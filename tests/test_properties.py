@@ -8,7 +8,6 @@ except ImportError:  # only the oracle over random rings needs it; it skips
     pass
 
 from koszulkit import corpus
-from koszulkit.fields import PrimeField
 from koszulkit.ringdef import parse_ring_definition
 from koszulkit.conditions import build_stretched_ring, lofwall_golod_test
 from koszulkit.koszul import homology_h_polynomial
@@ -17,8 +16,8 @@ from koszulkit.resolutions import ModulePresentation, betti_numbers_k, minimal_r
 from koszulkit.series import (RationalFunctionZ, expand, golod_formula_series,
                               golod_quotient_series, rf_equal, stretched_series)
 
-from support import (GRADED_CORPUS, RANDOM_RING_FIELDS, SEED, artinian_rings,
-                     assert_dg_identities, assert_euler_identity,
+from support import (GRADED_CORPUS, RANDOM_RING_FIELDS, SEED, SWEEP_FIELDS,
+                     artinian_rings, assert_dg_identities, assert_euler_identity,
                      assert_gb_permutation_invariant, homology_dims_in_order,
                      stretched_specs)
 
@@ -170,11 +169,6 @@ def test_cyclic_modules_share_the_stretched_denominator(name):
     check()
 
 
-# the fields of the resolution oracles: GF(2) adds the field whose signs
-# and characteristic-two cancellations differ most from Q's
-ORACLE_FIELDS = dict(RANDOM_RING_FIELDS, GF2=(PrimeField(2), [0, 0, 1]))
-
-
 def _hilbert_betti_product(ring, data, limit: int) -> list:
     """H_R(w) * sum_(i,j) (-1)^i beta_ij w^j up to w^limit, for the
     bigraded Betti numbers of a resolution of k to step `limit`: every
@@ -187,13 +181,13 @@ def _hilbert_betti_product(ring, data, limit: int) -> list:
     return [sum(hilbert[d] * signed[e - d] for d in range(e + 1)) for e in range(limit + 1)]
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+@pytest.mark.parametrize("name", sorted(SWEEP_FIELDS))
 def test_hilbert_betti_identity_on_random_rings(name):
     # the minimal resolution F of k is exact, so sum_i (-1)^i H_(F_i)(w) =
     # H_k(w) = 1, and H_(F_i)(w) = H_R(w) * sum_j beta_ij w^j; a generator
     # the sweep drops or adds in any bidegree breaks the identity
     pytest.importorskip("hypothesis")
-    field, coefficients = ORACLE_FIELDS[name]
+    field, coefficients = SWEEP_FIELDS[name]
     limit = 5
 
     @settings(max_examples=30, deadline=None, derandomize=True)

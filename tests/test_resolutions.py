@@ -28,8 +28,8 @@ from reference_resolutions import (int_basis_images, piece_images, reference_lif
                                    reference_resolution,
                                    reference_sweep, reference_tor_map_vanishes,
                                    saturated_pivots, saturation_pivots, shift_all)
-from support import (GRADED_CORPUS, RANDOM_RING_FIELDS, SEED, artinian_rings,
-                     random_symmetric_spec, stretched_specs)
+from support import (GRADED_CORPUS, RANDOM_RING_FIELDS, SEED, SWEEP_FIELDS,
+                     artinian_rings, random_symmetric_spec, stretched_specs)
 
 BETTI_K = {
     # ring name -> (limit, betti numbers of k, resolution is linear)
@@ -476,11 +476,6 @@ def _assert_sweep_matches_reference(ring, modules, limit, monkeypatch, tor=()):
         with monkeypatch.context() as patched:
             patched.setattr(resolutions, "_sweep", _eager_sweep)
             assert report == tor_map_vanishes(ring, s, b, tor_limit)
-
-
-# the fields of the sweep comparisons: GF(2) adds the field whose signs
-# and characteristic-two cancellations differ most from Q's
-SWEEP_FIELDS = dict(RANDOM_RING_FIELDS, GF2=(PrimeField(2), [0, 0, 1]))
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_FIELDS))
