@@ -353,13 +353,10 @@ class EchelonSolver:
         s._rows = dict(self._rows)
         return s
 
-    def solve(self, target: dict):
-        """Express target in the inserted vectors: {tag: coeff} or None."""
-        return self.solve_ints(*int_vector(target, self._p))
-
-    def solve_ints(self, V: dict, D: int):
-        """`solve` for the target V / D given as ints (residues with D = 1
-        over GF(p)); consumes V.  The coefficients come as field values."""
+    def solve(self, V: dict, D: int):
+        """Express the target V / D, given as ints (residues with D = 1
+        over GF(p)), in the inserted vectors: {tag: coeff} in field
+        values, or None.  Consumes V."""
         if not self.track:
             raise ValueError("solver was built without tracking")
         V, C, D = self._reduce_ints(V, D, {})

@@ -39,8 +39,11 @@ degree j.  So they add no null vector, only echelon rows that no later
 column of the piece reads, and `kernel_of_columns` runs on the other
 columns alone (`_piece_kernel`; Schreyer's observation that the
 syzygies fall out of the reductions, Eisenbud, Commutative Algebra,
-Thm 15.10).  The single piece of an ungraded ring interleaves each
-generator's column with its multiples and is eliminated whole.
+Thm 15.10).  The rank that piece then has must be the dimension the
+step before found in degree j (`_check_spans`), or that step took a
+generator too many or too few.  The single piece of an ungraded ring
+interleaves each generator's column with its multiples and is
+eliminated whole.
 
 A differential is kept as the image of each generator: a vector V / S of
 the target, as an int vector V over its own denominator S (the kernel
@@ -658,7 +661,8 @@ def _sweep(src: FreeModule, jmin: int, jmax: int, images, last: bool = False):
         count = len(zeros) + len(kernel) - len(pivots)
         log.append((j, len(pivots), count, len(zeros) + len(kernel)))
         degrees += [j] * count
-        _check_minimal(src.constant_slots(j), zeros, kernel, pivots)
+        if not ring.graded:
+            _check_minimal(src.constant_slots(j), zeros, kernel, pivots)
         # free all but the next feed before storing
         below = (zeros, kernel, stored) if j < jmax else ()
         pieces.append((zeros, kernel, pivots) if last else _new_pairs(zeros, kernel, pivots))
@@ -673,7 +677,7 @@ def _piece_kernel(src: FreeModule, images, j: int) -> tuple:
     columns of piece j, those of src's generators of degree j, add no
     null vector (see the module docstring): they go into `stored`
     without elimination, and the result is literally that of the whole
-    piece."""
+    piece.  `_check_spans` checks that they are independent."""
     columns = images(j)
     if not src.ring.graded:
         return kernel_of_columns(columns, src.ring.field)
@@ -686,13 +690,28 @@ def _piece_kernel(src: FreeModule, images, j: int) -> tuple:
 def _check_minimal(constants: dict, zeros: list, kernel: list, pivots: set) -> None:
     """A new generator of a minimal resolution has no entry at a constant
     slot (`FreeModule.constant_slots`): neither a zero column's unit
-    vector nor a kernel vector may hold one."""
+    vector nor a kernel vector may hold one.  Over an ungraded ring;
+    a graded one never eliminates those columns (`_check_spans`)."""
     for f in constants:
         if f not in pivots and (i := bisect_left(zeros, f)) < len(zeros) and zeros[i] == f:
             raise AssertionError("resolution lost minimality")
     for f, C in kernel:
         if f not in pivots and any(k in constants for k in C):
             raise AssertionError("resolution lost minimality")
+
+
+def _check_spans(src: FreeModule, log: list, below: list) -> None:
+    """Over a graded ring, the columns of src's piece j span the space
+    that the step before resolved in degree j (its kernel, or the given
+    submodule's piece), whose dimension ends that step's log entry for j
+    in `below`.  `_piece_kernel` takes the columns of src's generators
+    of degree j as independent of the others, so a generator the step
+    before took in excess of a minimal set shows here as a larger rank,
+    and a missing one as a smaller one."""
+    spans = {j: dim for j, _sat, _new, dim in below}
+    for j, _pivots, _count, nullity in log:
+        if j in spans and src.dim(j) - nullity != spans[j]:
+            raise AssertionError("resolution lost minimality or exactness")
 
 
 def _new_pairs(zeros: list, kernel: list, pivots: set) -> list[tuple]:
@@ -770,6 +789,8 @@ def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
                 "step %d needs %d" % (RESOLUTION_BUDGET, tor_of(pos), source_dim))
         images = partial(_basis_images, src, data.chain[-2], data._int_maps[-1], memo={})
         degrees, log, pairs = _sweep(src, jmin, jmax, images, last=pos == positions)
+        if ring.graded:
+            _check_spans(src, log, data.exactness_log[-1][1])
         data.exactness_log.append((tor_of(pos), log))
         data.chain.append(FreeModule(ring, degrees))
         data._int_maps.append(pairs)
@@ -901,7 +922,7 @@ def _lift(ring, res_s, res_b, limit):
                 # the columns of the images, tagged by position
                 system = systems[d] = EchelonSolver(ring.field, track=True)
                 kernel_of_columns(images(d), ring.field, system)
-            sol = system.solve_ints(T, D)
+            sol = system.solve(T, D)
             if sol is None:
                 raise AssertionError("chain map lift failed; resolution not exact")
             cur.append(sol)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import partial
 
-from koszulkit.linalg import EchelonSolver, vec_add_terms, vec_combine
+from koszulkit.linalg import EchelonSolver, int_vector, vec_add_terms, vec_combine
 from koszulkit.poly import Polynomial
 from koszulkit.resolutions import ModulePresentation, TorMapReport, minimal_resolution
 
@@ -430,7 +430,7 @@ def reference_lift(ring, res_s, res_b, limit):
                 system = systems[d] = EchelonSolver(ring.field, track=True)
                 for j, col in enumerate(images(d)):
                     system.add(col, tag=j)
-            sol = system.solve(tvec)
+            sol = system.solve(*int_vector(tvec, ring.field.char))
             assert sol is not None, "chain map lift failed"
             cur.append(sol)
         lifts.append(cur)

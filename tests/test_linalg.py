@@ -135,13 +135,13 @@ def _column_solver(cols, field):
 
 def test_linear_system_solve():
     cols = [{0: q(1), 1: q(1)}, {1: q(1)}]
-    sol = _column_solver(cols, QQ).solve({0: q(2), 1: q(5)})
+    sol = _column_solver(cols, QQ).solve(*int_vector({0: q(2), 1: q(5)}, 0))
     assert sol is not None
     acc = {}
     for idx, c in sol.items():
         vec_add_scaled(acc, c, cols[idx])
     assert acc == {0: q(2), 1: q(5)}
-    assert _column_solver(cols, QQ).solve({2: q(1)}) is None
+    assert _column_solver(cols, QQ).solve(*int_vector({2: q(1)}, 0)) is None
 
 
 def test_prime_field_subspace():
@@ -222,7 +222,8 @@ def test_int_backed_solver_matches_reference(name):
             assert _literal(solver.add(v, tag=j)) == _literal(ref_solver.add(v, tag=j))
         assert solver.rank == ref_solver.rank
         for v in vecs + probes:
-            assert _literal(solver.solve(v)) == _literal(ref_solver.solve(v))
+            assert _literal(solver.solve(*int_vector(v, field.char))) == \
+                _literal(ref_solver.solve(v))
 
     check()
 

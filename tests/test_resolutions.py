@@ -604,6 +604,38 @@ def test_generator_columns_are_stored_unreduced(name):
     assert all(seen.values()), seen
 
 
+@pytest.mark.parametrize("fault", ["dropped pivot", "added pivot"])
+@pytest.mark.parametrize("field", ["Q", "GF(32003)", "GF(2)"])
+def test_span_check_finds_a_wrong_generator_count(field, fault, monkeypatch):
+    # `_piece_kernel` takes the generator columns as independent, so a
+    # step that takes a generator too many (a saturation pivot dropped)
+    # or too few (a free column taken for a pivot) must stop the next
+    # step, on every graded corpus ring (the last step has no next one:
+    # limit 4 puts a faulty step before it on each)
+    piece_kernel, saturated = resolutions._piece_kernel, resolutions._saturated_pivots
+    last = {}
+
+    def recorded(*args):
+        last["piece"] = piece_kernel(*args)
+        return last["piece"]
+
+    def planted(*args):
+        pivots = saturated(*args)
+        if fault == "dropped pivot":
+            return pivots - {max(pivots)} if pivots else pivots
+        zeros, kernel, _stored = last["piece"]
+        free = [f for f in zeros + [f for f, _C in kernel] if f not in pivots]
+        return pivots | {min(free)} if free else pivots
+
+    monkeypatch.setattr(resolutions, "_piece_kernel", recorded)
+    monkeypatch.setattr(resolutions, "_saturated_pivots", planted)
+    for name in GRADED_CORPUS:
+        text = corpus.get_text(name).replace("field Q\n", "field %s\n" % field)
+        ring = parse_ring_definition(text).build()
+        with pytest.raises(AssertionError, match="resolution lost minimality or exactness"):
+            betti_numbers_k(ring, 4)
+
+
 @pytest.mark.parametrize("name", sorted(SWEEP_FIELDS))
 def test_int_lift_matches_the_field_lift(name):
     # `_lift` builds its systems and targets from int pairs and turns
