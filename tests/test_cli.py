@@ -126,22 +126,6 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err == "internal error: resolution lost minimality\n"
 
 
-def test_internal_error_exit_code_on_a_graded_ring(capsys, monkeypatch):
-    # dropping a saturation pivot takes a non-minimal generator in the
-    # second step; the third step's span check finds it
-    from koszulkit import resolutions
-    saturated = resolutions._saturated_pivots
-
-    def dropped(*args):
-        pivots = saturated(*args)
-        return pivots - {max(pivots)} if pivots else pivots
-
-    monkeypatch.setattr(resolutions, "_saturated_pivots", dropped)
-    rc, out, err = run(capsys, ["betti", "case54", "--of-k", "--limit", "3"])
-    assert rc == 5 and out == ""
-    assert err == "internal error: resolution lost minimality or exactness\n"
-
-
 def test_usage_errors_exit_three(capsys):
     for argv in (["check", "p-cond", "case54", "--t", "2", "--r", "1"],
                  ["betti", "case54", "--of-k", "--over-poly"],
