@@ -1,42 +1,31 @@
-"""Groebner bases: a degree phase for homogeneous input, Buchberger's
-pair loop for the rest, and normal forms.
+"""Groebner bases by critical pairs on the int echelon, and normal forms.
 
-Produces the reduced Groebner basis, which is the unique canonical basis
-for an ideal under a fixed monomial order: leading coefficients one, no
-term of any element divisible by the leading monomial of another.
+`buchberger` returns the reduced Groebner basis, which is the unique
+canonical basis for an ideal under a fixed monomial order: leading
+coefficients one, no term of any element divisible by the leading
+monomial of another.
 
-The degree phase (Lazard, "Groebner bases, Gaussian elimination and
-resolution of systems of algebraic equations", EUROCAL 1983) runs when
-every generator is homogeneous.  From the lowest generator degree up it
-builds I_d = x * I_{d-1} + span(generators of degree d) on the int
-`EchelonSolver`, in coordinates the monomials of degree d sorted
-descending in the order, so a row's pivot is its leading monomial.  The
-generators go in first, then the products x_l * row of the rows of
-I_{d-1}, and the products stop once I_d is all of degree d.  The pivots
-are the leading monomials of I_d.  A pivot no lead of degree d - 1 times
-a variable reaches is not a multiple of an earlier lead, so it is the
-lead of a new basis element: its row, reduced against the other pivot
-rows of the degree, is that element, since every other term then sits
-on a standard monomial.  Its value is the reduced-echelon row of I_d,
-which is unique, so it is the element of the unique reduced basis.
+The engine is Faugere's F4 (J. Pure Appl. Algebra 1999) with the normal
+strategy by sugar (Giovini, Mora, Niesi, Robbiano and Traverso, "'One
+sugar cube, please' or selection strategies in the Buchberger
+algorithm", ISSAC 1991).  Each step takes the critical pairs of least
+sugar and the input generators of that degree and builds one matrix:
+- the two multiples u * g of each pair, which both lead with its lcm;
+- each generator as it is;
+- by symbolic preprocessing, a row u * g for every other monomial of the
+  matrix that the lead of an element g of the reducing set divides.
+The columns are the matrix's own monomials, sorted descending in the
+order, so a row's pivot on the int `EchelonSolver` is its leading
+monomial.  Every monomial of the matrix that a lead divides leads a row
+u * g, so a pivot that no row u * g leads is divisible by no lead: it is
+the lead of a new basis element, whose value is its reduced-echelon row.
+Each S-polynomial and generator of the step lies in the span of the
+rows, so it reduces to zero by the basis and the new elements.
 
-After degree d the elements found so far form a d-truncated Groebner
-basis: every S-pair of degree at most d reduces to zero by them.  The
-phase stops with the whole basis when
-- I_d is all of degree d, so every larger degree is full too;
-- d is at least the largest generator degree and the largest lcm degree
-  of a non-coprime pair of leads: every generator and every S-pair then
-  reduces to zero (Buchberger's criterion, by degree, as in Faugere's
-  F4, J. Pure Appl. Algebra 1999);
-- the leads found so far already fill degree d + 1.
-It builds degree d + 1 only if that degree holds a generator, or lies
-within both that pair bound and the largest generator degree, or the
-leads are artinian and their Hilbert function vanishes by a degree whose
-monomial count fits DEGREE_BUDGET; and never if degree d + 1 has more
-than DEGREE_BUDGET monomials.  Otherwise it hands off: the pair loop
-starts from the d-truncated basis and the generators above degree d,
-and drops every popped pair of lcm degree at most d unreduced.  Without
-the hand-off a non-artinian lex ideal would climb degree after degree.
+The sugar of a generator is its degree.  A pair (i, j) with lcm L has
+sugar max(s_i + deg L - deg lm_i, s_j + deg L - deg lm_j), and an element
+found in a step of sugar s has sugar s, or its degree if that is larger.
+On homogeneous input the sugar is the degree.
 
 Pairs are handled by the Gebauer-Moller update (Gebauer and Moller, "On
 an installation of Buchberger's algorithm", J. Symb. Comput. 1988).  When
@@ -54,17 +43,23 @@ a new element h joins the basis:
 - an element whose leading monomial lm(h) divides leaves the reducing
   set: it forms no new pairs and reduces nothing, though its queued
   pairs stay queued.
+The new elements of a step join largest lead first, so one whose lead
+another new lead divides leaves the reducing set again.
 
-Pairs are taken smallest lcm first (the normal strategy).  The input
-generators are reduced and inserted sparsest first, and `normal_form`
-reduces by the sparsest basis element that applies.  None of these
-choices changes the result, since the reduced basis is unique.
+The basis is complete once no pair and no generator is left, and the
+reducing set is then a minimal Groebner basis.  On inhomogeneous input a
+later lead may divide the tail of an earlier element, so one more
+matrix, the reducing set with its reducers, reduces every element
+against the others.  On homogeneous input no such lead exists: every
+lead of a smaller degree was known when an element's matrix was built.
+None of the choices above changes the result, since the reduced basis
+is unique.
 
-When every input generator is homogeneous, a popped pair is also dropped
-without reduction when the Hilbert function of the reducing set's leads
-vanishes in the degree D of its lcm: every monomial of degree D is then a
-multiple of a lead, so the S-polynomial, homogeneous of degree D, reduces
-to zero.  This is the simplest case of the Hilbert-driven Buchberger of
+When every input generator is homogeneous, so is every basis element,
+and no step is built from the degree D on where the Hilbert function of
+the reducing set's leads vanishes: every monomial of degree D or more is
+then a multiple of a lead, so every pair and generator left reduces to
+zero.  This is the simplest case of the Hilbert-driven Buchberger of
 Traverso ("Hilbert functions and the Buchberger algorithm", J. Symb.
 Comput. 1996).  The Hilbert series of the leads comes from the pivot
 recursion of Bayer and Stillman ("Computing the Hilbert function",
@@ -73,20 +68,16 @@ J. Symb. Comput. 1992) and Bigatti (1997), not from enumerating monomials.
 
 from __future__ import annotations
 
-import heapq
 from math import comb
-from operator import le
-from typing import Optional
+from operator import add, le, sub
 
 from .errors import BudgetError
 from .linalg import EchelonSolver, field_vector, int_vector
-from .poly import Monomial, MonomialOrder, Polynomial, monomials_of_degree
+from .poly import Monomial, MonomialOrder, Polynomial
 
-# S-pairs `buchberger` may reduce before it gives up with BudgetError
+# matrix rows, counted over a whole run, that `buchberger` may eliminate
+# before it gives up with BudgetError
 PAIR_BUDGET = 100000
-# monomials a degree of the degree phase may have; a larger degree is left
-# to the pair loop
-DEGREE_BUDGET = 3000
 
 
 def _divides(a: tuple, b: tuple) -> bool:
@@ -196,86 +187,108 @@ def normal_form(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
     return Polynomial(arity, field, order, remainder_terms, _sorted=True)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    lcm = f.lead_monomial.lcm(g.lead_monomial)
-    mf = lcm.quotient_by(f.lead_monomial)
-    mg = lcm.quotient_by(g.lead_monomial)
-    return (f.mul_monomial(mf, f.field.one / f.lead_coefficient)
-            + g.mul_monomial(mg, -(g.field.one / g.lead_coefficient)))
+def _fills(leads: list[tuple], n: int, degree: int) -> bool:
+    """Whether the monomial ideal the exponent tuples `leads` generate
+    holds every monomial of the degree in n variables.  Only artinian
+    leads, with a pure power of every variable, can; only then is their
+    Hilbert numerator computed."""
+    pure = {i for lead in leads for i, e in enumerate(lead) if e == sum(lead)}
+    return len(pure) == n and not hilbert_function(hilbert_numerator(leads), n, degree)
+
+
+def _times(u: tuple, row: list) -> list:
+    """The row of u * g from the row of g."""
+    return [(tuple(map(add, u, e)), c) for e, c in row]
+
+
+def _preprocess(multiples: list, rows: list, reducers: list):
+    """Symbolic preprocessing of one matrix.
+
+    A row is a list of (exponents, int coefficient) terms, lead first,
+    known up to scale.  `multiples` are the rows u * g as pairs (u, row of
+    g), `rows` the other rows, and `reducers` the reducing set as pairs
+    (lead, row), sparsest first.  Returns the rows u * g by the monomial
+    each leads, one per monomial, the other rows, and the monomials of
+    the matrix.  Every monomial of the matrix that a reducer's lead
+    divides leads a row u * g; a repeated multiple is left out.
+    """
+    leading: dict = {}
+    rest = list(rows)
+    for u, row in multiples:
+        row = _times(u, row)
+        lead = row[0][0]
+        if lead not in leading:
+            leading[lead] = row
+        elif leading[lead] != row:
+            rest.append(row)
+    monomials = {e for row in (*leading.values(), *rest) for e, _c in row}
+    todo = list(monomials)
+    while todo:
+        m = todo.pop()
+        if m in leading:
+            continue
+        for lead, row in reducers:
+            if _divides(lead, m):
+                leading[m] = row = _times(tuple(map(sub, m, lead)), row)
+                for e, _c in row:
+                    if e not in monomials:
+                        monomials.add(e)
+                        todo.append(e)
+                break
+    return leading, rest, monomials
 
 
 def buchberger(generators: list[Polynomial], order: MonomialOrder = None) -> list[Polynomial]:
-    """Reduced Groebner basis of the ideal spanned by `generators`.
+    """Reduced Groebner basis of the ideal spanned by `generators`, sorted
+    ascending by leading monomial.
 
-    All-homogeneous input first goes through the degree phase
-    (`_by_degree`, see the module docstring).  It either returns the
-    whole basis or hands the pair loop a d-truncated basis and the
-    generators above degree d.
+    Runs the engine of the module docstring: steps by least sugar, each
+    one matrix of critical-pair multiples, generators and reducers on the
+    int echelon, with the Gebauer-Moller update as each new element
+    joins, and on homogeneous input the Hilbert cutoff.
 
-    The pair loop reduces the generators and inserts them in order of
-    term count, fewest first (a stable sort, so ties keep input order),
-    which puts monomial relations ahead of dense ones.  Each insertion
-    runs the Gebauer-Moller update described in the module docstring:
-    criteria M and F and the coprime test on the new pairs, criterion B
-    on the queued ones.  Pair selection follows the normal strategy
-    (smallest lcm in the active order first, ties by basis index).
-    After a hand-off at degree d a popped pair of lcm degree at most d
-    is dropped unreduced: the truncated basis already reduces it to zero.
-
-    When every generator is homogeneous, so is every basis element and
-    every S-polynomial.  A popped pair whose lcm has a degree D in which
-    the Hilbert function of the reducing set's leads vanishes is then
-    dropped unreduced: each term of its S-polynomial has degree D, hence
-    is a multiple of a lead, and the S-polynomial reduces to zero.  The
-    Hilbert-series numerator is recomputed only when a pair is popped
-    after the reducing set changed.  A vanishing degree stays one for
-    every larger degree and every larger reducing set, so pairs at or
-    above it are dropped without recomputation.  Inhomogeneous input
-    never takes this cutoff.
-
-    Raises BudgetError when it needs more than PAIR_BUDGET S-pair
-    reductions; pairs dropped unreduced do not count.
+    Raises BudgetError when its matrices hold more than PAIR_BUDGET rows
+    in all; the count is checked after each symbolic preprocessing,
+    before that matrix is eliminated.
     """
     gens = [g for g in generators if g and g.terms]
     if not gens:
         return []
     if order is None:
         order = gens[0].order
-    gens = [g.with_order(order).monic() for g in gens]
-    gens.sort(key=lambda g: len(g.terms))
+    gens = [g.with_order(order) for g in gens]
+    n, field = gens[0].arity, gens[0].field
+    p = field.char
     key = order.key
     homogeneous = all(g.is_homogeneous() for g in gens)
-    truncated, done = [], -1
-    if homogeneous:
-        truncated, done = _by_degree(gens, order)
-        if done is None:
-            return sorted(truncated, key=lambda g: key(g.lead_monomial))
-        gens = [g for g in gens if g.lead_monomial.degree > done]
+    # each generator's degree and row, the least degree last
+    waiting = sorted(((g.max_term_degree(),
+                       list(int_vector({m.exponents: c for m, c in g.terms}, p)[0].items()))
+                      for g in gens), key=lambda t: t[0], reverse=True)
 
     basis: list[Polynomial] = []
+    rows: list[list] = []  # each basis element's row
     leads: list[tuple] = []  # exponent tuple of each basis element's lead
+    sugars: list[int] = []
     active: list[int] = []  # basis indices that form pairs and reduce
-    pairs: list = []  # heap of (lcm order key, i, j, lcm exponents)
-    numerator = None  # Hilbert numerator of the active leads; None when stale
-    cutoff = None  # a degree in which that Hilbert function vanishes
+    pairs: list = []  # (sugar, i, j, lcm exponents)
+    used = 0  # matrix rows so far
 
-    def insert(h: Polynomial):
-        nonlocal pairs, numerator
+    def insert(h: Polynomial, row: list, sugar: int):
+        nonlocal pairs
         j = len(basis)
-        lh = h.lead_monomial.exponents
+        lh = row[0][0]
         deg_h = sum(lh)
         basis.append(h)
+        rows.append(row)
         leads.append(lh)
-        numerator = None
+        sugars.append(sugar)
 
         # criterion B on the queued pairs
-        kept = [pair for pair in pairs
-                if not _divides(lh, pair[3])
-                or _lcm(leads[pair[1]], lh) == pair[3]
-                or _lcm(leads[pair[2]], lh) == pair[3]]
-        if len(kept) != len(pairs):
-            heapq.heapify(kept)
-            pairs = kept
+        pairs = [pair for pair in pairs
+                 if not _divides(lh, pair[3])
+                 or _lcm(leads[pair[1]], lh) == pair[3]
+                 or _lcm(leads[pair[2]], lh) == pair[3]]
 
         # criterion F: one candidate per lcm, remembering coprime ones
         candidates: dict[tuple, list] = {}
@@ -298,139 +311,59 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder = None) -> lis
             d = degrees[a]
             if any(degrees[b] < d and _divides(by_degree[b], lcm) for b in range(a)):
                 continue
-            heapq.heappush(pairs, (key(Monomial(lcm)), i, j, lcm))
+            pairs.append((d + max(sugars[i] - sum(leads[i]), sugar - deg_h), i, j, lcm))
 
         active[:] = [i for i in active if not _divides(lh, leads[i])]
         active.append(j)
 
-    for h in truncated:
-        insert(h)
-    for g in gens:
-        r = normal_form(g, [basis[i] for i in active])
-        if r.terms:
-            insert(r.monic())
-
-    counter = 0
-    while pairs:
-        i, j, lcm = heapq.heappop(pairs)[1:]
-        if homogeneous:
-            degree = sum(lcm)
-            if degree <= done:
-                continue
-            if cutoff is None or degree < cutoff:
-                if numerator is None:
-                    numerator = hilbert_numerator(leads[a] for a in active)
-                if hilbert_function(numerator, len(lcm), degree) == 0:
-                    cutoff = degree
-            if cutoff is not None and degree >= cutoff:
-                continue
-        s = s_polynomial(basis[i], basis[j])
-        r = normal_form(s, [basis[i] for i in active])
-        if r.terms:
-            insert(r.monic())
-        counter += 1
-        if counter > PAIR_BUDGET:
-            raise BudgetError("Buchberger pair budget of %d S-pair reductions exceeded"
-                              % PAIR_BUDGET)
-
-    # the reducing set is a minimal Groebner basis by now
-    return reduce_basis([basis[i] for i in active], order, done)
-
-
-def _by_degree(gens: list[Polynomial],
-               order: MonomialOrder) -> tuple[list[Polynomial], Optional[int]]:
-    """The degree phase on homogeneous monic generators.
-
-    Returns the reduced-basis elements it found, in no particular order,
-    and the degree d up to which they form a d-truncated Groebner basis,
-    or None when they are the whole reduced basis.
-    """
-    n, field = gens[0].arity, gens[0].field
-    p = field.char
-    key = order.key
-    by_degree: dict[int, list[Polynomial]] = {}
-    for g in gens:
-        by_degree.setdefault(g.lead_monomial.degree, []).append(g)
-    top = max(by_degree)
-    d = min(by_degree)
-    basis: list[Polynomial] = []
-    leads: list[tuple] = []
-    pure = set()  # the variables with a pure power among the leads
-    pair_bound = -1  # largest lcm degree of a non-coprime pair of leads
-    horizon = -1  # once the leads are artinian, the degree where their
-    # Hilbert function vanishes, if that degree fits DEGREE_BUDGET
-    below = None  # (exponents of the monomials, int rows, pivots) of I_{d-1}
-    while comb(d + n - 1, n - 1) <= DEGREE_BUDGET:
-        monos = sorted(monomials_of_degree(n, d), key=key, reverse=True)
+    def eliminate(multiples: list, extra: list):
+        """Preprocess and eliminate one matrix; returns its columns, their
+        index, the solver and the monomials that rows u * g lead."""
+        nonlocal used
+        reducers = [(leads[k], rows[k]) for k in sorted(active, key=lambda k: len(rows[k]))]
+        leading, rest, monomials = _preprocess(multiples, extra, reducers)
+        used += len(leading) + len(rest)
+        if used > PAIR_BUDGET:
+            raise BudgetError("Groebner budget of %d matrix rows exceeded" % PAIR_BUDGET)
+        monos = sorted(map(Monomial, monomials), key=key, reverse=True)
         index = {m.exponents: c for c, m in enumerate(monos)}
-        full = len(monos)
         solver = EchelonSolver(field)
-        for g in by_degree.get(d, ()):
-            solver.add_ints(int_vector({index[m.exponents]: c for m, c in g.terms}, p)[0])
-        covered = set()  # x * the leads of degree d - 1
-        if below is not None:
-            old_monos, old_rows, old_pivots = below
-            ups = [[index[e[:i] + (e[i] + 1,) + e[i + 1:]] for e in old_monos]
-                   for i in range(n)]
-            for up in ups:
-                covered.update(up[q] for q in old_pivots)
-            for row in old_rows:
-                for up in ups:
-                    if solver.rank == full:
-                        break
-                    solver.add_ints({up[c]: x for c, x in row.items()})
-        rows = solver.int_rows()
-        pivots = [min(row) for row in rows]
-        for q in sorted(pivots):
-            if q in covered:
-                continue
-            V = solver.reduced_ints(q)
-            coeffs = field_vector(p, V, V[q])
-            basis.append(Polynomial(n, field, order, [(monos[c], coeffs[c]) for c in sorted(V)],
-                                    _sorted=True))
-            lead = monos[q].exponents
-            for u in leads:
-                if any(map(min, u, lead)):
-                    pair_bound = max(pair_bound, sum(map(max, u, lead)))
-            leads.append(lead)
-            if sum(map(bool, lead)) == 1:
-                pure.add(lead.index(d))
-        if len(pivots) == full or (d >= top and d >= pair_bound):
-            return basis, None
-        d += 1
-        if len(pure) == n and horizon < d:
-            horizon = _vanishing_degree(hilbert_numerator(leads), n, d)
-        if horizon == d:  # every monomial of degree d is a multiple of a lead
-            return basis, None
-        if not (d in by_degree or d <= min(pair_bound, top) or d <= horizon):
-            break
-        below = ([m.exponents for m in monos], rows, pivots)
-    return basis, d - 1
+        # by ascending pivot, so these rows eliminate nothing
+        for lead in sorted(leading, key=index.__getitem__):
+            solver.add_ints({index[e]: c for e, c in leading[lead]})
+        for row in rest:
+            solver.add_ints({index[e]: c for e, c in row})
+        return monos, index, solver, leading
 
+    def read(monos: list, solver: EchelonSolver, q: int):
+        """The element whose lead is column q, and its row."""
+        V = solver.reduced_ints(q)
+        coeffs = field_vector(p, V, V[q])
+        cols = sorted(V)
+        return (Polynomial(n, field, order, [(monos[c], coeffs[c]) for c in cols], _sorted=True),
+                [(monos[c].exponents, V[c]) for c in cols])
 
-def _vanishing_degree(numerator: list[int], n: int, d: int) -> int:
-    """The first degree from d on in which the Hilbert function vanishes,
-    or -1 if it does not vanish before the monomials of a degree exceed
-    DEGREE_BUDGET."""
-    while comb(d + n - 1, n - 1) <= DEGREE_BUDGET:
-        if not hilbert_function(numerator, n, d):
-            return d
-        d += 1
-    return -1
+    while pairs or waiting:
+        s = min([pair[0] for pair in pairs] + [d for d, _row in waiting[-1:]])
+        multiples = [(tuple(map(sub, lcm, leads[k])), rows[k])
+                     for sugar, i, j, lcm in pairs if sugar == s for k in (i, j)]
+        pairs = [pair for pair in pairs if pair[0] != s]
+        extra = []
+        while waiting and waiting[-1][0] == s:
+            extra.append(waiting.pop()[1])
+        monos, _index, solver, leading = eliminate(multiples, extra)
+        found = [read(monos, solver, q) for q, m in enumerate(monos)
+                 if m.exponents not in leading and solver.has_pivot(q)]
+        if homogeneous and _fills([leads[k] for k in active] + [row[0][0] for _h, row in found],
+                                  n, s + 1):
+            # every pair and generator left has a degree above s
+            return sorted([basis[k] for k in active] + [h for h, _row in found],
+                          key=lambda g: key(g.lead_monomial))
+        for h, row in found:
+            insert(h, row, max(s, h.max_term_degree()))
 
-
-def reduce_basis(basis: list[Polynomial], order: MonomialOrder,
-                 done: int) -> list[Polynomial]:
-    """Tail-reduce a minimal Groebner basis (no leading monomial divides
-    another); sort ascending by LM.
-
-    Elements of degree at most `done` are taken as reduced already, as
-    those of a reduced d-truncated basis are: a lead of larger degree
-    divides no term of theirs."""
-    reduced = []
-    for i, g in enumerate(basis):
-        if g.lead_monomial.degree > done:
-            g = normal_form(g, basis[:i] + basis[i + 1:]).monic()
-        reduced.append(g)
-    reduced.sort(key=lambda g: order.key(g.lead_monomial))
-    return reduced
+    if homogeneous:
+        return sorted((basis[k] for k in active), key=lambda g: key(g.lead_monomial))
+    monos, index, solver, _leading = eliminate([((0,) * n, rows[k]) for k in active], [])
+    return [read(monos, solver, q)[0]
+            for q in sorted((index[leads[k]] for k in active), reverse=True)]

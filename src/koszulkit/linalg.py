@@ -45,20 +45,6 @@ from typing import Hashable, Iterable, Optional
 from .fields import GFElement, rational
 
 
-def vec_add_scaled(dst: dict, scale, src: dict) -> None:
-    """dst += scale * src, dropping entries that become zero."""
-    if not scale:
-        return
-    get = dst.get
-    for c, v in src.items():
-        nv = get(c)
-        nv = scale * v if nv is None else nv + scale * v
-        if nv:
-            dst[c] = nv
-        else:
-            del dst[c]
-
-
 def vec_add_terms(dst: dict, terms) -> dict:
     """dst[k] += v for every pair (k, v) of terms, dropping entries that
     become zero; returns dst.  Values may be field elements or anything
@@ -75,14 +61,6 @@ def vec_add_terms(dst: dict, terms) -> dict:
     return dst
 
 
-def vec_combine(coeffs: dict, vectors) -> dict:
-    """The sum of coeffs[k] * vectors[k], dropping zeros."""
-    out: dict = {}
-    for k, c in coeffs.items():
-        vec_add_scaled(out, c, vectors[k])
-    return out
-
-
 def int_vector(vec: dict, p: int) -> tuple[dict, int]:
     """A field vector as ints V over one denominator D, vec = V / D:
     residues over GF(p) with D = 1, integers over Q with D the lcm of the
@@ -95,7 +73,7 @@ def int_vector(vec: dict, p: int) -> tuple[dict, int]:
 
 def _sub_scaled(dst: dict, a: int, src: dict, p: int) -> None:
     """dst -= a * src on int dicts, mod p when p, dropping zeros; a new
-    entry goes last, as in `vec_add_scaled`."""
+    entry goes last."""
     for t, x in src.items():
         nv = dst.get(t, 0) - a * x
         if p:
@@ -109,8 +87,8 @@ def _sub_scaled(dst: dict, a: int, src: dict, p: int) -> None:
 def combine_ints(coeffs: tuple[dict, int], pairs, p: int) -> tuple[dict, int]:
     """The int pair of sum C[k] / D * pairs[k] for the int pair (C, D) of
     coefficients and int pairs (V_k, S_k) (residues over GF(p)), over D
-    times the lcm L of the S_k: entries and their order as `vec_combine`
-    gives them on the field values."""
+    times the lcm L of the S_k.  The entries come in C's order, each
+    term's new entries last."""
     C, D = coeffs
     L = lcm(*(pairs[k][1] for k in C))
     out: dict = {}

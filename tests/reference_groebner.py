@@ -7,8 +7,9 @@ first basis element (in list order) whose leading monomial divides the
 term.  It is slow but obviously right.
 
 `buchberger_pairs` is the production pair loop as it ran before the
-degree phase: Gebauer-Moller criteria and the Hilbert cutoff, with no
-linear algebra by degree, on the production `normal_form`.
+degree phase and before the matrix engine replaced both: Gebauer-Moller
+criteria and the Hilbert cutoff, one S-polynomial reduction at a time,
+on the production `normal_form`.
 
 `tests/test_groebner.py` checks that the production code returns
 literally equal reduced bases.
@@ -21,6 +22,9 @@ import heapq
 from koszulkit import groebner
 from koszulkit.errors import BudgetError
 from koszulkit.poly import Monomial, MonomialOrder, Polynomial
+
+# S-pairs `buchberger_pairs` may reduce before it gives up with BudgetError
+PAIR_BUDGET = 100000
 
 
 def normal_form(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
@@ -159,8 +163,8 @@ def buchberger_pairs(generators: list[Polynomial], order: MonomialOrder = None) 
     above it are dropped without recomputation.  Inhomogeneous input
     never takes this cutoff.
 
-    Raises BudgetError when it needs more than `groebner.PAIR_BUDGET`
-    S-pair reductions; pairs dropped unreduced do not count.
+    Raises BudgetError when it needs more than PAIR_BUDGET S-pair
+    reductions; pairs dropped unreduced do not count.
     """
     gens = [g for g in generators if g and g.terms]
     if not gens:
@@ -240,14 +244,14 @@ def buchberger_pairs(generators: list[Polynomial], order: MonomialOrder = None) 
                     cutoff = degree
             if cutoff is not None and degree >= cutoff:
                 continue
-        s = groebner.s_polynomial(basis[i], basis[j])
+        s = s_polynomial(basis[i], basis[j])
         r = groebner.normal_form(s, [basis[i] for i in active])
         if r.terms:
             insert(r.monic())
         counter += 1
-        if counter > groebner.PAIR_BUDGET:
+        if counter > PAIR_BUDGET:
             raise BudgetError("Buchberger pair budget of %d S-pair reductions exceeded"
-                              % groebner.PAIR_BUDGET)
+                              % PAIR_BUDGET)
 
     # the reducing set is a minimal Groebner basis by now
     minimal = [basis[i] for i in active]

@@ -43,10 +43,10 @@ from koszulkit import koszul
 from koszulkit.conditions import PieceResult
 from koszulkit.errors import NotACycleError, PreconditionError
 from koszulkit.koszul import full_piece
-from koszulkit.linalg import field_vector, vec_combine
+from koszulkit.linalg import field_vector
 from koszulkit.poly import Monomial, monomials_of_degree
 
-from reference_linalg import EchelonSolver, Subspace, kernel_of_columns
+from reference_linalg import EchelonSolver, Subspace, kernel_of_columns, vec_combine
 
 
 def _var_monomial(ring, i):

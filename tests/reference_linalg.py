@@ -14,6 +14,10 @@ reduced through the heap.
 `eliminate_q` is the int elimination over Q as it was before it took
 one content gcd per reduced vector: it divides V, C and D by their
 common gcd after every row operation.
+
+`vec_add_scaled` and `vec_combine` are the field-vector sums that
+`koszulkit.linalg` kept while its kernels still returned field vectors;
+the references use them.
 """
 
 from __future__ import annotations
@@ -22,7 +26,29 @@ import heapq
 from math import gcd
 from typing import Hashable, Iterable, Optional
 
-from koszulkit.linalg import EchelonSolver as IntEchelonSolver, vec_add_scaled
+from koszulkit.linalg import EchelonSolver as IntEchelonSolver
+
+
+def vec_add_scaled(dst: dict, scale, src: dict) -> None:
+    """dst += scale * src, dropping entries that become zero."""
+    if not scale:
+        return
+    get = dst.get
+    for c, v in src.items():
+        nv = get(c)
+        nv = scale * v if nv is None else nv + scale * v
+        if nv:
+            dst[c] = nv
+        else:
+            del dst[c]
+
+
+def vec_combine(coeffs: dict, vectors) -> dict:
+    """The sum of coeffs[k] * vectors[k], dropping zeros."""
+    out: dict = {}
+    for k, c in coeffs.items():
+        vec_add_scaled(out, c, vectors[k])
+    return out
 
 
 class EchelonSolver:

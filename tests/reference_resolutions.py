@@ -32,11 +32,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import partial
 
-from koszulkit.linalg import EchelonSolver, int_vector, vec_add_terms, vec_combine
+from koszulkit.linalg import EchelonSolver, int_vector, vec_add_terms
 from koszulkit.poly import Polynomial
 from koszulkit.resolutions import ModulePresentation, TorMapReport, minimal_resolution
 
-from reference_linalg import Subspace, int_kernel, kernel_of_columns
+from reference_linalg import Subspace, int_kernel, kernel_of_columns, vec_combine
 from reference_quotient import var_action
 
 

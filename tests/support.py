@@ -4,9 +4,12 @@ Kept outside conftest so both the property suite and the acceptance
 suite can run the same identities without duplicating generators.
 """
 
+import importlib.util
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 from koszulkit import corpus
 from koszulkit.conditions import StretchedSpec
@@ -19,6 +22,20 @@ from koszulkit.quotient import QuotientRing
 GRADED_CORPUS = ("case66", "case54", "case55", "case71v16", "socle4")
 
 SEED = 20260823
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def bench_workloads():
+    """The benchmark's workload module, read by path: its task lists and
+    answer checks.  Its dataclasses look their module up in sys.modules,
+    so it is loaded there once."""
+    module = sys.modules.get("perfbench_workloads")
+    if module is None:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        module = sys.modules["perfbench_workloads"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
 
 
 RANDOM_RING_FIELDS = {

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 import time
@@ -112,7 +113,7 @@ def test_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("field Q\nvars x,y\nideal:\nx^2 + y^2\nx*y\n"))
     rc, out, err = run(capsys, ["gb", "-"])
     assert rc == 4 and out == ""
-    assert err == "error: Buchberger pair budget of 0 S-pair reductions exceeded\n"
+    assert err == "error: Groebner budget of 0 matrix rows exceeded\n"
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
@@ -366,9 +367,8 @@ def test_resolution_budget_stops_a_huge_sweep(monkeypatch):
 
 def test_gb_of_large_powers_plus_a_quadric(monkeypatch):
     # the leads of degree 2 are not artinian and no generator has degree
-    # 3, so the degree phase hands the pair loop the basis of degree 2
-    # without building degree 3; the pair loop takes about 2 s on a
-    # 2-core Xeon, and the timeout leaves three times that
+    # 3, so no matrix of degree 3 is built: the next step is the critical
+    # pairs of degree 41; the run takes about 1 s on a 2-core Xeon
     _child_imports_this_koszulkit(monkeypatch)
     text = "field Q\nvars a,b,c,d,e,f\nideal:\n%sa*b + c*d\n" % "".join(
         "%s^40\n" % v for v in "abcdef")
@@ -383,6 +383,39 @@ def test_gb_of_large_powers_plus_a_quadric(monkeypatch):
     expected += ["%s*%s*%s" % (power(v, k), power("c", 40 - k), power("d", 40 - k))
                  for k in range(39, 0, -1) for v in "ba"]
     assert proc.stdout.splitlines() == expected
+
+
+def _power_ring(k):
+    return "field Q\nvars a,b,c,d,e,f\nideal:\n%sa^2 + b*c + d*e + f^2\n" % "".join(
+        "%s^%d\n" % (v, k) for v in "abcdef")
+
+
+def _lex_quadrics():
+    # four dense quadrics in five variables over GF(32003), not artinian
+    rng = random.Random(1)
+    quadrics = [" + ".join("%d*%s*%s" % (rng.randint(1, 32002), a, b)
+                           for a, b in itertools.combinations_with_replacement("abcde", 2))
+                for _ in range(4)]
+    return "field GF(32003)\nvars a,b,c,d,e\nideal:\n%s\n" % "\n".join(quadrics)
+
+
+@pytest.mark.parametrize("text,args,lines", [
+    (_power_ring(6), [], 157),
+    (_power_ring(8), [], 495),
+    (_lex_quadrics(), ["--order", "lex"], 37),
+], ids=["powers6", "powers8", "lex_quadrics"])
+def test_hostile_groebner_inputs_end_fast(monkeypatch, text, args, lines):
+    # each once took from 4 s to minutes; the engine must end within 10 s,
+    # with the basis or with the work budget (exit 4).  On a 2-core Xeon
+    # they take 0.4, 1.6 and 0.3 s
+    _child_imports_this_koszulkit(monkeypatch)
+    proc = subprocess.run([sys.executable, "-m", "koszulkit", "gb", *args, "-"], input=text,
+                          capture_output=True, text=True, timeout=10)
+    if proc.returncode == 4:
+        assert "budget" in proc.stderr and proc.stdout == ""
+    else:
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == lines
 
 
 def test_info_prints_version_backend_and_python(capsys):

@@ -9,6 +9,7 @@ except ImportError:  # only the reference comparison needs it; it skips
     pass
 
 from koszulkit import corpus, groebner
+from koszulkit.conditions import build_stretched_ring
 from koszulkit.errors import BudgetError
 from koszulkit.fields import PrimeField, QQ
 from koszulkit.groebner import buchberger, hilbert_function, hilbert_numerator, normal_form
@@ -16,7 +17,7 @@ from koszulkit.poly import Monomial, MonomialOrder, Polynomial, monomials_of_deg
 from koszulkit.ringdef import format_polynomial, parse_polynomial
 
 import reference_groebner as ref
-from support import RANDOM_RING_FIELDS, artinian_rings
+from support import RANDOM_RING_FIELDS, artinian_rings, bench_workloads, stretched_specs
 
 LEX = MonomialOrder.LEX
 GRL = MonomialOrder.GREVLEX
@@ -114,12 +115,27 @@ def test_socle4_lex_basis_matches_sympy_oracle():
 
 
 def test_pair_budget_raises_budget_error(monkeypatch):
+    """The basis x*y, x^2 + y^2, y^3 takes two matrices of two rows: the
+    generators, then the multiples of their pair, whose lcm is x^2*y.  The
+    budget counts the rows of every matrix of the run."""
     names = ("x", "y")
     gens = polys(["x^2 + y^2", "x*y"], names, GRL)
-    assert len(buchberger(gens, GRL)) == 3
-    monkeypatch.setattr(groebner, "PAIR_BUDGET", 0)
-    with pytest.raises(BudgetError, match="pair budget"):
+    monkeypatch.setattr(groebner, "PAIR_BUDGET", 4)
+    assert [format_polynomial(g, names) for g in buchberger(gens, GRL)] == \
+        ["x*y", "x^2 + y^2", "y^3"]
+    monkeypatch.setattr(groebner, "PAIR_BUDGET", 3)
+    with pytest.raises(BudgetError, match="budget of 3 matrix rows"):
         buchberger(gens, GRL)
+
+
+@pytest.mark.parametrize("order", [LEX, GRL], ids=["lex", "grevlex"])
+def test_hilbert_cutoff_waits_for_the_next_degree(order):
+    """After degree 2 the leads x^2, y^2, z^2 leave only x*y*z in degree
+    3 and nothing in degree 4; the generator of degree 3 must still join."""
+    names = ("x", "y", "z")
+    gens = polys(["x^2", "y^2", "z^2", "x*y*z - y^3"], names, order)
+    assert sorted(format_polynomial(g, names) for g in buchberger(gens, order)) == \
+        ["x*y*z", "x^2", "y^2", "z^2"]
 
 
 # -- the pair criteria against the reference Buchberger ------------------
@@ -206,41 +222,37 @@ def test_criterion_b_keeps_pairs_sharing_the_new_lcm():
         ["x - 3/2*y - z", "y^2 - 4/9*z^2", "y*z^2 + 20/27*z^3", "z^4"]
 
 
-def _count_s_pairs(module, monkeypatch, gens, order):
-    calls = []
-    original = module.s_polynomial
+def _pair_degrees(monkeypatch):
+    """The degree of every critical-pair multiple that `buchberger` puts
+    into a matrix, in the order it does."""
+    degrees = []
+    original = groebner._preprocess
 
-    def counting(f, g):
-        calls.append((f, g))
-        return original(f, g)
+    def recording(multiples, rows, reducers):
+        degrees.extend(sum(u) + sum(row[0][0]) for u, row in multiples)
+        return original(multiples, rows, reducers)
 
-    monkeypatch.setattr(module, "s_polynomial", counting)
-    return module.buchberger(gens, order), len(calls)
+    monkeypatch.setattr(groebner, "_preprocess", recording)
+    return degrees
 
 
 @pytest.mark.parametrize("order", [LEX, GRL], ids=["lex", "grevlex"])
 def test_criteria_skip_s_pair_reductions(monkeypatch, order):
-    """Five random quadrics plus m^3 in five variables over Q.  The degree
-    phase reduces no S-pair.  In the pair loop every pair left by the
-    criteria has degree at least 3, where the leads already hold every
-    monomial, so the Hilbert cutoff drops all of them."""
+    """Five random quadrics plus m^3 in five variables over Q.  After
+    degree 3 the leads hold every monomial of degree 4, so the Hilbert
+    cutoff ends the engine: no pair above degree 3 goes into a matrix.
+    q + x_1^3 in place of a quadric q generates the same ideal, but the
+    input is no longer homogeneous, so the cutoff does not apply and
+    pairs above degree 3 are still processed."""
     gens = _bench_ideal(order)
-    got, got_pairs = _count_s_pairs(groebner, monkeypatch, gens, order)
-    want, want_pairs = _count_s_pairs(ref, monkeypatch, gens, order)
-    assert _literal(got) == _literal(want)
-    assert (got_pairs, want_pairs) == (0, {LEX: 194, GRL: 128}[order])
-    # with the degree phase shut out, the Hilbert cutoff of the pair loop
-    # drops every pair
-    monkeypatch.setattr(groebner, "DEGREE_BUDGET", 0)
-    loop, loop_pairs = _count_s_pairs(groebner, monkeypatch, gens, order)
-    assert _literal(loop) == _literal(want) and loop_pairs == 0
-    # q + x_1^3 generates the same ideal, but the input is no longer
-    # homogeneous, so no pair may be dropped by the cutoff
+    want = ref.buchberger_pairs(gens, order)
+    degrees = _pair_degrees(monkeypatch)
+    assert _literal(buchberger(gens, order)) == _literal(want)
+    assert degrees and max(degrees) == 3
+    degrees.clear()
     cube = Polynomial.from_monomial(5, QQ, order, Monomial((3, 0, 0, 0, 0)))
-    twin, twin_pairs = _count_s_pairs(groebner, monkeypatch,
-                                      [gens[0] + cube] + gens[1:], order)
-    assert _literal(twin) == _literal(want)
-    assert twin_pairs > 0
+    assert _literal(buchberger([gens[0] + cube] + gens[1:], order)) == _literal(want)
+    assert max(degrees) > 3
 
 
 # -- the Hilbert function of the leads against counted standard monomials
@@ -293,7 +305,7 @@ def test_hilbert_function_counts_random_monomial_ideals():
     check()
 
 
-# -- the degree phase against the reference pair loop ----------------------
+# -- the engine against the reference pair loop ----------------------------
 
 ORDERS = {"lex": LEX, "grevlex": GRL}
 
@@ -342,66 +354,28 @@ def test_degree_phase_matches_pair_loop_on_random_rings(name):
     check()
 
 
-# -- each exit of the degree phase -----------------------------------------
+# -- inhomogeneous input: the stretched rings against the pair loop -------
 
-def _record_exits(monkeypatch):
-    """The degree each `_by_degree` call returns, in call order: None when
-    its basis is complete, else the degree where it hands off."""
-    exits = []
-    original = groebner._by_degree
-
-    def recording(gens, order):
-        basis, done = original(gens, order)
-        exits.append(done)
-        return basis, done
-
-    monkeypatch.setattr(groebner, "_by_degree", recording)
-    return exits
+def _assert_stretched_matches_pair_loop(spec, order):
+    ring = build_stretched_ring(spec, order)
+    want = ref.buchberger_pairs(list(ring.relations), order)
+    assert _literal(ring.groebner_basis) == _literal(want)
 
 
-@pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS)
-def test_full_degree_needs_no_polynomial_reduction(monkeypatch, order):
-    """Degree 3 of five quadrics plus m^3 is all of degree 3 from the
-    generators alone: the basis comes out of two echelons."""
-    gens = _bench_ideal(order)
-    want = ref.buchberger_pairs(gens, order)
-    exits = _record_exits(monkeypatch)
-    calls = []
-    for name in ("normal_form", "s_polynomial"):
-        monkeypatch.setattr(groebner, name, lambda *args, name=name: calls.append(name))
-    assert _literal(buchberger(gens, order)) == _literal(want)
-    assert exits == [None] and calls == []
+@pytest.mark.parametrize("name", ["Q", "GF(32003)"])
+def test_stretched_rings_match_pair_loop(name):
+    pytest.importorskip("hypothesis")
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(stretched_specs(FIELDS[name]), st.sampled_from([GRL, LEX]))
+    def check(spec, order):
+        _assert_stretched_matches_pair_loop(spec, order)
+
+    check()
 
 
 @pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS)
-@pytest.mark.parametrize("name,degree", [("case66", 2), ("socle4", 3)])
-def test_hand_off_to_the_pair_loop(monkeypatch, name, degree, order):
-    """Neither ring's leads are artinian at its generator degree, and the
-    next degree holds no generator: the pair loop takes over there."""
-    exits = _record_exits(monkeypatch)
-    test_degree_phase_matches_pair_loop_on_corpus(name, order)
-    assert exits == [degree]
-
-
-@pytest.mark.parametrize("budget,degree", [(34, 2), (14, 1)])
-def test_degree_over_the_budget_hands_off(monkeypatch, budget, degree):
-    """Degree 2 in five variables has 15 monomials and degree 3 has 35: a
-    degree over DEGREE_BUDGET is left to the pair loop, not built."""
-    gens = _bench_ideal(GRL)
-    exits = _record_exits(monkeypatch)
-    monkeypatch.setattr(groebner, "DEGREE_BUDGET", budget)
-    _assert_matches_pair_loop(gens, GRL)
-    assert exits == [degree]
-
-
-@pytest.mark.parametrize("budget,exit", [(35, None), (34, 2)])
-def test_artinian_leads_go_on_while_the_last_degree_fits(monkeypatch, budget, exit):
-    """The leads x^2, y^2, z^2, w^2, x*y are artinian with Hilbert function
-    1, 4, 5, 2, 0: the phase goes on past the generators only when degree
-    4, with 35 monomials, fits the budget."""
-    names = ("x", "y", "z", "w")
-    gens = polys(["x^2", "y^2", "z^2", "w^2", "x*y + z*w"], names, GRL)
-    exits = _record_exits(monkeypatch)
-    monkeypatch.setattr(groebner, "DEGREE_BUDGET", budget)
-    _assert_matches_pair_loop(gens, GRL)
-    assert exits == [exit]
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_local_bench_rings_match_pair_loop(seed, order):
+    for task in bench_workloads().make_tasks("local", seed):
+        _assert_stretched_matches_pair_loop(task.data["spec"], order)

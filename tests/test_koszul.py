@@ -19,11 +19,12 @@ from koszulkit.koszul import (KoszulElement, component_piece, differential_colum
                               filtered_boundaries, filtered_cycles, full_piece,
                               homology_algebra, homology_h_polynomial,
                               internal_degree_bounds, product_ints)
-from koszulkit.linalg import Subspace, field_vector, int_vector, vec_combine
+from koszulkit.linalg import Subspace, field_vector, int_vector
 from koszulkit.poly import MonomialOrder, Polynomial
 from koszulkit.ringdef import format_koszul_element, parse_koszul_element
 
 import reference_koszul as reference
+from reference_linalg import vec_combine
 from support import (SEED, RANDOM_RING_FIELDS, artinian_rings, random_stretched_spec,
                      stretched_specs)
 

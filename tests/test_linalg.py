@@ -8,9 +8,10 @@ except ImportError:  # only the reference comparison needs it; it skips
 from koszulkit import linalg
 from koszulkit.fields import PrimeField, QQ, rational
 from koszulkit.linalg import (EchelonSolver, Subspace, field_vector, int_vector,
-                              kernel_of_columns, null_pairs, vec_add_scaled, vec_combine)
+                              kernel_of_columns, null_pairs)
 
 import reference_linalg as ref
+from reference_linalg import vec_add_scaled, vec_combine
 
 
 def q(v):

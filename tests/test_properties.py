@@ -1,7 +1,4 @@
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -21,23 +18,11 @@ from koszulkit.series import (RationalFunctionZ, expand, golod_formula_series,
 
 from support import (GRADED_CORPUS, RANDOM_RING_FIELDS, SEED, SWEEP_FIELDS,
                      artinian_rings, assert_dg_identities, assert_euler_identity,
-                     assert_gb_permutation_invariant, homology_dims_in_order,
-                     stretched_specs)
+                     assert_gb_permutation_invariant, bench_workloads,
+                     homology_dims_in_order, stretched_specs)
 
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def _workloads():
-    # the benchmark's answer checks, read by path; its dataclasses look
-    # their module up in sys.modules
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = sys.modules["perfbench_workloads"] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-hilbert_betti_identity = _workloads().hilbert_betti_identity
+hilbert_betti_identity = bench_workloads().hilbert_betti_identity
 
 
 def seeded(tag):
