@@ -6,10 +6,8 @@ coefficients one, no term of any element divisible by the leading
 monomial of another.
 
 The engine is Faugere's F4 (J. Pure Appl. Algebra 1999) with the normal
-strategy by sugar (Giovini, Mora, Niesi, Robbiano and Traverso, "'One
-sugar cube, please' or selection strategies in the Buchberger
-algorithm", ISSAC 1991).  Each step takes the critical pairs of least
-sugar and the input generators of that degree and builds one matrix:
+strategy.  Each step takes the critical pairs of least rank and the input
+generators of that rank and builds one matrix:
 - the two multiples u * g of each pair, which both lead with its lcm;
 - each generator as it is;
 - by symbolic preprocessing, a row u * g for every other monomial of the
@@ -22,10 +20,15 @@ the lead of a new basis element, whose value is its reduced-echelon row.
 Each S-polynomial and generator of the step lies in the span of the
 rows, so it reduces to zero by the basis and the new elements.
 
-The sugar of a generator is its degree.  A pair (i, j) with lcm L has
-sugar max(s_i + deg L - deg lm_i, s_j + deg L - deg lm_j), and an element
-found in a step of sugar s has sugar s, or its degree if that is larger.
-On homogeneous input the sugar is the degree.
+The rank of a pair is the degree of its lcm, and that of a generator the
+degree of its lead, when the order refines the degree on the input:
+grevlex, or any order on homogeneous input.  Otherwise, lex on
+inhomogeneous input, the rank is the lcm or the lead itself, so that the
+smallest is taken first, as Buchberger's normal strategy does.  The sugar
+strategy (Giovini, Mora, Niesi, Robbiano and Traverso, ISSAC 1991) is not
+used: on lex inhomogeneous input it builds elements of high degree with
+huge coefficients.  On x^3 - y*z + z^4, y^3 - x*z^2, z^3 - x*y + x^2 it
+runs for more than a minute, the normal strategy a fraction of a second.
 
 Pairs are handled by the Gebauer-Moller update (Gebauer and Moller, "On
 an installation of Buchberger's algorithm", J. Symb. Comput. 1988).  When
@@ -242,7 +245,7 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder = None) -> lis
     """Reduced Groebner basis of the ideal spanned by `generators`, sorted
     ascending by leading monomial.
 
-    Runs the engine of the module docstring: steps by least sugar, each
+    Runs the engine of the module docstring: steps by least rank, each
     one matrix of critical-pair multiples, generators and reducers on the
     int echelon, with the Gebauer-Moller update as each new element
     joins, and on homogeneous input the Hilbert cutoff.
@@ -261,20 +264,22 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder = None) -> lis
     p = field.char
     key = order.key
     homogeneous = all(g.is_homogeneous() for g in gens)
-    # each generator's degree and row, the least degree last
-    waiting = sorted(((g.max_term_degree(),
+    # the rank of a pair's lcm or a generator's lead (see the module
+    # docstring); lex compares the exponent tuples themselves
+    rank = sum if homogeneous or order is MonomialOrder.GREVLEX else tuple
+    # each generator's rank and row, the least rank last
+    waiting = sorted(((rank(g.lead_monomial.exponents),
                        list(int_vector({m.exponents: c for m, c in g.terms}, p)[0].items()))
                       for g in gens), key=lambda t: t[0], reverse=True)
 
     basis: list[Polynomial] = []
     rows: list[list] = []  # each basis element's row
     leads: list[tuple] = []  # exponent tuple of each basis element's lead
-    sugars: list[int] = []
     active: list[int] = []  # basis indices that form pairs and reduce
-    pairs: list = []  # (sugar, i, j, lcm exponents)
+    pairs: list = []  # (rank, i, j, lcm exponents)
     used = 0  # matrix rows so far
 
-    def insert(h: Polynomial, row: list, sugar: int):
+    def insert(h: Polynomial, row: list):
         nonlocal pairs
         j = len(basis)
         lh = row[0][0]
@@ -282,7 +287,6 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder = None) -> lis
         basis.append(h)
         rows.append(row)
         leads.append(lh)
-        sugars.append(sugar)
 
         # criterion B on the queued pairs
         pairs = [pair for pair in pairs
@@ -311,7 +315,7 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder = None) -> lis
             d = degrees[a]
             if any(degrees[b] < d and _divides(by_degree[b], lcm) for b in range(a)):
                 continue
-            pairs.append((d + max(sugars[i] - sum(leads[i]), sugar - deg_h), i, j, lcm))
+            pairs.append((rank(lcm), i, j, lcm))
 
         active[:] = [i for i in active if not _divides(lh, leads[i])]
         active.append(j)
@@ -346,7 +350,7 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder = None) -> lis
     while pairs or waiting:
         s = min([pair[0] for pair in pairs] + [d for d, _row in waiting[-1:]])
         multiples = [(tuple(map(sub, lcm, leads[k])), rows[k])
-                     for sugar, i, j, lcm in pairs if sugar == s for k in (i, j)]
+                     for r, i, j, lcm in pairs if r == s for k in (i, j)]
         pairs = [pair for pair in pairs if pair[0] != s]
         extra = []
         while waiting and waiting[-1][0] == s:
@@ -360,7 +364,7 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder = None) -> lis
             return sorted([basis[k] for k in active] + [h for h, _row in found],
                           key=lambda g: key(g.lead_monomial))
         for h, row in found:
-            insert(h, row, max(s, h.max_term_degree()))
+            insert(h, row)
 
     if homogeneous:
         return sorted((basis[k] for k in active), key=lambda g: key(g.lead_monomial))

@@ -403,11 +403,14 @@ def _lex_quadrics():
     (_power_ring(6), [], 157),
     (_power_ring(8), [], 495),
     (_lex_quadrics(), ["--order", "lex"], 37),
-], ids=["powers6", "powers8", "lex_quadrics"])
+    ("field Q\nvars x,y,z\nideal:\nx^3 - y*z + z^4\ny^3 - x*z^2\nz^3 - x*y + x^2\n",
+     ["--order", "lex"], 8),
+], ids=["powers6", "powers8", "lex_quadrics", "lex_inhomogeneous"])
 def test_hostile_groebner_inputs_end_fast(monkeypatch, text, args, lines):
-    # each once took from 4 s to minutes; the engine must end within 10 s,
-    # with the basis or with the work budget (exit 4).  On a 2-core Xeon
-    # they take 0.4, 1.6 and 0.3 s
+    # the first three once took from 4 s to minutes, and the sugar strategy
+    # runs the last one for minutes; the engine must end within 10 s, with
+    # the basis or with the work budget (exit 4).  On a 2-core Xeon they
+    # take 0.4, 1.6, 0.3 and 0.5 s
     _child_imports_this_koszulkit(monkeypatch)
     proc = subprocess.run([sys.executable, "-m", "koszulkit", "gb", *args, "-"], input=text,
                           capture_output=True, text=True, timeout=10)
