@@ -78,9 +78,10 @@ from .errors import BudgetError
 from .linalg import EchelonSolver, field_vector, int_vector
 from .poly import Monomial, MonomialOrder, Polynomial
 
-# matrix rows, counted over a whole run, that `buchberger` may eliminate
-# before it gives up with BudgetError
-PAIR_BUDGET = 100000
+# nonzero matrix entries, counted over a whole run, that `buchberger` may
+# eliminate before it gives up with BudgetError; rows alone do not bound
+# the work, since they grow denser as the basis grows
+ENTRY_BUDGET = 65000
 
 
 def _divides(a: tuple, b: tuple) -> bool:
@@ -94,12 +95,22 @@ def _lcm(a: tuple, b: tuple) -> tuple:
 
 def _minimalise(monomials) -> list[tuple]:
     """The minimal generators of the monomial ideal the exponent tuples
-    generate, in ascending degree."""
-    kept: list[tuple] = []
-    for m in sorted(set(monomials), key=sum):
-        if not any(_divides(k, m) for k in kept):
-            kept.append(m)
-    return kept
+    generate, in ascending degree.
+
+    Each exponent tuple is packed into one int, a field of w bits per
+    variable whose top bit, the guard, is set in the packed form of m:
+    k divides m iff subtracting k from it borrows from no guard bit.  One
+    int subtraction per test keeps the quadratic loop cheap on the
+    thousand leads of a large basis."""
+    monos = sorted(set(monomials), key=sum)
+    w = max(map(max, monos), default=0).bit_length() + 1
+    guard = sum(1 << (w * i + w - 1) for i in range(len(monos[0]))) if monos else 0
+    kept: dict = {}  # m -> its packed form
+    for m in monos:
+        q = sum(e << (w * i) for i, e in enumerate(m)) + guard
+        if all((q - k) & guard != guard for k in kept.values()):
+            kept[m] = q - guard
+    return list(kept)
 
 
 def _add_shifted(a: list[int], b: list[int], shift: int, sign: int) -> list[int]:
@@ -250,9 +261,9 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder = None) -> lis
     int echelon, with the Gebauer-Moller update as each new element
     joins, and on homogeneous input the Hilbert cutoff.
 
-    Raises BudgetError when its matrices hold more than PAIR_BUDGET rows
-    in all; the count is checked after each symbolic preprocessing,
-    before that matrix is eliminated.
+    Raises BudgetError when its matrices hold more than ENTRY_BUDGET
+    nonzero entries in all; the count is checked after each symbolic
+    preprocessing, before that matrix is eliminated.
     """
     gens = [g for g in generators if g and g.terms]
     if not gens:
@@ -277,7 +288,7 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder = None) -> lis
     leads: list[tuple] = []  # exponent tuple of each basis element's lead
     active: list[int] = []  # basis indices that form pairs and reduce
     pairs: list = []  # (rank, i, j, lcm exponents)
-    used = 0  # matrix rows so far
+    used = 0  # matrix entries so far
 
     def insert(h: Polynomial, row: list):
         nonlocal pairs
@@ -326,9 +337,9 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder = None) -> lis
         nonlocal used
         reducers = [(leads[k], rows[k]) for k in sorted(active, key=lambda k: len(rows[k]))]
         leading, rest, monomials = _preprocess(multiples, extra, reducers)
-        used += len(leading) + len(rest)
-        if used > PAIR_BUDGET:
-            raise BudgetError("Groebner budget of %d matrix rows exceeded" % PAIR_BUDGET)
+        used += sum(map(len, leading.values())) + sum(map(len, rest))
+        if used > ENTRY_BUDGET:
+            raise BudgetError("Groebner budget of %d matrix entries exceeded" % ENTRY_BUDGET)
         monos = sorted(map(Monomial, monomials), key=key, reverse=True)
         index = {m.exponents: c for c, m in enumerate(monos)}
         solver = EchelonSolver(field)

@@ -431,7 +431,7 @@ def kernel_of_columns(columns: Iterable[tuple[dict, int]], field,
     """
     if solver is None:
         solver = EchelonSolver(field, track=True)
-    rows = solver._rows
+    rows, combos = solver._rows, solver._combos
     p = field.char
     zeros, kernel, stored = [], [], set()
     for f, (V, S) in enumerate(columns):
@@ -439,9 +439,13 @@ def kernel_of_columns(columns: Iterable[tuple[dict, int]], field,
             zeros.append(f)
             continue
         if len(V) == 1 and (c := next(iter(V))) not in rows:
-            # nothing to eliminate: store the row that elimination would,
-            # whose combination starts at S (at 1 over GF(p))
-            solver._store({c: V[c]}, {f: 1 if p else S})
+            # nothing to eliminate: store the row and combination that
+            # `_store` makes of ({c: V[c]}, {f: 1 if p else S})
+            if p:  # pivot residue 1
+                rows[c], combos[c] = {c: 1}, {f: pow(V[c], p - 2, p)}
+            else:  # content 1 and a positive pivot entry
+                g = gcd(x, S) if (x := V[c]) > 0 else -gcd(x, S)
+                rows[c], combos[c] = {c: x // g}, {f: S // g}
             stored.add(f)
             continue
         V, C, _D = solver._reduce_ints(dict(V), S, {f: 1})

@@ -52,7 +52,13 @@ x_l*m times a generator is x_l times the image of m, so the images of a
 whole piece's basis follow by shifting int vectors through the ring's
 int x_l tables (`quotient.shift_ints`), each keeping its own
 denominator, and `kernel_of_columns` takes them as they are.  A zero
-image's multiples are zero.  Over an ungraded ring most generators are
+image's multiples are zero.  A graded piece finds the block of a
+coordinate by bisecting its block offsets.  The one piece of an ungraded
+ring needs no search: every block is the whole ring, so block g starts
+at g * dim R, coordinate f is row f % dim R of the block at
+f - f % dim R, and every block shares the ring's one x_l table
+(`_stride_all`, `_stride_shift`).  The layout is chosen once per piece
+(`_layout`).  Over an ungraded ring most generators are
 unit vectors e_f with f = (g', m'), and the images of the whole block
 of such a generator are the ring's products m * m' moved to the block
 of g': column m' of the ring's one product table
@@ -231,10 +237,11 @@ class FreeModule:
 
 def _shift_all(vec: dict, offsets: tuple, blocks: tuple, p: int,
                stored: Optional[set] = None) -> list[dict]:
-    """The nonzero ones among x_1 * vec, ..., x_n * vec for an int vector,
-    each up to the scale of the tables from FreeModule.int_shifts; one
-    pass over vec, with one bisect per coordinate.  With `stored`, only
-    target coordinates outside stored survive."""
+    """The nonzero ones among x_1 * vec, ..., x_n * vec for an int vector
+    of a graded piece, each up to the scale of the tables from
+    FreeModule.int_shifts; one pass over vec, which finds the block of
+    each coordinate among the block offsets of the piece.  With `stored`,
+    only target coordinates outside stored survive."""
     outs: dict = {}  # l -> x_l * vec; most products of a sweep are zero
     for coord, coeff in vec.items():
         src, tgt, act = blocks[bisect_right(offsets, coord) - 1]
@@ -244,6 +251,41 @@ def _shift_all(vec: dict, offsets: tuple, blocks: tuple, p: int,
                 out = outs[l] = {}
             k = tgt + ti
             out[k] = out.get(k, 0) + coeff * c
+    return _products(outs, p, stored)
+
+
+def _stride_all(vec: dict, d: int, act: tuple, p: int, stored: Optional[set] = None) -> list[dict]:
+    """`_shift_all` on the one piece of an ungraded ring, where block g
+    starts at g * d, d = dim R, and every block has the ring's one
+    `int_action` table act: coordinate f is row f % d of the block at
+    f - f % d, which x_l maps into itself."""
+    outs: dict = {}
+    for coord, coeff in vec.items():
+        base = coord - (i := coord % d)
+        for l, ti, c in act[i]:
+            out = outs.get(l)
+            if out is None:
+                out = outs[l] = {}
+            k = base + ti
+            out[k] = out.get(k, 0) + coeff * c
+    return _products(outs, p, stored)
+
+
+def _stride_shift(vec: dict, d: int, act: tuple, l: int, p: int) -> dict:
+    """`quotient.shift_ints` on the one piece of an ungraded ring, by the
+    stride of `_stride_all`."""
+    out: dict = {}
+    for coord, coeff in vec.items():
+        base = coord - (i := coord % d)
+        for x, ti, c in act[i]:
+            if x == l:
+                k = base + ti
+                out[k] = out.get(k, 0) + coeff * c
+    return nonzero_ints(out, p) if out else out
+
+
+def _products(outs: dict, p: int, stored: Optional[set]) -> list[dict]:
+    """The nonzero products x_l * vec of `outs`, off `stored` if given."""
     result = []
     for out in outs.values():
         if stored:
@@ -254,15 +296,28 @@ def _shift_all(vec: dict, offsets: tuple, blocks: tuple, p: int,
     return result
 
 
+def _layout(module: FreeModule, piece: int) -> tuple:
+    """(shift_all, shift, a, scale, b) for the given piece of module,
+    chosen once per piece: shift_all(v, a, b, p, stored) gives every
+    x_l * v and shift(v, a, b, l, p) one of them, each up to `scale`.
+    Over a graded ring they are `_shift_all` and `quotient.shift_ints` on
+    the offsets a and blocks b of `FreeModule.int_shifts`; over an
+    ungraded ring, `_stride_all` and `_stride_shift` on a = dim R and the
+    ring's one table b."""
+    ring = module.ring
+    if ring.graded:
+        return (_shift_all, shift_ints, *module.int_shifts(piece))
+    scale = ring.action_scale(0)
+    return _stride_all, _stride_shift, ring.dim, scale, ring.int_action(0, scale)
+
+
 def _saturate(span: EchelonSolver, module: FreeModule, piece: int, feed) -> None:
     """Insert x_l * v into span for every int vector v of feed, a list
     of vectors of the given piece of module, and every variable x_l."""
-    if not feed:
-        return
-    offsets, _scale, blocks = module.int_shifts(piece)
+    shift_all, _shift, a, _scale, b = _layout(module, piece)
     p = module.ring.field.char
     for v in feed:
-        for w in _shift_all(v, offsets, blocks, p):
+        for w in shift_all(v, a, b, p):
             span.add_ints(w)
 
 
@@ -280,30 +335,41 @@ def _saturated_pivots(module: FreeModule, piece: int, zeros, dense, stored: set)
     vectors miss those coordinates; so the pivots are the unit
     coordinates plus the pivots of an echelon of the projected D, which
     is small in a resolution sweep.  The products of e_f are read off the
-    action row of f, grouped by variable.
+    action row of f, grouped by variable; over an ungraded ring that is
+    row f % d of the ring's one grouped table, d = dim R, moved to the
+    block at f - f % d (see `_stride_all`).  A product of e_f with more
+    than one term goes to D even if the restriction leaves it one entry:
+    the pivots are those of the same span.
     """
     units: set = set()
     rest = []
     if zeros or dense:
         ring = module.ring
-        offsets, scale, blocks = module.int_shifts(piece)
-        grouped = [ring.grouped_int_action(piece - d, scale) for d in module.degrees]
-        for f in zeros:
-            g = bisect_right(offsets, f) - 1
-            src, tgt, _act = blocks[g]
-            for pairs in grouped[g][f - src]:
-                if len(pairs) == 1:  # most products of a sweep
-                    if (k := tgt + pairs[0][0]) not in stored:
-                        units.add(k)
-                    continue
-                w = {k: c for ti, c in pairs if (k := tgt + ti) not in stored}
-                if len(w) == 1:
-                    units.update(w)
-                elif w:
-                    rest.append(w)
+        shift_all, _shift, a, scale, b = _layout(module, piece)
+        if ring.graded:
+            grouped = [ring.grouped_int_action(piece - d, scale) for d in module.degrees]
+            for f in zeros:
+                g = bisect_right(a, f) - 1
+                src, tgt, _act = b[g]
+                for pairs in grouped[g][f - src]:
+                    if len(pairs) == 1:  # most products of a sweep
+                        if (k := tgt + pairs[0][0]) not in stored:
+                            units.add(k)
+                    elif w := {k: c for ti, c in pairs if (k := tgt + ti) not in stored}:
+                        rest.append(w)
+        else:
+            grouped = ring.grouped_int_action(0, scale)
+            for f in zeros:
+                tgt = f - (i := f % a)
+                for pairs in grouped[i]:
+                    if len(pairs) == 1:
+                        if (k := tgt + pairs[0][0]) not in stored:
+                            units.add(k)
+                    elif w := {k: c for ti, c in pairs if (k := tgt + ti) not in stored}:
+                        rest.append(w)
         p = ring.field.char
         for v in dense:
-            for w in _shift_all(v, offsets, blocks, p, stored):
+            for w in shift_all(v, a, b, p, stored):
                 if len(w) == 1:
                     units.update(w)
                 else:
@@ -344,7 +410,7 @@ def _basis_images(source: FreeModule, target: FreeModule, vectors, j: int,
     generator whose image is the unit vector of m_i is that chain read
     from the ring's products m * m_i (column m_i of `product_pairs` of
     the whole ring, whose shifts are those of the target's one piece),
-    moved to the block of the unit vector.
+    moved to the block of the unit vector, at the stride of `_stride_all`.
     """
     out = memo.get(j)
     if out is None:
@@ -355,9 +421,8 @@ def _basis_images(source: FreeModule, target: FreeModule, vectors, j: int,
         prev = None
         for g, d in enumerate(source.degrees):
             if not ring.graded and (f := _unit_coordinate(*vectors[g])) is not None:
-                starts = target.offsets(0)
-                o = starts[bisect_right(starts, f) - 1]
-                column = map(itemgetter(f - o), ring.product_pairs(0, 0))
+                o = f - (i := f % ring.dim)
+                column = map(itemgetter(i), ring.product_pairs(0, 0))
                 out.extend([({k + o: x for k, x in W.items()}, S) if W else ZERO
                             for W, S in column] if o else column)
                 continue
@@ -368,10 +433,10 @@ def _basis_images(source: FreeModule, target: FreeModule, vectors, j: int,
                 if prev is None:  # over an ungraded ring, `out` itself
                     prev = _basis_images(source, target, vectors, below, memo)
                     prev_offsets = source.offsets(below)
-                    offsets, scale, blocks = target.int_shifts(below)
+                    _all, shift, a, scale, b = _layout(target, below)
                 l, i = step
                 V, S = prev[prev_offsets[g] + i]
-                W = shift_ints(V, offsets, blocks, l, p) if V else None
+                W = shift(V, a, b, l, p) if V else None
                 out.append((W, S * scale) if W else ZERO)
     return out
 

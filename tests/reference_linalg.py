@@ -177,10 +177,13 @@ def kernel_of_columns(columns: list[dict], field) -> list[dict]:
     return kernel
 
 
-def int_kernel(columns, field) -> list[tuple[int, dict]]:
+def int_kernel(columns, field, solver=None) -> list[tuple[int, dict]]:
     """The null space of the int columns (V_j, S_j) as pairs (f, C) in
-    ascending order of the free column f, the zero columns included."""
-    solver = IntEchelonSolver(field, track=True)
+    ascending order of the free column f, the zero columns included.
+    With `solver`, an empty tracked solver, the columns go into it, each
+    stored row through `_store`."""
+    if solver is None:
+        solver = IntEchelonSolver(field, track=True)
     kernel = []
     for f, (V, S) in enumerate(columns):
         if not V:

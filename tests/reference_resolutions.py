@@ -20,6 +20,13 @@ echelon saturation whose pivot set both read off.  `unit_images` keeps
 the per-(m_i, scale) chain of shifts that gave the image block of a
 unit generator before the engine read it off the ring's product pairs.
 
+Over an ungraded ring the engine finds the block of a coordinate f of
+its one piece by stride, at f - f % dim R.  `bisect_shift_all`,
+`bisect_saturated_pivots` and `bisect_basis_images` keep the engine's
+`_shift_all`, `_saturated_pivots` and `_basis_images` as they were
+before, finding every block by bisecting the block offsets of
+`FreeModule.int_shifts` and `FreeModule.offsets`.
+
 The engine also shifts the basis images of a map as int vectors, each
 over its own denominator.  `reference_tor_map_vanishes` keeps the field
 path that replaces: the images are field vectors shifted through the
@@ -31,10 +38,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import partial
+from operator import itemgetter
 
 from koszulkit.linalg import EchelonSolver, int_vector, vec_add_terms
 from koszulkit.poly import Polynomial
-from koszulkit.resolutions import ModulePresentation, TorMapReport, minimal_resolution
+from koszulkit.quotient import nonzero_ints, shift_ints
+from koszulkit.resolutions import (ModulePresentation, TorMapReport, _unit_coordinate,
+                                   minimal_resolution)
 
 from reference_linalg import Subspace, int_kernel, kernel_of_columns, vec_combine
 from reference_quotient import var_action
@@ -357,6 +367,106 @@ def reference_sweep(src, jmin, jmax, images):
             C[f] = C.pop(f)
             gens.append((j, (C, C[f])))
     return gens, log
+
+
+# -- the block of a coordinate by bisection ----------------------------
+
+
+def bisect_shift_all(vec: dict, offsets: tuple, blocks: tuple, p: int, stored=None) -> list:
+    """The nonzero ones among x_1 * vec, ..., x_n * vec for an int vector,
+    each up to the scale of the tables from FreeModule.int_shifts, with
+    one bisect per coordinate.  With `stored`, only target coordinates
+    outside stored survive."""
+    outs: dict = {}
+    for coord, coeff in vec.items():
+        src, tgt, act = blocks[bisect_right(offsets, coord) - 1]
+        for l, ti, c in act[coord - src]:
+            out = outs.get(l)
+            if out is None:
+                out = outs[l] = {}
+            k = tgt + ti
+            out[k] = out.get(k, 0) + coeff * c
+    result = []
+    for out in outs.values():
+        if stored:
+            out = {k: x for k, x in out.items() if k not in stored}
+        out = nonzero_ints(out, p)
+        if out:
+            result.append(out)
+    return result
+
+
+def bisect_saturated_pivots(module, piece: int, zeros, dense, stored: set) -> set:
+    """`resolutions._saturated_pivots` with the block of every coordinate
+    found by bisection, over graded and ungraded rings alike."""
+    units: set = set()
+    rest = []
+    if zeros or dense:
+        ring = module.ring
+        offsets, scale, blocks = module.int_shifts(piece)
+        grouped = [ring.grouped_int_action(piece - d, scale) for d in module.degrees]
+        for f in zeros:
+            g = bisect_right(offsets, f) - 1
+            src, tgt, _act = blocks[g]
+            for pairs in grouped[g][f - src]:
+                if len(pairs) == 1:
+                    if (k := tgt + pairs[0][0]) not in stored:
+                        units.add(k)
+                    continue
+                w = {k: c for ti, c in pairs if (k := tgt + ti) not in stored}
+                if len(w) == 1:
+                    units.update(w)
+                elif w:
+                    rest.append(w)
+        p = ring.field.char
+        for v in dense:
+            for w in bisect_shift_all(v, offsets, blocks, p, stored):
+                if len(w) == 1:
+                    units.update(w)
+                else:
+                    rest.append(w)
+    span = EchelonSolver(module.ring.field)
+    for w in rest:
+        w = {-k: x for k, x in w.items() if k not in units}
+        if w:
+            span.add_ints(w)
+    units.update(-min(row) for row in span.int_rows())
+    return units
+
+
+def bisect_basis_images(source, target, vectors, j: int, memo: dict) -> list[tuple]:
+    """`resolutions._basis_images` with the block of every coordinate
+    found by bisection: the block of a unit generator over an ungraded
+    ring sits at the target offset below its coordinate, and every other
+    image is shifted through `FreeModule.int_shifts`."""
+    out = memo.get(j)
+    if out is None:
+        ring = source.ring
+        p = ring.field.char
+        out = memo[j] = []
+        below = ring.piece_of(j - 1)
+        prev = None
+        for g, d in enumerate(source.degrees):
+            if not ring.graded and (f := _unit_coordinate(*vectors[g])) is not None:
+                starts = target.offsets(0)
+                o = starts[bisect_right(starts, f) - 1]
+                column = map(itemgetter(f - o), ring.product_pairs(0, 0))
+                out.extend([({k + o: x for k, x in W.items()}, S) if W else _ZERO
+                            for W, S in column] if o else column)
+                continue
+            for step in ring.divisors(j - d):
+                if step is None:
+                    out.append(vectors[g])
+                    continue
+                if prev is None:  # over an ungraded ring, `out` itself
+                    prev = bisect_basis_images(source, target, vectors, below, memo)
+                    prev_offsets = source.offsets(below)
+                    offsets, scale, blocks = target.int_shifts(below)
+                l, i = step
+                V, S = prev[prev_offsets[g] + i]
+                W = shift_ints(V, offsets, blocks, l, p) if V else None
+                out.append((W, S * scale) if W else _ZERO)
+    return out
 
 
 # -- the field path of chain-map lifts ---------------------------------

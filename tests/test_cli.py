@@ -109,11 +109,11 @@ def test_bad_input_exit_codes(capsys, monkeypatch):
 
 def test_budget_exit_code(capsys, monkeypatch):
     from koszulkit import groebner
-    monkeypatch.setattr(groebner, "PAIR_BUDGET", 0)
+    monkeypatch.setattr(groebner, "ENTRY_BUDGET", 0)
     monkeypatch.setattr(sys, "stdin", io.StringIO("field Q\nvars x,y\nideal:\nx^2 + y^2\nx*y\n"))
     rc, out, err = run(capsys, ["gb", "-"])
     assert rc == 4 and out == ""
-    assert err == "error: Groebner budget of 0 matrix rows exceeded\n"
+    assert err == "error: Groebner budget of 0 matrix entries exceeded\n"
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
@@ -402,15 +402,18 @@ def _lex_quadrics():
 @pytest.mark.parametrize("text,args,lines", [
     (_power_ring(6), [], 157),
     (_power_ring(8), [], 495),
+    (_power_ring(12), [], 2584),
     (_lex_quadrics(), ["--order", "lex"], 37),
     ("field Q\nvars x,y,z\nideal:\nx^3 - y*z + z^4\ny^3 - x*z^2\nz^3 - x*y + x^2\n",
      ["--order", "lex"], 8),
-], ids=["powers6", "powers8", "lex_quadrics", "lex_inhomogeneous"])
+], ids=["powers6", "powers8", "powers12", "lex_quadrics", "lex_inhomogeneous"])
 def test_hostile_groebner_inputs_end_fast(monkeypatch, text, args, lines):
-    # the first three once took from 4 s to minutes, and the sugar strategy
-    # runs the last one for minutes; the engine must end within 10 s, with
-    # the basis or with the work budget (exit 4).  On a 2-core Xeon they
-    # take 0.4, 1.6, 0.3 and 0.5 s
+    # powers6, powers8 and lex_quadrics once took from 4 s to minutes, and
+    # the sugar strategy runs the last one for minutes; the engine must end
+    # within 10 s, with the basis or with the work budget (exit 4).  With
+    # the budget counting rows, powers12 ran 54 s and printed its basis;
+    # the entry budget stops it.  On a 2-core Xeon they take 0.3, 1.3,
+    # 6.3, 0.2 and 0.2 s
     _child_imports_this_koszulkit(monkeypatch)
     proc = subprocess.run([sys.executable, "-m", "koszulkit", "gb", *args, "-"], input=text,
                           capture_output=True, text=True, timeout=10)

@@ -114,17 +114,18 @@ def test_socle4_lex_basis_matches_sympy_oracle():
     assert got == expected
 
 
-def test_pair_budget_raises_budget_error(monkeypatch):
-    """The basis x*y, x^2 + y^2, y^3 takes two matrices of two rows: the
-    generators, then the multiples of their pair, whose lcm is x^2*y.  The
-    budget counts the rows of every matrix of the run."""
+def test_entry_budget_raises_budget_error(monkeypatch):
+    """The basis x*y, x^2 + y^2, y^3 takes two matrices of three entries:
+    the generators, then the multiples of their pair, whose lcm is x^2*y,
+    y*(x^2 + y^2) and x*(x*y).  The budget counts the nonzero entries of
+    every matrix of the run."""
     names = ("x", "y")
     gens = polys(["x^2 + y^2", "x*y"], names, GRL)
-    monkeypatch.setattr(groebner, "PAIR_BUDGET", 4)
+    monkeypatch.setattr(groebner, "ENTRY_BUDGET", 6)
     assert [format_polynomial(g, names) for g in buchberger(gens, GRL)] == \
         ["x*y", "x^2 + y^2", "y^3"]
-    monkeypatch.setattr(groebner, "PAIR_BUDGET", 3)
-    with pytest.raises(BudgetError, match="budget of 3 matrix rows"):
+    monkeypatch.setattr(groebner, "ENTRY_BUDGET", 5)
+    with pytest.raises(BudgetError, match="budget of 5 matrix entries"):
         buchberger(gens, GRL)
 
 

@@ -254,15 +254,24 @@ def _columns(field):
 @pytest.mark.parametrize("name", FIELDS)
 def test_int_kernel_matches_reference(name):
     # zero columns come back as indices and the other free columns as the
-    # reference's pairs, literally; every other column is stored
+    # reference's pairs, literally; every other column is stored.  The
+    # tracked solver, which `_lift` solves on, holds literally the rows
+    # and combinations of the reference, which stores every row through
+    # `_store`, also where a column with one entry meets no pivot
     pytest.importorskip("hypothesis")
     field = FIELDS[name]
+
+    def state(rows):
+        return [(q, [(c, type(x), x) for c, x in row.items()]) for q, row in rows.items()]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_columns(field))
     def check(columns):
-        zeros, kernel, stored = kernel_of_columns(columns, field)
-        want = ref.int_kernel(columns, field)
+        solver, ref_solver = (EchelonSolver(field, track=True) for _ in range(2))
+        zeros, kernel, stored = kernel_of_columns(columns, field, solver)
+        want = ref.int_kernel(columns, field, ref_solver)
+        assert state(solver._rows) == state(ref_solver._rows)
+        assert state(solver._combos) == state(ref_solver._combos)
         assert zeros == [f for f, (V, _S) in enumerate(columns) if not V]
         literal = [(f, [(c, type(x), x) for c, x in C.items()]) for f, C in want
                    if columns[f][0]]

@@ -13,7 +13,7 @@ from koszulkit import corpus, resolutions
 from koszulkit.conditions import StretchedSpec, build_stretched_ring
 from koszulkit.errors import InputError, PreconditionError
 from koszulkit.fields import PrimeField, QQ, rational
-from koszulkit.linalg import kernel_of_columns
+from koszulkit.linalg import int_vector, kernel_of_columns
 from koszulkit.poly import MonomialOrder
 from koszulkit.quotient import QuotientRing
 from koszulkit.resolutions import (ModulePresentation, betti_numbers_k,
@@ -24,7 +24,8 @@ from koszulkit.ringdef import (format_field, format_polynomial, parse_polynomial
 from koszulkit.series import poly_mul
 
 from reference_linalg import Subspace
-from reference_resolutions import (int_basis_images, piece_images, reference_lift,
+from reference_resolutions import (bisect_basis_images, bisect_saturated_pivots,
+                                   int_basis_images, piece_images, reference_lift,
                                    reference_resolution,
                                    reference_sweep, reference_tor_map_vanishes,
                                    saturated_pivots, saturation_pivots, shift_all)
@@ -330,6 +331,31 @@ def test_unit_images_match_the_chain(field):
     assert _literal_ints([got]) == _literal_ints([want])
 
 
+@pytest.mark.parametrize("name", sorted(SWEEP_FIELDS))
+def test_stride_images_match_the_bisect_images(name):
+    # over an ungraded ring the engine finds the block of a coordinate by
+    # stride; the images of every step's piece basis, and of the chain
+    # map that `_lift` composes, are literally those of the bisection
+    pytest.importorskip("hypothesis")
+    field = SWEEP_FIELDS[name][0]
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(stretched_specs(field))
+    def check(spec):
+        ring = build_stretched_ring(spec)
+        res_s, res_b = (minimal_resolution(ring, ModulePresentation.power_module(ring, t), 3)
+                        for t in (2, 1))
+        cases = [(res_b.chain[p + 1], res_b.chain[p], V) for p, V in enumerate(res_b.int_maps)]
+        cases += [(res_s.chain[q], res_b.chain[q], [int_vector(v, field.char) for v in lift])
+                  for q, lift in enumerate(resolutions._lift(ring, res_s, res_b, 3), 1)]
+        for source, target, vectors in cases:
+            got = resolutions._basis_images(source, target, vectors, 0, {})
+            want = bisect_basis_images(source, target, vectors, 0, {})
+            assert _literal_ints([got]) == _literal_ints([want])
+
+    check()
+
+
 def _piece_rank(ring, source_degrees, target_degrees, columns, j):
     """Rank and source dimension of one differential on piece j."""
     images = piece_images(ring, source_degrees, target_degrees, columns, j)
@@ -366,19 +392,26 @@ def test_resolutions_are_exact(name, module, limit):
 
 
 class _Table:
-    """One block of a free module with a hand-written int x_l table:
-    rows[k] lists the (l, target, coefficient) triples of x_l * e_k."""
+    """Blocks of a free module with one hand-written int x_l table:
+    rows[k] lists the (l, target, coefficient) triples of x_l * e_k.
+    Graded, the module is one block; its ungraded twin has `blocks`
+    blocks of the table at the stride dim = len(rows), as over an
+    ungraded ring, and `int_shifts` still gives their offsets."""
 
-    def __init__(self, field, rows):
+    def __init__(self, field, rows, blocks=None):
         grouped = tuple(tuple(tuple((t, c) for x, t, c in row if x == l)
                               for l in sorted({x for x, _t, _c in row}))
                         for row in rows)
-        self.ring = SimpleNamespace(field=field, grouped_int_action=lambda e, scale: grouped)
-        self.degrees = [0]
+        self.ring = SimpleNamespace(field=field, graded=blocks is None, dim=len(rows),
+                                    action_scale=lambda e: 1,
+                                    int_action=lambda e, scale: rows,
+                                    grouped_int_action=lambda e, scale: grouped)
+        self.degrees = [0] * (blocks or 1)
         self.rows = rows
 
     def int_shifts(self, piece):
-        return (0,), 1, ((0, 0, self.rows),)
+        offsets = tuple(range(0, len(self.degrees) * len(self.rows), len(self.rows)))
+        return offsets, 1, tuple((o, o, self.rows) for o in offsets)
 
 
 # x_0 and x_1 on six source and six target coordinates; e_1, e_2 and e_3
@@ -412,21 +445,32 @@ def test_saturated_pivots_match_the_echelon(case, field):
     # product with more terms comes before the unit products it meets.
     # The engine takes the unit feed vectors as indices, the others as
     # vectors, and the stored columns in place of keep; it names a
-    # coordinate k where the references name it keep[k] = -k
-    feed, keep, units, dense = PIVOT_FEEDS[case]
-    table = _Table(field, _ROWS)
-    offsets, _scale, blocks = table.int_shifts(0)
-    products = [w for v in feed for w in shift_all(v, offsets, blocks, field.char, keep)]
-    if units is not None:
-        assert [len(w) == 1 for w in products].count(True) == units
-        assert len(products) - units == dense
-    zeros = [k for v in feed for k in v if v == {k: 1}]
-    vectors = [dict(v) for v in feed if len(v) > 1 or 1 not in v.values()]
-    stored = set(range(6)) - set(keep)
-    pivots = {-k for k in _saturated_pivots(table, 0, zeros, vectors, stored)}
-    assert pivots == saturation_pivots(table, 0, [dict(v) for v in feed], keep)
-    assert pivots == saturated_pivots(table, 0, [dict(v) for v in feed], keep)
-    assert _saturated_pivots(table, 0, [], [], stored) == set()
+    # coordinate k where the references name it keep[k] = -k.  Graded,
+    # the engine finds a coordinate's block among the offsets; over the
+    # ungraded twin it finds it by stride, while the references still
+    # read the offsets.  There entry k of feed vector i goes to block
+    # (i + k) % 3, so the feed meets every block and a vector spans two
+    for blocks in (None, 3):
+        table = _Table(field, _ROWS, blocks)
+        count = len(table.degrees)
+        feed = [{k + (i + k) % count * 6: x for k, x in v.items()}
+                for i, v in enumerate(PIVOT_FEEDS[case][0])]
+        keep = {k + g * 6: -k - g * 6 for k in PIVOT_FEEDS[case][1] for g in range(count)}
+        units, dense = PIVOT_FEEDS[case][2:]
+        offsets, _scale, shifts = table.int_shifts(0)
+        products = [w for v in feed for w in shift_all(v, offsets, shifts, field.char, keep)]
+        if units is not None:
+            assert [len(w) == 1 for w in products].count(True) == units
+            assert len(products) - units == dense
+        zeros = [k for v in feed for k in v if v == {k: 1}]
+        vectors = [dict(v) for v in feed if len(v) > 1 or 1 not in v.values()]
+        stored = set(range(6 * count)) - set(keep)
+        got = _saturated_pivots(table, 0, zeros, vectors, stored)
+        assert got == bisect_saturated_pivots(table, 0, zeros, vectors, stored)
+        pivots = {-k for k in got}
+        assert pivots == saturation_pivots(table, 0, [dict(v) for v in feed], keep)
+        assert pivots == saturated_pivots(table, 0, [dict(v) for v in feed], keep)
+        assert _saturated_pivots(table, 0, [], [], stored) == set()
 
 
 def _literal_ints(int_maps):
