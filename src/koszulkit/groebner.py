@@ -72,7 +72,7 @@ J. Symb. Comput. 1992) and Bigatti (1997), not from enumerating monomials.
 from __future__ import annotations
 
 from math import comb
-from operator import add, le, sub
+from operator import add, le, lshift, sub
 
 from .errors import BudgetError
 from .linalg import EchelonSolver, field_vector, int_vector
@@ -101,13 +101,14 @@ def _minimalise(monomials) -> list[tuple]:
     variable whose top bit, the guard, is set in the packed form of m:
     k divides m iff subtracting k from it borrows from no guard bit.  One
     int subtraction per test keeps the quadratic loop cheap on the
-    thousand leads of a large basis."""
+    thousand leads of a large basis.  The guard bits of n fields are the
+    base-2^w repunit (2^(wn) - 1) / (2^w - 1) shifted by w - 1."""
     monos = sorted(set(monomials), key=sum)
     w = max(map(max, monos), default=0).bit_length() + 1
-    guard = sum(1 << (w * i + w - 1) for i in range(len(monos[0]))) if monos else 0
+    guard = ((1 << w * len(monos[0])) - 1) // ((1 << w) - 1) << w - 1 if monos else 0
     kept: dict = {}  # m -> its packed form
     for m in monos:
-        q = sum(e << (w * i) for i, e in enumerate(m)) + guard
+        q = sum(map(lshift, m, range(0, w * len(m), w))) + guard
         if all((q - k) & guard != guard for k in kept.values()):
             kept[m] = q - guard
     return list(kept)
