@@ -125,7 +125,7 @@ def _containment(key, hp, span) -> PieceResult:
     full = len(hp.cycles)
     if span.rank < full:
         for f, pair in zip(hp.free, hp.cycles):
-            if not span.contains_ints({-f: 1}):
+            if not span.contains({-f: 1}):
                 return PieceResult(key, False, full, span.rank, hp.piece.element_of_ints(*pair))
     return PieceResult(key, True, full, span.rank)
 
@@ -150,7 +150,7 @@ def _product_span(algebra, i, j, factors, admit):
         u = int_vector(left.vector_of(el), p)[0]
         for rep, _S in cofactor.rep_pairs:
             w = hp.restrict(product_ints(left, u, cofactor.piece, rep, hp.piece))
-            if w and span.add_ints(w) and span.rank == full:
+            if w and span.add(w) and span.rank == full:
                 break
     return hp, span
 
@@ -270,11 +270,11 @@ def check_P_local(ring: QuotientRing, t: int, r: int,
             for V, _S in zcycles:
                 w = product_ints(lpiece, lvec, source_piece, V, target)
                 if w:
-                    span.add_ints(w)
+                    span.add(w)
         _piece, cycles = filtered_cycles(ring, t, i)
         result = PieceResult(i, True, len(cycles), span.rank)
         for V, S in cycles:
-            if not span.contains_ints(dict(V)):
+            if not span.contains(dict(V)):
                 result = PieceResult(i, False, len(cycles), span.rank,
                                      target.element_of_ints(V, S))
                 break
@@ -350,7 +350,7 @@ class StretchedSpec:
         span = Subspace(self.field)
         for i in range(p):
             row = {j: of(a[i][j]) for j in range(p) if of(a[i][j])}
-            span.extend(row)
+            span.extend(int_vector(row, self.field.char)[0])
         if span.dim != p:
             raise InputError("matrix a must be invertible when r < v")
 

@@ -346,9 +346,9 @@ def buchberger(generators: list[Polynomial], order: MonomialOrder = None) -> lis
         solver = EchelonSolver(field)
         # by ascending pivot, so these rows eliminate nothing
         for lead in sorted(leading, key=index.__getitem__):
-            solver.add_ints({index[e]: c for e, c in leading[lead]})
+            solver.add({index[e]: c for e, c in leading[lead]})
         for row in rest:
-            solver.add_ints({index[e]: c for e, c in row})
+            solver.add({index[e]: c for e, c in row})
         return monos, index, solver, leading
 
     def read(monos: list, solver: EchelonSolver, q: int):

@@ -447,7 +447,7 @@ class HomologyPiece:
         for V, _S in boundaries:
             if span.rank == len(cycles):  # the span is all of Z
                 break
-            span.add_ints(self.restrict(V))
+            span.add(self.restrict(V))
         self.rep_free = [f for f in self.free if not span.has_pivot(-f)]
         self.rep_pairs = [pair for f, pair in cycles if not span.has_pivot(-f)]
 
@@ -581,7 +581,7 @@ class HomologyAlgebra:
             span = hp.boundary_span.copy()
             full = len(hp.cycles)  # the span lies in Z, so it is done at dim Z
             for w in self._products(i, j):
-                if w and span.add_ints(w) and span.rank == full:
+                if w and span.add(w) and span.rank == full:
                     break
             gens += [((i, j), hp.piece.element_of_ints(*pair))
                      for f, pair in zip(hp.free, hp.cycles)
@@ -622,8 +622,10 @@ class HomologyAlgebra:
             if el.is_zero():
                 return bd, {}
             raise PreconditionError("bidegree %r is outside the certified support" % (bd,))
-        V, _C, D = hp.boundary_span.reduce(hp.restrict(hp.piece.vector_of(el)))
-        rest = field_vector(self.ring.field.char, V, D)
+        p = self.ring.field.char
+        V, D = int_vector(hp.restrict(hp.piece.vector_of(el)), p)
+        V, _C, D = hp.boundary_span.reduce(V, D)
+        rest = field_vector(p, V, D)
         return bd, {k: rest[-f] for k, f in enumerate(hp.rep_free) if -f in rest}
 
 
@@ -662,19 +664,20 @@ def filtered_cycles(ring: QuotientRing, t: int, i: int) -> tuple[Piece, list[tup
 def filtered_component(ring: QuotientRing, t: int, i: int) -> tuple[Piece, list[tuple]]:
     """Basis of (m^t K)_i as int pairs (V, S) in the full K_i coordinates:
     the echelon rows of m^t (`Subspace.basis_pairs`) at each exterior
-    monomial."""
+    monomial.  The ring caches the basis only: a cached `Piece` would
+    point back to the ring and keep it alive in a reference cycle."""
     key = ("F", t, i)
     cache = ring._koszul_filtration
-    if key not in cache:
-        if not cache:
-            _require_filtration_budget(ring)
-        piece = full_piece(ring, i)
+    if not cache:
+        _require_filtration_budget(ring)
+    piece = full_piece(ring, i)
+    basis = cache.get(key)
+    if basis is None:
         width = len(piece.exts)
         rows = ring.power_ideal_subspace(t).basis_pairs() if width else []
-        basis = [({c * width + b: x for c, x in V.items()}, S)
-                 for b in range(width) for V, S in rows]
-        cache[key] = (piece, basis)
-    return cache[key]
+        basis = cache[key] = [({c * width + b: x for c, x in V.items()}, S)
+                              for b in range(width) for V, S in rows]
+    return piece, basis
 
 
 def _require_filtration_budget(ring: QuotientRing) -> None:
@@ -691,10 +694,10 @@ def _require_filtration_budget(ring: QuotientRing) -> None:
 
 def filtered_boundaries(ring: QuotientRing, t: int, i: int) -> EchelonSolver:
     """d((m^t K)_{i+1}) as a new int echelon in the coordinates of K_i,
-    to extend with `add_ints`."""
+    to extend with `add`."""
     span = EchelonSolver(ring.field)
     for V, _S in _filtered_differential(ring, t, i + 1):
-        span.add_ints(dict(V))
+        span.add(dict(V))
     return span
 
 

@@ -1,14 +1,13 @@
-"""Sparse exact linear algebra over Q and GF(p).
+"""Sparse exact linear algebra over Q and GF(p), on int vectors.
 
-Vectors are dicts mapping coordinate index to a nonzero field element.
 The workhorse is an incremental forward echelon (`EchelonSolver`) that
 can optionally track how each inserted vector was reduced, which yields
 kernels, membership certificates and particular solutions from the same
 loop.  Pivot choice is deterministic: the smallest coordinate index.
 
-Inside the solver every row, tracked combination and working vector
-holds plain Python ints; field elements are converted only where
-vectors enter or leave it.
+Every vector that goes in or comes out of the solver holds plain Python
+ints; field elements are built (`field_vector`) or taken apart
+(`int_vector`) only where a value enters or leaves the library.
 - GF(p): an entry is its residue in [1, p); a stored row has pivot
   residue 1.
 - Q: a vector being reduced is a dict of integer numerators V over one
@@ -25,14 +24,12 @@ vectors enter or leave it.
   values, and those have exactly one int form with D > 0 and
   gcd(D, V, C) = 1.
 
-A vector that matters only up to a nonzero scale, such as one spanning
-a saturation, can skip the field altogether: `EchelonSolver.add_ints`
-takes an int dict (residues over GF(p), integers over Q) and stores it
-with the same elimination and the same normalised rows as `add`.
-`kernel_of_columns`, the one kernel, takes column j as ints V_j over
-their own denominator S_j and returns the null basis: the zero columns
-as indices, the other null vectors as int vectors known up to scale.  A
-field vector is built from an int pair only where one is read.
+`reduce` and `solve` take a vector as the pair (V, D).  A vector that
+matters only up to a nonzero scale, such as one spanning a saturation,
+goes to `add` and `contains` as V alone.  `kernel_of_columns`, the one
+kernel, takes column j as ints V_j over their own denominator S_j and
+returns the null basis: the zero columns as indices, the other null
+vectors as int vectors known up to scale.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Hashable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .fields import GFElement, rational
 
@@ -186,7 +183,7 @@ def _eliminate_q(V: dict, C, D: int, rows: dict, combos: dict):
 
 
 class EchelonSolver:
-    """Incremental echelon form with optional combination tracking.
+    """Incremental int echelon form with optional combination tracking.
 
     Every stored row has its smallest coordinate as pivot and, as a
     field vector, pivot coefficient one.  Rows are only forward reduced;
@@ -205,19 +202,17 @@ class EchelonSolver:
     def rank(self) -> int:
         return len(self._rows)
 
-    def reduce(self, vec: dict, combo: Optional[dict] = None):
-        """Eliminate all pivot coordinates from vec (a dict of field elements).
+    def reduce(self, V: dict, D: int, combo: Optional[dict] = None):
+        """Eliminate all pivot coordinates from the int vector V / D
+        (residues with D = 1 over GF(p)); consumes V.
 
         `combo` is None (untracked) or a starting combination of int
         coefficients (residues over GF(p)).  Returns (V, C, D): the
         remainder is V / D and the combination C / D, with V and C int
         dicts and D = 1 over GF(p).  Tracking invariant: remainder -
-        sum(C[t] / D * original_t) equals vec - sum(combo[t] * original_t).
+        sum(C[t] / D * original_t) equals the input V / D -
+        sum(combo[t] * original_t).
         """
-        return self._reduce_ints(*int_vector(vec, self._p), combo)
-
-    def _reduce_ints(self, V: dict, D: int, combo: Optional[dict]):
-        """`reduce` of the int vector V / D (D = 1 over GF(p)); consumes V."""
         p = self._p
         if p:
             C = None if combo is None else dict(combo)
@@ -253,48 +248,19 @@ class EchelonSolver:
         if C is not None:
             self._combos[pivot] = C
 
-    def add(self, vec: dict, tag: Hashable = None):
-        """Insert a vector into the echelon.
-
-        Returns None when the vector was independent (a new pivot row).
-        Otherwise returns the dependency: a dict {tag: coeff} with
-        vec = sum(coeff * previously added vector).  Requires track=True
-        for a meaningful dependency; untracked solvers return {}.
-        """
-        if not vec:
-            return {}
-        V, C, D = self.reduce(vec, {tag: 1} if self.track else None)
-        if not V:
-            if C is None:
-                return {}
-            # 0 = vec + sum over earlier tags, so vec = -that sum
-            C.pop(tag, None)
-            return field_vector(self._p, C, D, -1)
-        self._store(V, C)
-        return None
-
-    def _remainder_ints(self, V: dict) -> dict:
-        """The untracked remainder of an int vector known up to scale;
-        consumes V."""
-        p = self._p
-        if p:
-            _eliminate_mod_p(V, None, p, self._rows, self._combos)
-            return V
-        return _eliminate_q(V, None, 1, self._rows, self._combos)[0]
-
-    def add_ints(self, V: dict) -> bool:
+    def add(self, V: dict) -> bool:
         """Insert an int vector that matters only up to a nonzero scale:
         residues over GF(p), integers over Q.  Consumes V; True if it was
         independent.  Only for untracked solvers."""
-        V = self._remainder_ints(V)
+        V = self.reduce(V, 1)[0]
         if not V:
             return False
         self._store(V, None)
         return True
 
-    def contains_ints(self, V: dict) -> bool:
-        """Is the int vector V (as for `add_ints`) in the span?  Consumes V."""
-        return not self._remainder_ints(V)
+    def contains(self, V: dict) -> bool:
+        """Is the int vector V (as for `add`) in the span?  Consumes V."""
+        return not self.reduce(V, 1)[0]
 
     def has_pivot(self, c: int) -> bool:
         return c in self._rows
@@ -316,9 +282,6 @@ class EchelonSolver:
         up to scale, and none is ever changed once stored."""
         return list(self._rows.values())
 
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)[0]
-
     def copy(self) -> "EchelonSolver":
         """An independent untracked solver with the same rows.
 
@@ -332,44 +295,38 @@ class EchelonSolver:
         return s
 
     def solve(self, V: dict, D: int):
-        """Express the target V / D, given as ints (residues with D = 1
-        over GF(p)), in the inserted vectors: {tag: coeff} in field
-        values, or None.  Consumes V."""
+        """Express the target V / D (ints as for `reduce`) in the
+        inserted vectors: the int pair (X, E) of the solution
+        {tag: X[tag] / E}, with residues and E = 1 over GF(p), or None.
+        Consumes V."""
         if not self.track:
             raise ValueError("solver was built without tracking")
-        V, C, D = self._reduce_ints(V, D, {})
+        V, C, D = self.reduce(V, D, {})
         if V:
             return None
-        return field_vector(self._p, C, D, -1)
+        p = self._p
+        if p:
+            return {t: p - x for t, x in C.items()}, 1
+        return {t: -x for t, x in C.items()}, D
 
 
 class Subspace:
-    """A subspace of a coordinate space, stored as an echelon basis."""
+    """A subspace of a coordinate space, stored as an int echelon basis."""
 
-    def __init__(self, field, vectors: Iterable[dict] = ()):
-        self.field = field
-        self._solver = EchelonSolver(field, track=False)
-        for v in vectors:
-            self._solver.add(v)
+    def __init__(self, field):
+        self._solver = EchelonSolver(field)
 
     @property
     def dim(self) -> int:
         return self._solver.rank
 
-    def extend(self, vec: dict) -> bool:
-        """Add a vector; True if the dimension grew."""
-        return self._solver.add(vec) is None
-
-    def extend_ints(self, vec: dict) -> bool:
+    def extend(self, V: dict) -> bool:
         """Add an int vector known up to a nonzero scale (residues over
         GF(p), integers over Q); consumes it.  True if the dimension grew."""
-        return self._solver.add_ints(vec)
-
-    def contains(self, vec: dict) -> bool:
-        return self._solver.contains(vec)
+        return self._solver.add(V)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self._solver.contains_ints(dict(V)) for V, _S in other.basis_pairs())
+        return all(self._solver.contains(dict(V)) for V, _S in other.basis_pairs())
 
     def basis_pairs(self) -> list[tuple[dict, int]]:
         """Echelon basis rows ordered by pivot coordinate, each as an int
@@ -377,12 +334,9 @@ class Subspace:
         rows = self._solver._rows
         return [(rows[q], rows[q][q]) for q in sorted(rows)]
 
-    def basis_rows(self) -> list[dict]:
-        """Echelon basis rows ordered by pivot coordinate."""
-        return [field_vector(self.field.char, V, S) for V, S in self.basis_pairs()]
-
     def reduced_basis_rows(self) -> list[dict]:
-        """Fully reduced (RREF) basis: canonical for the subspace."""
+        """Fully reduced (RREF) basis as field vectors: canonical for the
+        subspace."""
         s = self._solver
         rows = s._rows
         pivots = sorted(rows)
@@ -448,7 +402,7 @@ def kernel_of_columns(columns: Iterable[tuple[dict, int]], field,
                 rows[c], combos[c] = {c: x // g}, {f: S // g}
             stored.add(f)
             continue
-        V, C, _D = solver._reduce_ints(dict(V), S, {f: 1})
+        V, C, _D = solver.reduce(dict(V), S, {f: 1})
         if V:
             solver._store(V, C)
             stored.add(f)

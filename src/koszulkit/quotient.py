@@ -391,7 +391,7 @@ class QuotientRing:
             one = 1 if self.field.char else self.field.one.numerator  # as `int_vector` has it
             space = Subspace(self.field)
             for i in range(bisect_left(self.std_monomials, t, key=attrgetter("degree")), self.dim):
-                space.extend_ints({i: one})
+                space.extend({i: one})
         else:
             layer = self._power_layer(t)
             space = self._span([layer[m] for m in sorted(layer, key=lambda m: m.exponents)])
@@ -448,7 +448,7 @@ class QuotientRing:
         queue = [v for v in queue if v]
         while queue:
             v = queue.pop()
-            if not space.extend_ints(dict(v)):
+            if not space.extend(dict(v)):
                 continue
             for l in range(self.n):
                 q = self._shift(v, l)
@@ -464,7 +464,7 @@ class QuotientRing:
                    for entries in self.int_action(self.whole_piece, scale)]
         space = Subspace(self.field)
         for _f, (V, _S) in null_pairs(kernel_of_columns(columns, self.field)):
-            space.extend_ints(V)
+            space.extend(V)
         return [self.vec_to_poly(row) for row in space.reduced_basis_rows()]
 
     def socle_dim(self) -> int:

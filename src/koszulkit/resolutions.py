@@ -318,7 +318,7 @@ def _saturate(span: EchelonSolver, module: FreeModule, piece: int, feed) -> None
     p = module.ring.field.char
     for v in feed:
         for w in shift_all(v, a, b, p):
-            span.add_ints(w)
+            span.add(w)
 
 
 def _saturated_pivots(module: FreeModule, piece: int, zeros, dense, stored: set) -> set:
@@ -380,7 +380,7 @@ def _saturated_pivots(module: FreeModule, piece: int, zeros, dense, stored: set)
         # coordinate, is its largest k
         w = {-k: x for k, x in w.items() if k not in units}
         if w:
-            span.add_ints(w)
+            span.add(w)
     units.update(-min(row) for row in span.int_rows())
     return units
 
@@ -673,7 +673,7 @@ def _extract(module: FreeModule, jmin: int, jmax: int, vectors_at, seed):
         span = EchelonSolver(module.ring.field)
         _saturate(span, module, feed_piece, feed)
         sat_dim = span.rank
-        new = [v for v in vectors_at(j) if span.add_ints(dict(v[0]))]
+        new = [v for v in vectors_at(j) if span.add(dict(v[0]))]
         gens.extend((j, v) for v in new)
         log.append((j, sat_dim, len(new), span.rank))
         feed, feed_piece = span.int_rows(), j
@@ -685,7 +685,7 @@ def _closure(module: FreeModule, vectors) -> list[dict]:
     pairs (V, S) of `vectors` in the single piece 0 of an ungraded ring."""
     span = EchelonSolver(module.ring.field)
     for V, _S in vectors:
-        span.add_ints(dict(V))
+        span.add(dict(V))
     done = 0
     while done < span.rank:
         rows = span.int_rows()
@@ -962,8 +962,9 @@ def tor_map_vanishes(ring: QuotientRing, s: int, b: int, limit: int) -> TorMapRe
 def _lift(ring, res_s, res_b, limit):
     """Chain map between the two resolutions over the inclusion, as the
     field vectors lifts[p - 1][g] of res_b.chain[p], one per generator g
-    of res_s.chain[p], p >= 1.  Basis images, targets and the systems
-    solved stay int pairs; only the solutions turn into field vectors."""
+    of res_s.chain[p], p >= 1.  Basis images, targets, the systems solved
+    and their solutions stay int pairs; each solution becomes a field
+    vector once, for the lifts returned."""
     p = ring.field.char
     # position 0 is the shared ambient copy of R; the lift starts as
     # the identity and is pushed up the two chains one step at a time
@@ -980,7 +981,7 @@ def _lift(ring, res_s, res_b, limit):
         for d, v in zip(res_s.chain[q].degrees, res_s.int_maps[q - 1]):
             T, D = combine_ints(v, composed(d), p)
             if not T:
-                cur.append({})
+                cur.append(({}, 1))
                 continue
             system = systems.get(d)
             if system is None:
@@ -991,6 +992,6 @@ def _lift(ring, res_s, res_b, limit):
             if sol is None:
                 raise AssertionError("chain map lift failed; resolution not exact")
             cur.append(sol)
-        lifts.append(cur)
-        prev = [int_vector(v, p) for v in cur]
+        lifts.append([field_vector(p, X, E) for X, E in cur])
+        prev = cur
     return lifts

@@ -189,7 +189,7 @@ def int_kernel(columns, field, solver=None) -> list[tuple[int, dict]]:
         if not V:
             kernel.append((f, {f: 1}))
             continue
-        V, C, _D = solver._reduce_ints(dict(V), S, {f: 1})
+        V, C, _D = solver.reduce(dict(V), S, {f: 1})
         if V:
             solver._store(V, C)
         else:

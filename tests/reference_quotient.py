@@ -15,7 +15,8 @@ field tables that replaced: `var_action` caches the x_l tables as field
 elements, `int_action` and `action_scale` convert them, `product_rows`
 chains field vectors through them, and `int_mul_table` converts those
 rows to one lcm scale.  The power-ideal and ideal spans shift field
-vectors through the same field tables.
+vectors through the same field tables, into the field echelon of
+`reference_linalg`.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from __future__ import annotations
 import weakref
 from math import lcm
 
-from koszulkit.linalg import Subspace, vec_add_terms
+from koszulkit.linalg import vec_add_terms
 from koszulkit.poly import Monomial, Polynomial, monomials_of_degree
+
+from reference_linalg import Subspace
 
 
 def std_basis(ring, degree):

@@ -40,12 +40,13 @@ from bisect import bisect_right
 from functools import partial
 from operator import itemgetter
 
-from koszulkit.linalg import EchelonSolver, int_vector, vec_add_terms
+from koszulkit.linalg import EchelonSolver, vec_add_terms
 from koszulkit.poly import Polynomial
 from koszulkit.quotient import nonzero_ints, shift_ints
 from koszulkit.resolutions import (ModulePresentation, TorMapReport, _unit_coordinate,
                                    minimal_resolution)
 
+import reference_linalg
 from reference_linalg import Subspace, int_kernel, kernel_of_columns, vec_combine
 from reference_quotient import var_action
 
@@ -251,7 +252,7 @@ def _saturation(module, piece, feed, keep) -> EchelonSolver:
         offsets, _scale, blocks = module.int_shifts(piece)
         for v in feed:
             for w in shift_all(v, offsets, blocks, module.ring.field.char, keep):
-                span.add_ints(w)
+                span.add(w)
     return span
 
 
@@ -290,7 +291,7 @@ def saturated_pivots(module, piece, feed, keep) -> set:
     for w in dense:
         w = {k: x for k, x in w.items() if k not in units}
         if w:
-            span.add_ints(w)
+            span.add(w)
     units.update(map(min, span.int_rows()))
     return units
 
@@ -429,7 +430,7 @@ def bisect_saturated_pivots(module, piece: int, zeros, dense, stored: set) -> se
     for w in rest:
         w = {-k: x for k, x in w.items() if k not in units}
         if w:
-            span.add_ints(w)
+            span.add(w)
     units.update(-min(row) for row in span.int_rows())
     return units
 
@@ -537,10 +538,10 @@ def reference_lift(ring, res_s, res_b, limit):
                 continue
             system = systems.get(d)
             if system is None:
-                system = systems[d] = EchelonSolver(ring.field, track=True)
+                system = systems[d] = reference_linalg.EchelonSolver(ring.field, track=True)
                 for j, col in enumerate(images(d)):
                     system.add(col, tag=j)
-            sol = system.solve(*int_vector(tvec, ring.field.char))
+            sol = system.solve(tvec)
             assert sol is not None, "chain map lift failed"
             cur.append(sol)
         lifts.append(cur)

@@ -16,6 +16,7 @@ from koszulkit.conditions import StretchedSpec
 from koszulkit.errors import InputError
 from koszulkit.fields import PrimeField, QQ
 from koszulkit.koszul import KoszulElement, homology_algebra
+from koszulkit.linalg import Subspace, field_vector, int_vector
 from koszulkit.poly import MonomialOrder, Polynomial, monomials_of_degree
 from koszulkit.quotient import QuotientRing
 
@@ -24,6 +25,20 @@ GRADED_CORPUS = ("case66", "case54", "case55", "case71v16", "socle4")
 SEED = 20260823
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def span_of(field, vectors):
+    """The `Subspace` of field vectors, each put in as ints."""
+    space = Subspace(field)
+    for vec in vectors:
+        space.extend(int_vector(vec, field.char)[0])
+    return space
+
+
+def basis_rows(field, space):
+    """The echelon basis of a `Subspace` as field vectors with pivot
+    coefficient one, ordered by pivot."""
+    return [field_vector(field.char, V, S) for V, S in space.basis_pairs()]
 
 
 def bench_workloads():

@@ -17,7 +17,6 @@ from koszulkit.conditions import (CycleSet, StretchedSpec, build_stretched_ring,
 from koszulkit.fields import QQ
 from koszulkit.groebner import buchberger, normal_form
 from koszulkit.koszul import homology_algebra, homology_h_polynomial
-from koszulkit.linalg import Subspace
 from koszulkit.poly import MonomialOrder
 from koszulkit.quotient import truncated_ring
 from koszulkit.resolutions import (betti_numbers_k, betti_table_R_over_Q,
@@ -30,7 +29,7 @@ from koszulkit.tables import emit_betti_table
 
 from support import (GRADED_CORPUS, SEED, assert_dg_identities,
                      assert_euler_identity, assert_gb_permutation_invariant,
-                     homology_dims_in_order, random_stretched_spec)
+                     homology_dims_in_order, random_stretched_spec, span_of)
 
 SOCLE4_LEX_SOURCE = [
     "a^3", "a^2*c", "a^2*d", "a*c^2", "b^3", "b^2*c", "b^2*d", "b*c^2",
@@ -91,10 +90,9 @@ def test_criterion_01_socle4_lex_groebner_basis():
 def test_criterion_02_socle4_socle():
     ring = corpus.get_ring("socle4")
     assert ring.socle_dim() == 2
-    got = Subspace(ring.field,
-                   [ring.poly_to_vec(p) for p in ring.socle()])
+    got = span_of(ring.field, [ring.poly_to_vec(p) for p in ring.socle()])
     names = ring.var_names
-    want = Subspace(ring.field, [
+    want = span_of(ring.field, [
         ring.poly_to_vec(ring.normal_form(parse_polynomial("c^4", names, QQ,
                                                            ring.order))),
         ring.poly_to_vec(ring.normal_form(parse_polynomial("a*c*d^2", names,

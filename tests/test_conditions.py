@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from koszulkit import corpus
@@ -125,6 +128,23 @@ def test_p_local_stretched():
     assert not shallow.verdict
     assert [(p.key, p.passed) for p in shallow.pieces] == \
         [(0, True), (1, False), (2, False), (3, False)]
+
+
+def test_stretched_ring_is_freed_without_the_cycle_collector():
+    # the m-adic filtration cache holds int bases only: a cached `Piece`
+    # points back to its ring, which only the cyclic collector then frees
+    spec = StretchedSpec(3, 2, 3, a=((1,),))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ring = build_stretched_ring(spec)
+        assert check_P_local(ring, 2, 1, stretched_F_cycle(spec, ring)).verdict
+        alive = weakref.ref(ring)
+        del ring
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_p_local_input_errors():

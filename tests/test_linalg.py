@@ -11,6 +11,7 @@ from koszulkit.linalg import (EchelonSolver, Subspace, field_vector, int_vector,
                               kernel_of_columns, null_pairs)
 
 import reference_linalg as ref
+from support import basis_rows, span_of
 from reference_linalg import vec_add_scaled, vec_combine
 
 
@@ -26,22 +27,27 @@ def test_vec_helpers_drop_zeros():
         {0: q(1)}
 
 
+def _has(s, field, vec):
+    """Is the field vector vec in the subspace s?"""
+    return s.contains_subspace(span_of(field, [vec]))
+
+
 def test_subspace_dim_and_membership():
-    s = Subspace(QQ, [{0: q(1), 1: q(1)}, {1: q(1), 2: q(1)}])
+    s = span_of(QQ, [{0: q(1), 1: q(1)}, {1: q(1), 2: q(1)}])
     assert s.dim == 2
-    assert s.contains({0: q(1), 2: q(-1)})
-    assert not s.contains({0: q(1)})
-    assert not s.extend({0: q(2), 1: q(2)})
-    assert s.extend({0: q(1)})
+    assert _has(s, QQ, {0: q(1), 2: q(-1)})
+    assert not _has(s, QQ, {0: q(1)})
+    assert not s.extend({0: 2, 1: 2})
+    assert s.extend({0: 1})
     assert s.dim == 3
 
 
 def test_subspace_sum_and_containment():
-    a = Subspace(QQ, [{0: q(1)}])
-    b = Subspace(QQ, [{1: q(1)}])
-    both = Subspace(QQ, a.basis_rows())
-    for row in b.basis_rows():
-        both.extend(row)
+    a = span_of(QQ, [{0: q(1)}])
+    b = span_of(QQ, [{1: q(1)}])
+    both = Subspace(QQ)
+    for V, _S in a.basis_pairs() + b.basis_pairs():
+        both.extend(dict(V))
     assert both.dim == 2
     assert both.contains_subspace(a) and both.contains_subspace(b)
     assert not a.contains_subspace(both)
@@ -50,32 +56,33 @@ def test_subspace_sum_and_containment():
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF(7)"])
 def test_solver_copy_and_int_membership(field):
     s = EchelonSolver(field)
-    assert s.add_ints({0: 2, 3: 4}) and s.add_ints({1: 3, 2: 5})
-    assert s.contains_ints({0: 2, 1: 3, 2: 5, 3: 4}) and not s.contains_ints({0: 1})
+    assert s.add({0: 2, 3: 4}) and s.add({1: 3, 2: 5})
+    assert s.contains({0: 2, 1: 3, 2: 5, 3: 4}) and not s.contains({0: 1})
     c = s.copy()
-    assert c.add_ints({0: 1}) and (c.rank, s.rank) == (3, 2)
-    assert c.contains_ints({0: 1}) and not s.contains_ints({0: 1})
+    assert c.add({0: 1}) and (c.rank, s.rank) == (3, 2)
+    assert c.contains({0: 1}) and not s.contains({0: 1})
     with pytest.raises(ValueError):
         EchelonSolver(field, track=True).copy()
 
 
 def _remainder(solver, vec):
     """The remainder of a field vector as a field vector."""
-    V, _C, D = solver.reduce(vec)
-    return field_vector(solver.field.char, V, D)
+    p = solver.field.char
+    V, _C, D = solver.reduce(*int_vector(vec, p))
+    return field_vector(p, V, D)
 
 
 def test_reduce_returns_canonical_remainder():
     s = EchelonSolver(QQ)
-    s.add({0: q(1), 1: q(1)})
+    s.add({0: 1, 1: 1})
     rem = _remainder(s, {0: q(1), 1: q(3)})
     assert rem and 0 not in rem
-    s.add(rem)
-    assert s.contains({0: q(1), 1: q(3)})
+    s.add(int_vector(rem, 0)[0])
+    assert s.contains({0: 1, 1: 3})
 
 
 def test_reduced_basis_rows_are_self_reduced():
-    s = Subspace(QQ, [{0: q(1), 1: q(2)}, {0: q(1), 1: q(1), 2: q(1)}])
+    s = span_of(QQ, [{0: q(1), 1: q(2)}, {0: q(1), 1: q(1), 2: q(1)}])
     rows = s.reduced_basis_rows()
     pivots = [min(r) for r in rows]
     for r in rows:
@@ -87,8 +94,8 @@ def test_reduced_basis_rows_are_self_reduced():
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF(7)"])
 def test_reduced_ints_are_the_reduced_echelon_rows(field):
     f = field.of
-    s = Subspace(field, [{2: f(3), 4: f(1)}, {0: f(2), 1: f(4), 2: f(1), 4: f(5)},
-                         {1: f(3), 3: f(-1), 4: f(2)}])
+    s = span_of(field, [{2: f(3), 4: f(1)}, {0: f(2), 1: f(4), 2: f(1), 4: f(5)},
+                        {1: f(3), 3: f(-1), 4: f(2)}])
     solver = s._solver
     stored = repr(solver._rows)
     for want in s.reduced_basis_rows():
@@ -118,7 +125,7 @@ def test_kernel_of_columns():
 def test_kernel_rank_nullity():
     cols = [{0: q(1), 1: q(2)}, {0: q(2), 1: q(4)}, {0: q(1)}, {1: q(1)}, {}]
     ker = _null_vectors(cols, QQ)
-    rank = Subspace(QQ, cols).dim
+    rank = span_of(QQ, cols).dim
     assert rank + len(ker) == len(cols) == 5
     for v in ker:
         acc = {}
@@ -128,28 +135,36 @@ def test_kernel_rank_nullity():
 
 
 def _column_solver(cols, field):
+    """A tracked solver holding the field columns, each tagged by its
+    position."""
     solver = EchelonSolver(field, track=True)
-    for j, col in enumerate(cols):
-        solver.add(col, tag=j)
+    kernel_of_columns([int_vector(col, field.char) for col in cols], field, solver)
     return solver
+
+
+def _solution(solver, vec):
+    """`solve` of a field vector, the solution as a field vector."""
+    p = solver.field.char
+    sol = solver.solve(*int_vector(vec, p))
+    return None if sol is None else field_vector(p, *sol)
 
 
 def test_linear_system_solve():
     cols = [{0: q(1), 1: q(1)}, {1: q(1)}]
-    sol = _column_solver(cols, QQ).solve(*int_vector({0: q(2), 1: q(5)}, 0))
+    sol = _solution(_column_solver(cols, QQ), {0: q(2), 1: q(5)})
     assert sol is not None
     acc = {}
     for idx, c in sol.items():
         vec_add_scaled(acc, c, cols[idx])
     assert acc == {0: q(2), 1: q(5)}
-    assert _column_solver(cols, QQ).solve(*int_vector({2: q(1)}, 0)) is None
+    assert _solution(_column_solver(cols, QQ), {2: q(1)}) is None
 
 
 def test_prime_field_subspace():
     gf = PrimeField(5)
-    s = Subspace(gf, [{0: gf.of(2), 1: gf.of(4)}])
-    assert s.contains({0: gf.of(1), 1: gf.of(2)})
-    assert not s.contains({0: gf.of(1), 1: gf.of(3)})
+    s = span_of(gf, [{0: gf.of(2), 1: gf.of(4)}])
+    assert _has(s, gf, {0: gf.of(1), 1: gf.of(2)})
+    assert not _has(s, gf, {0: gf.of(1), 1: gf.of(3)})
 
 
 # -- the int-backed solver against the field-element reference ---------
@@ -206,11 +221,11 @@ def test_int_backed_solver_matches_reference(name):
     @given(_matrices(field))
     def check(case):
         vecs, probes = case
-        got, want = Subspace(field, vecs), ref.Subspace(field, vecs)
+        got, want = span_of(field, vecs), ref.Subspace(field, vecs)
         assert got.dim == want.dim
-        assert [min(r) for r in got.basis_rows()] == [min(r) for r in want.basis_rows()]
-        assert [_literal(r) for r in got.basis_rows()] == \
-            [_literal(r) for r in want.basis_rows()]
+        rows = basis_rows(field, got)
+        assert [min(r) for r in rows] == [min(r) for r in want.basis_rows()]
+        assert [_literal(r) for r in rows] == [_literal(r) for r in want.basis_rows()]
         assert [_literal(r) for r in got.reduced_basis_rows()] == \
             [_literal(r) for r in want.reduced_basis_rows()]
         for v in vecs + probes:
@@ -218,13 +233,12 @@ def test_int_backed_solver_matches_reference(name):
         assert [_literal(k) for k in _null_vectors(vecs, field)] == \
             [_literal(k) for k in ref.kernel_of_columns(vecs, field)]
 
-        solver, ref_solver = EchelonSolver(field, track=True), ref.EchelonSolver(field, True)
+        solver, ref_solver = _column_solver(vecs, field), ref.EchelonSolver(field, True)
         for j, v in enumerate(vecs):
-            assert _literal(solver.add(v, tag=j)) == _literal(ref_solver.add(v, tag=j))
+            ref_solver.add(v, tag=j)
         assert solver.rank == ref_solver.rank
         for v in vecs + probes:
-            assert _literal(solver.solve(*int_vector(v, field.char))) == \
-                _literal(ref_solver.solve(v))
+            assert _literal(_solution(solver, v)) == _literal(ref_solver.solve(v))
 
     check()
 
@@ -295,14 +309,12 @@ def _eliminations():
 
     @st.composite
     def build(draw):
-        solver = EchelonSolver(QQ, track=True)
-        for j, vec in enumerate(draw(st.lists(vector, max_size=8))):
-            solver.add(vec, tag=j)
+        solver = _column_solver(draw(st.lists(vector, max_size=8)), QQ)
         calls = []
         for vec in draw(st.lists(vector, min_size=1, max_size=4)):
             V, D = int_vector(vec, 0)
             if draw(st.booleans()):
-                D = 1  # an int vector known up to scale, as `add_ints` takes
+                D = 1  # an int vector known up to scale, as `add` takes
             k = one * draw(st.integers(1, 6))
             C = None
             if draw(st.booleans()):

@@ -10,8 +10,9 @@ except ImportError:  # only the oracle over random rings needs it; it skips
 from koszulkit import corpus
 from koszulkit.ringdef import parse_ring_definition
 from koszulkit.conditions import build_stretched_ring, lofwall_golod_test
-from koszulkit.koszul import homology_h_polynomial
-from koszulkit.poly import MonomialOrder, Polynomial
+from koszulkit.koszul import homology_algebra, homology_h_polynomial
+from koszulkit.poly import Monomial, MonomialOrder, Polynomial, monomials_of_degree
+from koszulkit.quotient import QuotientRing
 from koszulkit.resolutions import ModulePresentation, betti_numbers_k, minimal_resolution
 from koszulkit.series import (RationalFunctionZ, expand, golod_formula_series,
                               golod_quotient_series, rf_equal, stretched_series)
@@ -191,11 +192,48 @@ def test_hilbert_betti_identity_on_random_rings(name):
     check()
 
 
+def _quadrics_and_squares(rng, field, coefficients):
+    """2-4 variables, 1-3 random quadrics plus every x_i^2: a graded
+    artinian ring."""
+    n = rng.randint(2, 4)
+    order = MonomialOrder.GREVLEX
+    monos = list(monomials_of_degree(n, 2))
+    rels = []
+    for _ in range(rng.randint(1, 3)):
+        terms = [(m, field.of(c)) for m in monos if (c := rng.choice(coefficients))]
+        rels.append(Polynomial(n, field, order, terms))
+    for l in range(n):
+        rels.append(Polynomial.from_monomial(
+            n, field, order, Monomial(tuple(2 * (k == l) for k in range(n)))))
+    return QuotientRing(field, tuple("xyzw"[:n]), rels, order)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_FIELDS))
+def test_quadratic_groebner_bases_give_linear_resolutions(name):
+    # Froberg (Math. Scand. 1975): a quadratic Groebner basis makes R
+    # Koszul, so the resolution of k is linear and P_k(z) H_R(-z) = 1,
+    # which for a linear table is the Hilbert-Betti identity
+    field, coefficients = SWEEP_FIELDS[name]
+    rng = seeded("froberg:" + name)
+    limit = 5
+    quadratic = 0
+    for _ in range(40):
+        ring = _quadrics_and_squares(rng, field, coefficients)
+        if any(m.degree != 2 for m in ring.lead_monomials):
+            continue
+        quadratic += 1
+        data = betti_numbers_k(ring, limit)
+        assert data.is_linear(), ring.relations
+        assert hilbert_betti_identity(ring, data, limit)
+    assert quadratic >= 20
+
+
 @pytest.mark.parametrize("name", GRADED_CORPUS)
 def test_betti_tables_agree_over_q_and_gf32003(name):
-    # the corpus rings have the same Betti table of k over Q and over
-    # GF(32003): the two fields run the sweep on different int paths
-    # (fraction-free elimination against residues)
+    # the corpus rings have the same Betti table of k, the same bigraded
+    # Koszul homology and generators in the same bidegrees over Q and
+    # over GF(32003): the two fields run the sweep and the homology on
+    # different int paths (fraction-free elimination against residues)
     text = corpus.get_text(name)
     assert "field Q\n" in text
     ring_p = parse_ring_definition(text.replace("field Q\n", "field GF(32003)\n")).build()
@@ -204,3 +242,6 @@ def test_betti_tables_agree_over_q_and_gf32003(name):
     data = betti_numbers_k(ring_q, limit)
     assert betti_numbers_k(ring_p, limit).bigraded_betti() == data.bigraded_betti()
     assert hilbert_betti_identity(ring_q, data, limit)
+    alg_q, alg_p = homology_algebra(ring_q), homology_algebra(ring_p)
+    assert alg_p.bigraded_dims() == alg_q.bigraded_dims()
+    assert [bd for _l, bd, _e in alg_p.generators()] == [bd for _l, bd, _e in alg_q.generators()]
