@@ -145,16 +145,25 @@ class QuotientRing:
         return layers[degree] if degree >= 0 else ()
 
     @cached_property
+    def _numerator(self) -> list[int]:
+        """K(z), the numerator of the Hilbert series K(z) / (1 - z)^n of
+        an artinian ring, from its lead monomials, once per ring; raises
+        BudgetError when H(1), the number of standard monomials, exceeds
+        DIM_BUDGET."""
+        numerator = hilbert_numerator(lm.exponents for lm in self.lead_monomials)
+        dim = artinian_dim(numerator, self.n)
+        if dim > DIM_BUDGET:
+            raise BudgetError("dimension budget of %d standard monomials exceeded: "
+                              "the ring has %d" % (DIM_BUDGET, dim))
+        return numerator
+
+    @cached_property
     def std_monomials(self) -> tuple[Monomial, ...]:
         """All standard monomials of an artinian ring, by ascending
         degree, enumerated on first read once their number, read off the
         Hilbert series of the lead monomials, fits DIM_BUDGET."""
         self.require_artinian("`std_monomials`")
-        dim = artinian_dim(hilbert_numerator(lm.exponents for lm in self.lead_monomials),
-                           self.n)
-        if dim > DIM_BUDGET:
-            raise BudgetError("dimension budget of %d standard monomials exceeded: "
-                              "the ring has %d" % (DIM_BUDGET, dim))
+        self._numerator  # the dimension budget, checked before any is enumerated
         monos = []
         degree = 0
         while layer := self.std_basis(degree):
@@ -164,13 +173,17 @@ class QuotientRing:
 
     @cached_property
     def dim(self) -> int:
+        """H(1) for the Hilbert series H = K / (1 - z)^n (`artinian_dim`)."""
         self.require_artinian("`dim`")
-        return len(self.std_monomials)
+        return artinian_dim(self._numerator, self.n)
 
     @cached_property
     def top_degree(self) -> int:
+        """The degree of H = K / (1 - z)^n, a polynomial of an artinian
+        ring: deg K - n."""
         self.require_artinian("`top_degree`")
-        return self.std_monomials[-1].degree
+        K = self._numerator
+        return max(k for k, c in enumerate(K) if c) - self.n
 
     def hilbert_coefficients(self) -> list[int]:
         self.require_artinian("the Hilbert function table")

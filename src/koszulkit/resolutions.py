@@ -71,9 +71,33 @@ whose systems and targets stay int pairs.
 The pairs of the last step are built only where they are read, too.
 The Betti numbers need only the count of its new generators, the free
 columns that are not pivots, and no later sweep shifts its images; so
-its sweep keeps each piece's kernel and pivots, and
+its sweep keeps each piece's kernel and pivots (a step split into
+components below keeps the pairs of its kinds), and
 `ResolutionData.int_maps` builds that step's pairs on first read, by
 the same code that builds the other steps' pairs at once.
+
+An ungraded step is swept a component at a time.  The columns of the
+block of generator g, the images m times the image of g, touch only
+the target blocks k // dim R that the image of g touches; generators
+whose images share a block, or are linked by a chain of such images,
+form a component (`_components`, a union-find over blocks), and the
+step's matrix is the direct sum of its components'.  Over a stretched
+ring most components are copies of a few kinds.  `_split_sweep`
+relabels each component onto a local free module, its generators and
+target blocks becoming blocks 0, 1, ... in order, keys it by those
+local images with their value types (the output's int types follow
+the input's), and sweeps each kind once per `_resolve` call; `_place`
+moves every copy back to its own blocks and merges the pairs by
+ascending free column, and the log entries add up.  That is literally
+the whole step's sweep.  Elimination on disjoint coordinate supports
+never mixes rows or tags: a column only meets rows whose pivots lie in
+its own blocks.  The smallest-coordinate pivot, the heap order of
+`kernel_of_columns` and the order in which tags enter a combination
+are settled by comparisons that an order-preserving relabelling keeps.
+And the pivot set of an echelon of a direct sum is the union of its
+parts' pivot sets, so `_saturated_pivots` splits too.  A step with one
+component, every graded step and each step over the stretched rings
+with r = 1 that were measured, is swept whole.
 
 Every sweep needs a certified stopping degree.  Over an artinian ring
 components vanish above maxgen + top degree.  Over the polynomial ring
@@ -694,9 +718,22 @@ def _closure(module: FreeModule, vectors) -> list[dict]:
     return span.int_rows()
 
 
-def _sweep(src: FreeModule, jmin: int, jmax: int, images, last: bool = False):
+def _sweep(src: FreeModule, target: FreeModule, vectors: list, jmin: int, jmax: int,
+           kinds: dict, last: bool = False):
     """Every step after the first: the minimal generators of the kernel
-    of the map whose piece-j basis images are images(j).
+    of the map sending generator g of src to the int pair vectors[g] of
+    target, as `_sweep_pieces` gives them.  An ungraded step whose
+    generators fall into more than one component (`_components`) is
+    swept a component at a time (`_split_sweep`), with `kinds` as the
+    memo of the components swept so far."""
+    if not src.ring.graded and len(groups := _components(vectors, src.ring.dim)) > 1:
+        return _split_sweep(src, vectors, groups, kinds, last)
+    images = partial(_basis_images, src, target, vectors, memo={})
+    return _sweep_pieces(src, jmin, jmax, images, last)
+
+
+def _sweep_pieces(src: FreeModule, jmin: int, jmax: int, images, last: bool = False):
+    """The sweep of a step whose piece-j basis images are images(j).
 
     Kernel vector f of piece j (free column f, see `kernel_of_columns`) is
     a new generator iff it lies outside span(m K_j) + span(kernel vectors
@@ -735,6 +772,89 @@ def _sweep(src: FreeModule, jmin: int, jmax: int, images, last: bool = False):
     if last:
         return degrees, log, lambda: [v for found in pieces for v in _new_pairs(*found)]
     return degrees, log, [v for pairs in pieces for v in pairs]
+
+
+def _components(vectors: list, d: int) -> list[list]:
+    """The generators g of an ungraded step, grouped into components:
+    g and g' share one when their images vectors[g] and vectors[g'], or
+    a chain of images between them, touch a common target block k // d
+    (d = dim R).  Each component lists its generators in ascending
+    order, in the order of its first generator; a union-find over the
+    blocks."""
+    root: dict = {}
+
+    def find(b):
+        root.setdefault(b, b)
+        while (up := root[b]) != b:
+            root[b] = b = root[up]  # halve the path
+        return b
+
+    for V, _S in vectors:
+        first = None
+        for k in V:
+            b = find(k // d)
+            if first is None:
+                first = b
+            elif b != first:
+                root[b] = first
+    gens: dict = {}
+    for g, (V, _S) in enumerate(vectors):
+        gens.setdefault(find(next(iter(V)) // d), []).append(g)
+    return list(gens.values())
+
+
+def _split_sweep(src: FreeModule, vectors: list, groups: list, kinds: dict, last: bool):
+    """`_sweep_pieces` of an ungraded step, one component at a time.
+
+    The columns of a component's generators touch only its target
+    blocks, so the step's matrix is the direct sum of its components'.
+    Each component is relabelled onto a local free module: its
+    generators and target blocks, in order, become blocks 0, 1, ...  Its
+    key is those relabelled images with their value types, and `kinds`
+    maps a key to the log entry and pairs of the local sweep, which runs
+    once per kind.  The result is literally the whole step's (see the
+    module docstring); `_place` moves each copy back to its own blocks.
+    """
+    ring = src.ring
+    d = ring.dim
+    found = []
+    pivots = count = nullity = 0
+    for gens in groups:
+        blocks = sorted({k // d for g in gens for k in vectors[g][0]})
+        at = {b: i * d for i, b in enumerate(blocks)}
+        images = [({at[k // d] + k % d: x for k, x in V.items()}, S)
+                  for V, S in map(vectors.__getitem__, gens)]
+        key = tuple((tuple((k, type(x), x) for k, x in V.items()), type(S), S)
+                    for V, S in images)
+        kind = kinds.get(key)
+        if kind is None:
+            module = FreeModule(ring, [0] * len(gens))
+            local = partial(_basis_images, module, FreeModule(ring, [0] * len(blocks)),
+                            images, memo={})
+            _degrees, (entry,), pairs = _sweep_pieces(module, 0, 0, local)
+            kind = kinds[key] = entry, pairs
+        (_j, p, c, z), pairs = kind
+        pivots, count, nullity = pivots + p, count + c, nullity + z
+        found.append(([(g - i) * d for i, g in enumerate(gens)], pairs))
+    log = [(0, pivots, count, nullity)]
+    if last:
+        return [0] * count, log, partial(_place, found, d)
+    return [0] * count, log, _place(found, d)
+
+
+def _place(found: list, d: int) -> list[tuple]:
+    """The int pairs of a split step's new generators, ascending in their
+    free column, from (moves, local pairs) per component: local
+    coordinate k goes to k + moves[k // d].  A pair's free column is its
+    last coordinate (`_new_pairs`)."""
+    placed = []
+    for moves, pairs in found:
+        for C, S in pairs:
+            f = next(reversed(C))
+            placed.append((f + moves[f // d],
+                           ({k + moves[k // d]: x for k, x in C.items()}, S)))
+    placed.sort(key=itemgetter(0))
+    return [pair for _f, pair in placed]
 
 
 def _piece_kernel(src: FreeModule, images, j: int) -> tuple:
@@ -822,6 +942,7 @@ def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
     # chain positions to build: limit for a cokernel, one extra shifted
     positions = limit + (0 if pres.mode == "cokernel" else 1)
     tor_of = (lambda p: p) if pres.mode == "cokernel" else (lambda p: p - 1)
+    kinds: dict = {}  # the components swept so far (`_split_sweep`)
 
     data.chain = [ambient]
     if positions >= 1:
@@ -852,8 +973,8 @@ def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
             raise BudgetError(
                 "resolution budget of %d source coordinates per step exceeded: "
                 "step %d needs %d" % (RESOLUTION_BUDGET, tor_of(pos), source_dim))
-        images = partial(_basis_images, src, data.chain[-2], data._int_maps[-1], memo={})
-        degrees, log, pairs = _sweep(src, jmin, jmax, images, last=pos == positions)
+        degrees, log, pairs = _sweep(src, data.chain[-2], data._int_maps[-1], jmin, jmax,
+                                     kinds, last=pos == positions)
         if ring.graded:
             _check_spans(src, log, data.exactness_log[-1][1])
         data.exactness_log.append((tor_of(pos), log))

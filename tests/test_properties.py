@@ -173,6 +173,39 @@ def test_cyclic_modules_share_the_stretched_denominator(name):
     check()
 
 
+@pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
+def test_two_generator_modules_share_the_stretched_denominator(name):
+    # the theorem of the test above on modules with two generators: the
+    # cokernel of 1-3 random columns in m R^2, whose resolutions split
+    # into components as soon as a step's images miss a common block
+    pytest.importorskip("hypothesis")
+    field, coefficients = RANDOM_RING_FIELDS[name]
+    limit = 6
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(stretched_specs(field), st.data())
+    def check(spec, data):
+        ring = build_stretched_ring(spec)
+        basis = ring.piece(0)[1:]  # the standard monomials in m
+
+        def entry():
+            chosen = data.draw(st.lists(st.sampled_from(basis), max_size=2, unique=True))
+            return ring.normal_form(Polynomial(
+                ring.n, field, ring.order,
+                [(m, field.of(data.draw(st.sampled_from(coefficients)))) for m in chosen]))
+
+        columns = tuple((entry(), entry()) for _ in range(data.draw(st.integers(1, 3))))
+        assume(any(p.terms for column in columns for p in column))
+        pres = ModulePresentation(ring, "cokernel", 2, (0, 0), columns)
+        betti = minimal_resolution(ring, pres, limit).betti_numbers()
+        den = stretched_series(spec.v, spec.r).den
+        start = _recursion_start(betti, den)
+        event("recursion from b_%d" % start)
+        assert start <= limit - 2, (spec, columns, betti)
+
+    check()
+
+
 @pytest.mark.parametrize("name", sorted(SWEEP_FIELDS))
 def test_hilbert_betti_identity_on_random_rings(name):
     # the minimal resolution F of k is exact, so sum_i (-1)^i H_(F_i)(w) =

@@ -290,19 +290,26 @@ def test_int_tables_match_the_field_builders(name):
     check()
 
 
-def _numerator_dim(ring):
+def _assert_numerator_matches_enumeration(ring):
+    # the dimension budget, dim and top_degree read the Hilbert series of
+    # the lead monomials before std_monomials enumerates them; the
+    # reference filter, degree by degree until a degree has no standard
+    # monomial, gives the dimension and the top degree again
     leads = (lm.exponents for lm in ring.lead_monomials)
-    return artinian_dim(hilbert_numerator(leads), ring.n)
+    sizes = []
+    while size := len(reference_quotient.std_basis(ring, len(sizes))):
+        sizes.append(size)
+    dim = artinian_dim(hilbert_numerator(leads), ring.n)
+    assert (dim, ring.dim, ring.top_degree) == (sum(sizes), sum(sizes), len(sizes) - 1)
+    assert len(ring.std_monomials) == ring.dim
 
 
 def test_numerator_dimension_counts_corpus_standard_monomials():
-    # the dimension budget reads the dimension off the Hilbert series of
-    # the lead monomials before std_monomials enumerates them
     for name in corpus.names():
         for order in (MonomialOrder.GREVLEX, MonomialOrder.LEX):
             ring = corpus.get_definition(name).build(order=order)
             if ring.is_artinian:
-                assert _numerator_dim(ring) == len(ring.std_monomials), (name, order)
+                _assert_numerator_matches_enumeration(ring)
 
 
 @pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
@@ -314,6 +321,6 @@ def test_numerator_dimension_counts_random_standard_monomials(name):
     @given(artinian_rings(field, coefficients, (MonomialOrder.GREVLEX, MonomialOrder.LEX)))
     def check(rings):
         for ring in rings:  # graded and ungraded
-            assert _numerator_dim(ring) == len(ring.std_monomials)
+            _assert_numerator_matches_enumeration(ring)
 
     check()

@@ -478,9 +478,11 @@ def _literal_ints(int_maps):
             for step in int_maps]
 
 
-def _eager_sweep(src, jmin, jmax, images, last=False):
-    # the reference under the engine's call: every step's pairs, the last
-    # step's too, come built as a list
+def _eager_sweep(src, target, vectors, jmin, jmax, kinds, last=False):
+    # the reference under the engine's call: the whole step at once, never
+    # split into components, and every step's pairs, the last step's too,
+    # come built as a list
+    images = partial(resolutions._basis_images, src, target, vectors, memo={})
     gens, log = reference_sweep(src, jmin, jmax, images)
     return [d for d, _v in gens], log, [v for _d, v in gens]
 
@@ -596,6 +598,85 @@ def test_sweep_matches_reference_on_corpus(name, monkeypatch):
             modules += [ModulePresentation.power_module(r, 2),
                         ModulePresentation.cyclic_quotient(r, [r.variable(0)])]
         _assert_sweep_matches_reference(r, modules, 3, monkeypatch)
+
+
+def _component_count(vectors, d):
+    """The number of groups of generators linked by images that touch a
+    common target block k // d, by merging block sets."""
+    groups = []
+    for V, _S in vectors:
+        blocks = {k // d for k in V}
+        for group in [g for g in groups if g & blocks]:
+            groups.remove(group)
+            blocks |= group
+        groups.append(blocks)
+    return len(groups)
+
+
+_SPLIT_RNG = random.Random(SEED)
+SPLIT_SPECS = [StretchedSpec(5, 3, 3), random_symmetric_spec(_SPLIT_RNG, 6, 4, 3)]
+
+
+@pytest.mark.parametrize("spec", SPLIT_SPECS, ids=lambda s: "v%d_r%d_h%d" % (s.v, s.r, s.h))
+def test_split_sweep_matches_reference(spec, monkeypatch):
+    # over a stretched ring with r >= 2 the generators of an ungraded step
+    # fall into components, and the engine sweeps each distinct one once
+    # and moves its copies back to their own blocks; the kernels it
+    # computes show that the split ran (some step with more than one
+    # component swept fewer distinct ones than it has, each on fewer
+    # columns than the step), and the results must be literally the
+    # whole-step reference's, on a two-generator cokernel too
+    ring = build_stretched_ring(spec)
+    x1, x2 = ring.variable(0), ring.variable(1)
+    modules = (ModulePresentation.residue_field(ring),
+               ModulePresentation.power_module(ring, 2),
+               ModulePresentation.cyclic_quotient(ring, [x1]),
+               ModulePresentation(ring, "cokernel", 2, (0, 0),
+                                  ((x1, x2), (x2 * x2, ring.zero_poly()))))
+    widths, steps = [], []
+    sweep = resolutions._sweep
+
+    def counted(columns, field, solver=None):
+        widths.append(len(columns))
+        return kernel_of_columns(columns, field, solver)
+
+    def marked(src, target, vectors, *args, **kwargs):
+        before = len(widths)
+        out = sweep(src, target, vectors, *args, **kwargs)
+        steps.append((src.rank * ring.dim, _component_count(vectors, ring.dim),
+                      widths[before:]))
+        return out
+
+    with monkeypatch.context() as patched:
+        patched.setattr(resolutions, "kernel_of_columns", counted)
+        patched.setattr(resolutions, "_sweep", marked)
+        for pres in modules:
+            minimal_resolution(ring, pres, 5)
+    assert any(count > 1 and len(swept) < count and all(w < width for w in swept)
+               for width, count, swept in steps), steps
+    _assert_sweep_matches_reference(ring, modules, 5, monkeypatch, tor=((2, 1, 2),))
+
+
+@pytest.mark.parametrize("first", ["int", "numerator"])
+def test_split_sweep_keeps_value_types(first, monkeypatch):
+    # two components of one step, equal in value: one image pair is plain
+    # ints, the other has the type of a rational's numerator (gmpy2's mpz
+    # under gmpy2), and the sweep of each gives its own value types, so
+    # neither may reuse the other's
+    ring = build_stretched_ring(StretchedSpec(3, 2, 3))
+    d = ring.dim
+    types = [int, type(rational(1).numerator)]
+    if first == "numerator":
+        types.reverse()
+    vectors = [({g * d + 4: t(1), g * d + 2: t(2)}, t(2)) for g, t in enumerate(types)]
+    src, target = resolutions.FreeModule(ring, [0, 0]), resolutions.FreeModule(ring, [0, 0])
+    got = resolutions._sweep(src, target, vectors, 0, 0, {})
+    with monkeypatch.context() as patched:
+        patched.setattr(resolutions, "_basis_images", int_basis_images)
+        want = _eager_sweep(src, target, vectors, 0, 0, {})
+    assert len(resolutions._components(vectors, d)) == 2
+    assert got[:2] == want[:2]
+    assert _literal_ints([got[2]]) == _literal_ints([want[2]])
 
 
 def _literal_kernel(null_space):
