@@ -20,8 +20,8 @@ where products of monomials turn into coordinates: Koszul
 differentials, resolutions, the socle and ideal spans all read it or
 shift int vectors through it (`shift_ints`), and the products of a pair of pieces
 (`product_pairs`, rescaled to the structure constants of
-`int_mul_table`), which products of Koszul cycles and the unit blocks
-of a resolution read, are chains of the same shifts.  Field values
+`int_mul_table`), which products of Koszul cycles read, are chains of
+the same shifts.  Field values
 appear only where a polynomial enters or leaves (`poly_to_vec`,
 `vec_to_poly`).
 """
@@ -311,11 +311,12 @@ class QuotientRing:
         """Per monomial m_a of piece e, per monomial m_b of piece f, the
         int pair (V, S) of m_a * m_b in the product piece, the vector
         V / S (S = 1 over GF(p)).  The row of 1 is the identity
-        ({b: 1}, 1) in int also under gmpy2, as `resolutions._unit_coordinate`
-        reads it; for m_a = x_l * m_a' (see `divisors`) it is the row
-        of m_a' shifted through the int table of x_l at the scale of its
-        piece, and S times that scale: m_a' lies in the piece before e,
-        or precedes m_a in the whole ring.  A zero product is ZERO."""
+        ({b: 1}, 1), in int also under gmpy2 (`int_mul_table` gives its
+        entries their type); for m_a = x_l * m_a' (see `divisors`) it is
+        the row of m_a' shifted through the int table of x_l at the scale
+        of its piece, and S times that scale: m_a' lies in the piece
+        before e, or precedes m_a in the whole ring.  A zero product is
+        ZERO."""
         rows = self._products.get((e, f))
         if rows is None:
             rows = self._products[(e, f)] = []

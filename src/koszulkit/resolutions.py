@@ -45,6 +45,19 @@ generator too many or too few.  The single piece of an ungraded ring
 interleaves each generator's column with its multiples and is
 eliminated whole.
 
+Step one runs on the same kernel.  It is the map onto the ambient
+module from a free module G with one generator per given column, in
+ascending piece and, within a piece, in the given order.  In piece j
+the columns of m times G, the multiples of the generators of lower
+degree or, over an ungraded ring, every column but the generators'
+own, span (mN)_j for the module N that the given columns generate.
+They go first and the generators' own columns, the given columns of
+piece j, last, so `kernel_of_columns` stores an own column exactly when
+it lies outside (mN)_j plus the span of the own columns before it: the
+greedy rule, in the column order of Schreyer's observation.  Its stored
+columns give the new generators and the log entry (j, dim (mN)_j, new,
+dim N_j) of the piece (`_first_step`).
+
 A differential is kept as the image of each generator: a vector V / S of
 the target, as an int vector V over its own denominator S (the kernel
 pair C over C[f] for a kernel vector; S = 1 over GF(p)).  The image of
@@ -58,13 +71,8 @@ ring needs no search: every block is the whole ring, so block g starts
 at g * dim R, coordinate f is row f % dim R of the block at
 f - f % dim R, and every block shares the ring's one x_l table
 (`_stride_all`, `_stride_shift`).  The layout is chosen once per piece
-(`_layout`).  Over an ungraded ring most generators are
-unit vectors e_f with f = (g', m'), and the images of the whole block
-of such a generator are the ring's products m * m' moved to the block
-of g': column m' of the ring's one product table
-(`QuotientRing.product_pairs`), built by the same chain of shifts, so
-that every pair is literally the chained one.  Field vectors are built
-only where they are read: `ResolutionData.maps`,
+(`_layout`).  Field vectors are built only where they are read:
+`ResolutionData.maps`,
 `ResolutionData.differential` and the solutions of a chain-map lift,
 whose systems and targets stay int pairs.
 
@@ -120,7 +128,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import BudgetError, InputError, NotArtinianError, PreconditionError
 from .linalg import (EchelonSolver, combine_ints, field_vector, int_vector,
-                     kernel_of_columns, vec_add_terms)
+                     kernel_of_columns, null_pairs, vec_add_terms)
 from .poly import Polynomial
 from .quotient import ZERO, QuotientRing, nonzero_ints, shift_ints
 from .tables import BettiTable
@@ -335,16 +343,6 @@ def _layout(module: FreeModule, piece: int) -> tuple:
     return _stride_all, _stride_shift, ring.dim, scale, ring.int_action(0, scale)
 
 
-def _saturate(span: EchelonSolver, module: FreeModule, piece: int, feed) -> None:
-    """Insert x_l * v into span for every int vector v of feed, a list
-    of vectors of the given piece of module, and every variable x_l."""
-    shift_all, _shift, a, _scale, b = _layout(module, piece)
-    p = module.ring.field.char
-    for v in feed:
-        for w in shift_all(v, a, b, p):
-            span.add(w)
-
-
 def _saturated_pivots(module: FreeModule, piece: int, zeros, dense, stored: set) -> set:
     """The pivots of an echelon form whose rows pivot on their largest
     coordinate, spanned by the products x_l * v restricted to the
@@ -409,17 +407,6 @@ def _saturated_pivots(module: FreeModule, piece: int, zeros, dense, stored: set)
     return units
 
 
-def _unit_coordinate(V: dict, S) -> Optional[int]:
-    """f when the int pair (V, S) is the unit vector ({f: 1}, 1) with
-    int entries, else None; a gmpy2 mpz 1 would give other value types
-    down the chain of shifts than the int 1 of the ring's product pairs."""
-    if S == 1 and len(V) == 1:
-        (f, x), = V.items()
-        if x == 1 and type(x) is type(S) is int:
-            return f
-    return None
-
-
 def _basis_images(source: FreeModule, target: FreeModule, vectors, j: int,
                   memo: dict) -> list[tuple]:
     """Images of the piece-j basis of source under the map sending
@@ -430,11 +417,7 @@ def _basis_images(source: FreeModule, target: FreeModule, vectors, j: int,
     (g, m'): one shift of an image found before, since m' precedes m in
     an ungraded piece and lies in the previous piece of a graded ring.
     The shift's int table is `scale` times x_l, and so is S.  A zero
-    image's multiples are zero.  Over an ungraded ring, the block of a
-    generator whose image is the unit vector of m_i is that chain read
-    from the ring's products m * m_i (column m_i of `product_pairs` of
-    the whole ring, whose shifts are those of the target's one piece),
-    moved to the block of the unit vector, at the stride of `_stride_all`.
+    image's multiples are zero.
     """
     out = memo.get(j)
     if out is None:
@@ -444,12 +427,6 @@ def _basis_images(source: FreeModule, target: FreeModule, vectors, j: int,
         below = ring.piece_of(j - 1)
         prev = None
         for g, d in enumerate(source.degrees):
-            if not ring.graded and (f := _unit_coordinate(*vectors[g])) is not None:
-                o = f - (i := f % ring.dim)
-                column = map(itemgetter(i), ring.product_pairs(0, 0))
-                out.extend([({k + o: x for k, x in W.items()}, S) if W else ZERO
-                            for W, S in column] if o else column)
-                continue
             for step in ring.divisors(j - d):
                 if step is None:
                     out.append(vectors[g])
@@ -679,45 +656,6 @@ class ResolutionData:
 # -- the engine -------------------------------------------------------
 
 
-def _extract(module: FreeModule, jmin: int, jmax: int, vectors_at, seed):
-    """Step one: sweep pieces jmin..jmax collecting the given vectors not
-    absorbed by saturation.
-
-    Piece j is first saturated with x_l times a spanning set of the
-    previous piece's span, or for piece jmin with x_l times the int
-    vectors of `seed`, which lie in piece jmin itself.  The generators
-    are the int pairs (V, S) of vectors_at(j) whose V still grows the
-    span.  Returns (piece, pair) pairs plus a per-piece log of (j,
-    saturated dim, new, total).
-    """
-    gens = []
-    log = []
-    feed, feed_piece = seed, jmin
-    for j in range(jmin, jmax + 1):
-        span = EchelonSolver(module.ring.field)
-        _saturate(span, module, feed_piece, feed)
-        sat_dim = span.rank
-        new = [v for v in vectors_at(j) if span.add(dict(v[0]))]
-        gens.extend((j, v) for v in new)
-        log.append((j, sat_dim, len(new), span.rank))
-        feed, feed_piece = span.int_rows(), j
-    return gens, log
-
-
-def _closure(module: FreeModule, vectors) -> list[dict]:
-    """Independent int vectors spanning the submodule generated by the int
-    pairs (V, S) of `vectors` in the single piece 0 of an ungraded ring."""
-    span = EchelonSolver(module.ring.field)
-    for V, _S in vectors:
-        span.add(dict(V))
-    done = 0
-    while done < span.rank:
-        rows = span.int_rows()
-        _saturate(span, module, 0, rows[done:])
-        done = len(rows)
-    return span.int_rows()
-
-
 def _sweep(src: FreeModule, target: FreeModule, vectors: list, jmin: int, jmax: int,
            kinds: dict, last: bool = False):
     """Every step after the first: the minimal generators of the kernel
@@ -900,20 +838,51 @@ def _check_spans(src: FreeModule, log: list, below: list) -> None:
 
 
 def _new_pairs(zeros: list, kernel: list, pivots: set) -> list[tuple]:
-    """The int pairs of one piece's new generators, ascending in their
-    free column f: ({f: 1}, 1) for a zero column f, and (C, C[f]) with f
-    moved last, as in `null_pairs`, for kernel vector f."""
-    # each list is ascending in f, so the sort merges two runs
-    new = sorted([(f, None) for f in zeros if f not in pivots] +
-                 [(f, C) for f, C in kernel if f not in pivots], key=itemgetter(0))
-    pairs = []
-    for f, C in new:
-        if C is None:  # the unit vector e_f of a zero column
-            pairs.append(({f: 1}, 1))
-            continue
-        C[f] = C.pop(f)
-        pairs.append((C, C[f]))
-    return pairs
+    """The int pairs of one piece's new generators, the `null_pairs` of
+    the free columns f that are not pivots, ascending in f."""
+    null_space = ([f for f in zeros if f not in pivots],
+                  [(f, C) for f, C in kernel if f not in pivots], ())
+    return [pair for _f, pair in null_pairs(null_space)]
+
+
+def _first_step(given: FreeModule, ambient: FreeModule, vectors: list,
+                jmin: int, jmax: int) -> tuple:
+    """Step one: the minimal generators among the given columns, the int
+    pairs vectors[g] of ambient that generator g of `given` maps to, in
+    pieces jmin..jmax.
+
+    In piece j the columns of the generators' multiples m * g, m of
+    positive degree, span (mN)_j; the generators' own columns go after
+    them, so `kernel_of_columns` stores an own column exactly when it
+    lies outside (mN)_j plus the span of the own columns before it (see
+    the module docstring).  Returns the new generators' degrees, the
+    per-piece log (j, dim (mN)_j, new, dim N_j) and their int pairs.
+    """
+    images = partial(_basis_images, given, ambient, vectors, memo={})
+    degrees, log, pairs = [], [], []
+    for j in range(jmin, jmax + 1):
+        columns = images(j)
+        # generators lo..hi-1 have degree j; generator lo + i owns own[i]
+        lo, hi = bisect_left(given.degrees, j), bisect_right(given.degrees, j)
+        own = given.offsets(j)[lo:hi]
+        skip = set(own)
+        rest = [c for f, c in enumerate(columns) if f not in skip]
+        stored = kernel_of_columns(rest + [columns[f] for f in own], ambient.ring.field)[2]
+        new = [g for g in range(lo, hi) if len(rest) + g - lo in stored]
+        log.append((j, len(stored) - len(new), len(new), len(stored)))
+        degrees += [j] * len(new)
+        pairs += [vectors[g] for g in new]
+    return degrees, log, pairs
+
+
+def _check_budget(src: FreeModule, jmin: int, jmax: int, step: int) -> None:
+    """Raise BudgetError before a step whose source pieces jmin..jmax
+    hold more than RESOLUTION_BUDGET coordinates."""
+    source_dim = sum(src.dim(j) for j in range(jmin, jmax + 1))
+    if source_dim > RESOLUTION_BUDGET:
+        raise BudgetError(
+            "resolution budget of %d source coordinates per step exceeded: "
+            "step %d needs %d" % (RESOLUTION_BUDGET, step, source_dim))
 
 
 def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
@@ -946,17 +915,18 @@ def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
 
     data.chain = [ambient]
     if positions >= 1:
-        # step one: minimal generators of the span of the given columns;
-        # the one piece of an ungraded ring starts from their closure
-        gens, log = [], []
-        if by_piece:
-            seed = () if ring.graded else _closure(ambient, by_piece[0])
-            gens, log = _extract(ambient, min(by_piece), max(by_piece),
-                                 lambda j: by_piece.get(j, ()), seed)
-            if seed and log[-1][3] != len(seed):
-                raise AssertionError("given columns fail to generate their span")
-        data.chain.append(FreeModule(ring, [d for d, _v in gens]))
-        data._int_maps.append([v for _d, v in gens])
+        # step one: the map from one generator per given column, by piece
+        # and then in the given order
+        order = sorted(by_piece)
+        given = FreeModule(ring, [j for j in order for _v in by_piece[j]])
+        degrees, log, pairs = [], [], []
+        if order:
+            _check_budget(given, order[0], order[-1], tor_of(1))
+            degrees, log, pairs = _first_step(given, ambient,
+                                              [v for j in order for v in by_piece[j]],
+                                              order[0], order[-1])
+        data.chain.append(FreeModule(ring, degrees))
+        data._int_maps.append(pairs)
         data.exactness_log.append((tor_of(1), log))
 
     while len(data.chain) - 1 < positions:
@@ -968,11 +938,7 @@ def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
             continue
         jmin = min(src.degrees)
         jmax = window(tor_of(pos), max(src.degrees))
-        source_dim = sum(src.dim(j) for j in range(jmin, jmax + 1))
-        if source_dim > RESOLUTION_BUDGET:
-            raise BudgetError(
-                "resolution budget of %d source coordinates per step exceeded: "
-                "step %d needs %d" % (RESOLUTION_BUDGET, tor_of(pos), source_dim))
+        _check_budget(src, jmin, jmax, tor_of(pos))
         degrees, log, pairs = _sweep(src, data.chain[-2], data._int_maps[-1], jmin, jmax,
                                      kinds, last=pos == positions)
         if ring.graded:
@@ -1088,8 +1054,9 @@ def _lift(ring, res_s, res_b, limit):
     vector once, for the lifts returned."""
     p = ring.field.char
     # position 0 is the shared ambient copy of R; the lift starts as
-    # the identity and is pushed up the two chains one step at a time
-    prev = [_column_component(ring, res_b.chain[0], {0: ring.one_poly()}, 0)]
+    # the identity, 1 at coordinate 0, and is pushed up the two chains
+    # one step at a time
+    prev = [int_vector({0: ring.field.one}, p)]
     lifts = []
     for q in range(1, limit + 2):
         # lift_{q-1} of the piece-d basis, and the differential of res_b

@@ -25,7 +25,10 @@ its one piece by stride, at f - f % dim R.  `bisect_shift_all`,
 `bisect_saturated_pivots` and `bisect_basis_images` keep the engine's
 `_shift_all`, `_saturated_pivots` and `_basis_images` as they were
 before, finding every block by bisecting the block offsets of
-`FreeModule.int_shifts` and `FreeModule.offsets`.
+`FreeModule.int_shifts` and `FreeModule.offsets`.  `bisect_basis_images`
+also keeps the engine's old read of a unit generator's image block off
+the ring's product pairs (`_unit_coordinate`), where the engine now
+shifts every image.
 
 The engine also shifts the basis images of a map as int vectors, each
 over its own denominator.  `reference_tor_map_vanishes` keeps the field
@@ -43,8 +46,7 @@ from operator import itemgetter
 from koszulkit.linalg import EchelonSolver, vec_add_terms
 from koszulkit.poly import Polynomial
 from koszulkit.quotient import nonzero_ints, shift_ints
-from koszulkit.resolutions import (ModulePresentation, TorMapReport, _unit_coordinate,
-                                   minimal_resolution)
+from koszulkit.resolutions import ModulePresentation, TorMapReport, minimal_resolution
 
 import reference_linalg
 from reference_linalg import Subspace, int_kernel, kernel_of_columns, vec_combine
@@ -433,6 +435,17 @@ def bisect_saturated_pivots(module, piece: int, zeros, dense, stored: set) -> se
             span.add(w)
     units.update(-min(row) for row in span.int_rows())
     return units
+
+
+def _unit_coordinate(V: dict, S):
+    """f when the int pair (V, S) is the unit vector ({f: 1}, 1) with
+    int entries, else None; a gmpy2 mpz 1 would give other value types
+    down the chain of shifts than the int 1 of the ring's product pairs."""
+    if S == 1 and len(V) == 1:
+        (f, x), = V.items()
+        if x == 1 and type(x) is type(S) is int:
+            return f
+    return None
 
 
 def bisect_basis_images(source, target, vectors, j: int, memo: dict) -> list[tuple]:

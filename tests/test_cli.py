@@ -117,11 +117,13 @@ def test_budget_exit_code(capsys, monkeypatch):
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
-    # every coordinate counts as a unit entry, so the minimality check of
-    # the second resolution step fails
+    # every coordinate of a piece counts as a unit entry, so the
+    # minimality check of the second resolution step fails; the fault
+    # stays within the piece, so code that reads the slots as a set
+    # holds no more than the piece
     from koszulkit import resolutions
     monkeypatch.setattr(resolutions.FreeModule, "constant_slots",
-                        lambda self, j: range(10**9))
+                        lambda self, j: range(self.dim(j)))
     rc, out, err = run(capsys, ["betti", "stretched32", "--of-k", "--limit", "2"])
     assert rc == 5 and out == ""
     assert err == "internal error: resolution lost minimality\n"
@@ -363,6 +365,18 @@ def test_resolution_budget_stops_a_huge_sweep(monkeypatch):
     assert proc.returncode == 4 and proc.stdout == ""
     assert proc.stderr == ("error: resolution budget of 150000 source coordinates "
                            "per step exceeded: step 12 needs 221184\n")
+
+
+def test_resolution_budget_stops_step_one(capsys, monkeypatch):
+    # a^14 + b^15 makes R = Q[a,b,c,d]/(a^14, b^14, c^14, d^14) ungraded,
+    # so step one of k maps 4 blocks of dim R = 38416 onto R; its 153664
+    # source coordinates are refused before its kernel is computed
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        "field Q\nvars a,b,c,d\nideal:\na^14 + b^15\nb^14\nc^14\nd^14\n"))
+    rc, out, err = run(capsys, ["betti", "-", "--of-k", "--limit", "2"])
+    assert rc == 4 and out == ""
+    assert err == ("error: resolution budget of 150000 source coordinates "
+                   "per step exceeded: step 1 needs 153664\n")
 
 
 def test_gb_of_large_powers_plus_a_quadric(monkeypatch):

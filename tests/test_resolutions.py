@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import partial
 from types import SimpleNamespace
@@ -283,6 +284,42 @@ def test_pivot_read_off_matches_greedy_reference(name):
     check()
 
 
+# x*y, y^2 - x*z and m^4 in x, y, z; the ungraded twin puts
+# x*y + (y^2 - x*z)*z in place of x*y, which keeps the ideal
+STEP_ONE_RING = "vars x,y,z\nideal:\n%s\ny^2 - x*z\n" + "\n".join(
+    "*".join(m) for m in itertools.combinations_with_replacement("xyz", 4))
+
+
+@pytest.mark.parametrize("graded", [True, False], ids=["graded", "twin"])
+@pytest.mark.parametrize("name", sorted(SWEEP_FIELDS))
+def test_step_one_matches_greedy_reference(name, graded):
+    # step one keeps the given columns that the greedy rule keeps, piece
+    # by piece and in the given order within a piece.  Graded, the
+    # columns lie in pieces 1 and 3 and none in piece 2; r = x^2 * a + b
+    # comes before b, so r is kept and b is not; (y^3, x^2*z) is zero
+    # only modulo the ideal.  The twin has every column in its one piece
+    field = SWEEP_FIELDS[name][0]
+    first = "x*y" if graded else "x*y + y^2*z - x*z^2"
+    ring = parse_ring_definition("field %s\n%s" % (format_field(field),
+                                                    STEP_ONE_RING % first)).build()
+    assert ring.graded == graded
+
+    def column(*texts):
+        return tuple(parse_polynomial(t, ring.var_names, field, ring.order) for t in texts)
+
+    a, a2, b = column("x", "y"), column("z", "x"), column("0", "z^3")
+    r = tuple(ring.normal_form(column("x^2")[0] * u + v) for u, v in zip(a, b))
+    pres = ModulePresentation(ring, "cokernel", 2, (0, 0), (r, column("y^3", "x^2*z"), a, b, a2))
+    data = minimal_resolution(ring, pres, 3)
+    maps, log = reference_resolution(data)
+    assert _literal(data.maps) == _literal(maps)
+    assert data.exactness_log == log
+    kept = [a, a2, r] if graded else [r, a, a2]
+    assert data.differential(1) == [{g: p for g, p in enumerate(col) if p} for col in kept]
+    if graded:
+        assert [(j, new) for j, _mn, new, _dim in log[0][1]] == [(1, 2), (2, 0), (3, 1)]
+
+
 @pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
 def test_int_images_match_field_reference(name):
     # the engine shifts basis images as int vectors over per-column
@@ -310,11 +347,10 @@ def test_int_images_match_field_reference(name):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "GF32003"])
 def test_unit_images_match_the_chain(field):
-    # over an ungraded ring the block of a generator whose image is the
-    # unit vector ({f: 1}, 1) comes from the ring's table, in either block
-    # of the target; every other pair, a unit vector of another scale or
-    # coefficient among them, is shifted through the x_l tables.  Both
-    # give literally the pairs of the chain of shifts
+    # over an ungraded ring the block of a generator whose image is a
+    # unit vector, ({f: 1}, 1) or one of another scale or coefficient, in
+    # either block of the target, holds literally the pairs of the chain
+    # of shifts
     text = corpus.get_text("case54").replace("field Q", "field %s" % format_field(field))
     ring = parse_ring_definition(text).build()
     r0, r1 = ring.relations[:2]
