@@ -45,18 +45,19 @@ generator too many or too few.  The single piece of an ungraded ring
 interleaves each generator's column with its multiples and is
 eliminated whole.
 
-Step one runs on the same kernel.  It is the map onto the ambient
-module from a free module G with one generator per given column, in
-ascending piece and, within a piece, in the given order.  In piece j
-the columns of m times G, the multiples of the generators of lower
-degree or, over an ungraded ring, every column but the generators'
-own, span (mN)_j for the module N that the given columns generate.
-They go first and the generators' own columns, the given columns of
-piece j, last, so `kernel_of_columns` stores an own column exactly when
-it lies outside (mN)_j plus the span of the own columns before it: the
-greedy rule, in the column order of Schreyer's observation.  Its stored
-columns give the new generators and the log entry (j, dim (mN)_j, new,
-dim N_j) of the piece (`_first_step`).
+Step one is the same greedy rule on the given columns themselves, in
+the ambient module, one pass of an untracked `EchelonSolver` per piece
+(`_first_step`).  For the module N that the given columns generate,
+(mN)_j is spanned by x_l times a basis of N_{j-1} or, over an ungraded
+ring, by x_l times the given columns and then times every new row until
+the span stops growing.  After those products come the given columns
+of piece j in the given order, and a column is a minimal generator
+exactly when it grows the span.  So step one inserts about n * dim N
+ambient vectors.  A free module with one generator per given column
+would give the kernel sweep its own step one, but over an ungraded ring
+its source has one coordinate per given column and standard monomial:
+dim m * dim R for the maximal ideal, past the resolution budget once
+dim R reaches 388.
 
 A differential is kept as the image of each generator: a vector V / S of
 the target, as an int vector V over its own denominator S (the kernel
@@ -185,9 +186,9 @@ class ModulePresentation:
         return cls(ring, "cokernel", 1, (0,), cols, kind="cyclic")
 
 
-# Source coordinates one resolution step may hold: the sum over its
-# degree window of rank times piece dimension.  A larger step raises
-# BudgetError before its kernel is computed.
+# Source coordinates one resolution step after the first may hold: the
+# sum over its degree window of rank times piece dimension.  A larger
+# step raises BudgetError before its kernel is computed.
 RESOLUTION_BUDGET = 150000
 
 
@@ -845,44 +846,39 @@ def _new_pairs(zeros: list, kernel: list, pivots: set) -> list[tuple]:
     return [pair for _f, pair in null_pairs(null_space)]
 
 
-def _first_step(given: FreeModule, ambient: FreeModule, vectors: list,
-                jmin: int, jmax: int) -> tuple:
+def _first_step(ambient: FreeModule, by_piece: dict) -> tuple:
     """Step one: the minimal generators among the given columns, the int
-    pairs vectors[g] of ambient that generator g of `given` maps to, in
-    pieces jmin..jmax.
+    pairs by_piece[j] of ambient piece j (see the module docstring).
 
-    In piece j the columns of the generators' multiples m * g, m of
-    positive degree, span (mN)_j; the generators' own columns go after
-    them, so `kernel_of_columns` stores an own column exactly when it
-    lies outside (mN)_j plus the span of the own columns before it (see
-    the module docstring).  Returns the new generators' degrees, the
-    per-piece log (j, dim (mN)_j, new, dim N_j) and their int pairs.
+    Piece j is one pass of an untracked `EchelonSolver`: first x_l times
+    int rows spanning N_{j-1} or, over an ungraded ring, x_l times the
+    given columns and then times every new row, which spans (mN)_j; then
+    the given columns of piece j in the given order, each a new generator
+    exactly when it grows the span.  Returns the new generators' degrees,
+    the per-piece log (j, dim (mN)_j, new, dim N_j) and their int pairs.
     """
-    images = partial(_basis_images, given, ambient, vectors, memo={})
+    ring = ambient.ring
+    p = ring.field.char
     degrees, log, pairs = [], [], []
-    for j in range(jmin, jmax + 1):
-        columns = images(j)
-        # generators lo..hi-1 have degree j; generator lo + i owns own[i]
-        lo, hi = bisect_left(given.degrees, j), bisect_right(given.degrees, j)
-        own = given.offsets(j)[lo:hi]
-        skip = set(own)
-        rest = [c for f, c in enumerate(columns) if f not in skip]
-        stored = kernel_of_columns(rest + [columns[f] for f in own], ambient.ring.field)[2]
-        new = [g for g in range(lo, hi) if len(rest) + g - lo in stored]
-        log.append((j, len(stored) - len(new), len(new), len(stored)))
+    rows = []  # int rows spanning N_{j-1}
+    for j in range(min(by_piece), max(by_piece) + 1) if by_piece else ():
+        given = by_piece.get(j, ())
+        span = EchelonSolver(ring.field)
+        feed = rows if ring.graded else [V for V, _S in given]
+        while feed:
+            shift_all, _shift, a, _scale, b = _layout(ambient, ring.piece_of(j - 1))
+            rank = span.rank
+            for v in feed:
+                for w in shift_all(v, a, b, p):
+                    span.add(w)
+            # x_l maps an ungraded piece into itself, so its new rows too
+            feed = () if ring.graded else span.int_rows()[rank:]
+        new = [v for v in given if span.add(dict(v[0]))]
+        log.append((j, span.rank - len(new), len(new), span.rank))
         degrees += [j] * len(new)
-        pairs += [vectors[g] for g in new]
+        pairs += new
+        rows = span.int_rows()
     return degrees, log, pairs
-
-
-def _check_budget(src: FreeModule, jmin: int, jmax: int, step: int) -> None:
-    """Raise BudgetError before a step whose source pieces jmin..jmax
-    hold more than RESOLUTION_BUDGET coordinates."""
-    source_dim = sum(src.dim(j) for j in range(jmin, jmax + 1))
-    if source_dim > RESOLUTION_BUDGET:
-        raise BudgetError(
-            "resolution budget of %d source coordinates per step exceeded: "
-            "step %d needs %d" % (RESOLUTION_BUDGET, step, source_dim))
 
 
 def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
@@ -915,16 +911,8 @@ def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
 
     data.chain = [ambient]
     if positions >= 1:
-        # step one: the map from one generator per given column, by piece
-        # and then in the given order
-        order = sorted(by_piece)
-        given = FreeModule(ring, [j for j in order for _v in by_piece[j]])
-        degrees, log, pairs = [], [], []
-        if order:
-            _check_budget(given, order[0], order[-1], tor_of(1))
-            degrees, log, pairs = _first_step(given, ambient,
-                                              [v for j in order for v in by_piece[j]],
-                                              order[0], order[-1])
+        # step one: the minimal generators among the given columns
+        degrees, log, pairs = _first_step(ambient, by_piece)
         data.chain.append(FreeModule(ring, degrees))
         data._int_maps.append(pairs)
         data.exactness_log.append((tor_of(1), log))
@@ -938,7 +926,11 @@ def _resolve(ring: QuotientRing, pres: ModulePresentation, limit: int,
             continue
         jmin = min(src.degrees)
         jmax = window(tor_of(pos), max(src.degrees))
-        _check_budget(src, jmin, jmax, tor_of(pos))
+        source_dim = sum(src.dim(j) for j in range(jmin, jmax + 1))
+        if source_dim > RESOLUTION_BUDGET:
+            raise BudgetError(
+                "resolution budget of %d source coordinates per step exceeded: "
+                "step %d needs %d" % (RESOLUTION_BUDGET, tor_of(pos), source_dim))
         degrees, log, pairs = _sweep(src, data.chain[-2], data._int_maps[-1], jmin, jmax,
                                      kinds, last=pos == positions)
         if ring.graded:

@@ -367,18 +367,6 @@ def test_resolution_budget_stops_a_huge_sweep(monkeypatch):
                            "per step exceeded: step 12 needs 221184\n")
 
 
-def test_resolution_budget_stops_step_one(capsys, monkeypatch):
-    # a^14 + b^15 makes R = Q[a,b,c,d]/(a^14, b^14, c^14, d^14) ungraded,
-    # so step one of k maps 4 blocks of dim R = 38416 onto R; its 153664
-    # source coordinates are refused before its kernel is computed
-    monkeypatch.setattr(sys, "stdin", io.StringIO(
-        "field Q\nvars a,b,c,d\nideal:\na^14 + b^15\nb^14\nc^14\nd^14\n"))
-    rc, out, err = run(capsys, ["betti", "-", "--of-k", "--limit", "2"])
-    assert rc == 4 and out == ""
-    assert err == ("error: resolution budget of 150000 source coordinates "
-                   "per step exceeded: step 1 needs 153664\n")
-
-
 def test_gb_of_large_powers_plus_a_quadric(monkeypatch):
     # the leads of degree 2 are not artinian and no generator has degree
     # 3, so no matrix of degree 3 is built: the next step is the critical

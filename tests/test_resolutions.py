@@ -320,6 +320,23 @@ def test_step_one_matches_greedy_reference(name, graded):
         assert [(j, new) for j, _mn, new, _dim in log[0][1]] == [(1, 2), (2, 0), (3, 1)]
 
 
+@pytest.mark.parametrize("k", [19, 20])
+def test_step_one_of_a_large_ungraded_ring(k):
+    # x^k + y^(k+1) leaves R = Q[x,y]/(x^k, y^k), of dim k^2, ungraded.
+    # Step one works in the ambient R; a free module with one generator
+    # per column of m^2 would have (k^2 - 3) * k^2 source coordinates,
+    # 129,238 at k = 19 and 158,800 at k = 20, past the resolution budget
+    def ring(first):
+        return parse_ring_definition("field Q\nvars x,y\nideal:\n%s\ny^%d\n"
+                                     % (first, k)).build()
+
+    ungraded, graded = ring("x^%d + y^%d" % (k, k + 1)), ring("x^%d" % k)
+    assert not ungraded.graded and ungraded.dim == k * k
+    assert ((k * k - 3) * k * k > resolutions.RESOLUTION_BUDGET) == (k == 20)
+    report = tor_map_vanishes(ungraded, 2, 1, 2)
+    assert report.degrees == tor_map_vanishes(graded, 2, 1, 2).degrees == (True, False, True)
+
+
 @pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
 def test_int_images_match_field_reference(name):
     # the engine shifts basis images as int vectors over per-column
