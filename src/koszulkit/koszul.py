@@ -384,8 +384,8 @@ def differential_columns(ring: QuotientRing, source: Piece, target: Piece) -> li
     p, width = ring.field.char, len(target.exts)
     scale = ring.action_scale(source.ring_piece)
     faces = _faces(ring.n, source.hom_degree)
-    return [(_face_column(entries, face, width, p), scale)
-            for entries in ring.int_action(source.ring_piece, scale) for face in faces]
+    return [(_face_column(row, face, width, p), scale)
+            for row in ring.int_action(source.ring_piece, scale) for face in faces]
 
 
 @lru_cache(maxsize=None)
@@ -398,15 +398,18 @@ def _faces(n: int, i: int) -> tuple:
                  for s in exterior_monomials(n, i))
 
 
-def _face_column(entries, face: dict, width: int, p: int) -> dict:
-    """d(m T_s) as an int vector of the next piece: entries are the
-    `int_action` triples (l, position, c) of the monomial m, face the
-    `_faces` entry of s, width the number of exterior monomials there."""
+def _face_column(row: dict, face: dict, width: int, p: int) -> dict:
+    """d(m T_s) as an int vector of the next piece: row is the
+    `int_action` row l -> (position, c) pairs of the monomial m, face the
+    `_faces` entry of s, width the number of exterior monomials there.
+    The row holds only the nonzero products, fewer than the face's
+    variables on most monomials of a local ring."""
     col = {}
-    for l, ti, c in entries:
+    for l, pairs in row.items():
         if l in face:
             b, odd = face[l]
-            col[ti * width + b] = (p - c if p else -c) if odd else c
+            for ti, c in pairs:
+                col[ti * width + b] = (p - c if p else -c) if odd else c
     return col
 
 

@@ -14,11 +14,13 @@ is ungraded), which x_l maps into itself.  A vector of a piece is a
 dict from the position of a standard monomial to its coefficient; per
 piece the ring keeps the positions (`piece_index`) and one int table of
 multiplication by every x_l, read off the memoized normal forms
-(`int_action` at a scale, with `action_scale`, `grouped_int_action` and
-`divisors` for the resolution sweep).  That table is the only place
-where products of monomials turn into coordinates: Koszul
-differentials, resolutions, the socle and ideal spans all read it or
-shift int vectors through it (`shift_ints`), and the products of a pair of pieces
+(`int_action` at a scale, with `action_scale` and `divisors` for the
+resolution sweep): per monomial, the nonzero products x_l times it by
+ascending l.  That table is the only place where products of monomials
+turn into coordinates: Koszul differentials, resolutions, the socle and
+ideal spans all read it or shift int vectors through it (`shift_ints`,
+which finds the table of each coordinate in an owner list, one entry
+per coordinate), and the products of a pair of pieces
 (`product_pairs`, rescaled to the structure constants of
 `int_mul_table`), which products of Koszul cycles read, are chains of
 the same shifts.  Field values
@@ -28,7 +30,7 @@ appear only where a polynomial enters or leaves (`poly_to_vec`,
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import cached_property
 from math import gcd, lcm
 from operator import attrgetter
@@ -90,7 +92,6 @@ class QuotientRing:
         self._indexes: dict = {}
         self._piece_shifts: dict = {}
         self._int_actions: dict = {}
-        self._grouped_actions: dict = {}
         self._divisors: dict = {}
         self._products: dict = {}
         self._int_products: dict = {}
@@ -241,49 +242,36 @@ class QuotientRing:
         return index
 
     def _piece_shift(self, e) -> tuple:
-        """(`action_scale(e)`, blocks) with blocks the int table of piece
-        e at that scale as the one block of `shift_ints`; the scale and
-        the table come from one pass over the normal forms of x_l * b."""
+        """(`action_scale(e)`, the `int_action` table of piece e at that
+        scale), from one pass over the normal forms of x_l * b."""
         shift = self._piece_shifts.get(e)
         if shift is None:
             p = self.field.char
             index = self.piece_index(self._piece_after(e, 1))
             xs = [self.variable(l).lead_monomial for l in range(self.n)]
-            terms = [[(l, index[m], c) for l, x in enumerate(xs)
-                      for m, c in self.mono_product(x, b).terms] for b in self.piece(e)]
-            scale = 1 if p else lcm(*(c.denominator for entries in terms for _l, _k, c in entries))
-            table = tuple(tuple((l, k, c.v if p else c.numerator * (scale // c.denominator))
-                                for l, k, c in entries) for entries in terms)
-            shift = self._piece_shifts[e] = (scale, ((0, 0, table),))
+            rows = [{l: terms for l, terms in enumerate(self.mono_product(x, b).terms for x in xs)
+                     if terms} for b in self.piece(e)]
+            scale = 1 if p else lcm(*(c.denominator for row in rows for terms in row.values()
+                                      for _m, c in terms))
+            table = tuple(
+                {l: tuple((index[m], c.v if p else c.numerator * (scale // c.denominator))
+                          for m, c in terms) for l, terms in row.items()} for row in rows)
+            shift = self._piece_shifts[e] = (scale, table)
         return shift
 
     def int_action(self, e, scale: int) -> tuple:
-        """Per monomial b of piece e, the (l, position, coefficient)
-        triples of the normal forms of x_1 * b .. x_n * b in the next
-        piece, in their term order: coefficients are residues over GF(p)
-        and `scale`, a multiple of `action_scale(e)`, times their value
-        over Q."""
+        """Per monomial b of piece e, a dict from l to the (position,
+        coefficient) pairs of the normal form of x_l * b in the next
+        piece, in its term order, for the nonzero products only and by
+        ascending l: coefficients are residues over GF(p) and `scale`, a
+        multiple of `action_scale(e)`, times their value over Q."""
         act = self._int_actions.get((e, scale))
         if act is None:
-            base, ((_src, _tgt, table),) = self._piece_shift(e)
+            base, table = self._piece_shift(e)
             f = 1 if self.field.char else scale // base
             act = self._int_actions[(e, scale)] = table if f == 1 else tuple(
-                tuple((l, k, c * f) for l, k, c in entries) for entries in table)
-        return act
-
-    def grouped_int_action(self, e, scale: int) -> tuple:
-        """`int_action` grouped by variable: per monomial of piece e, one
-        tuple of (position, coefficient) pairs for each nonzero product
-        x_l times it, in ascending l."""
-        act = self._grouped_actions.get((e, scale))
-        if act is None:
-            out = []
-            for entries in self.int_action(e, scale):
-                groups: dict = {}
-                for l, ti, c in entries:
-                    groups.setdefault(l, []).append((ti, c))
-                out.append(tuple(map(tuple, groups.values())))
-            act = self._grouped_actions[(e, scale)] = tuple(out)
+                {l: tuple((k, c * f) for k, c in pairs) for l, pairs in row.items()}
+                for row in table)
         return act
 
     def action_scale(self, e) -> int:
@@ -331,9 +319,10 @@ class QuotientRing:
                     below = self._piece_after(e, -1)
                     prev = rows if whole else self.product_pairs(below, f)
                     after = e if whole else below + f  # the piece of prev's vectors
-                    scale, blocks = self._piece_shift(after)
+                    scale, table = self._piece_shift(after)
+                    owner = ((0, 0, table),) * len(table)
                 l, i = step
-                rows.append([(W, S * scale) if V and (W := shift_ints(V, (0,), blocks, l, p))
+                rows.append([(W, S * scale) if V and (W := shift_ints(V, owner, l, p))
                              else ZERO for V, S in prev[i]])
         return rows
 
@@ -447,8 +436,8 @@ class QuotientRing:
         """x_l * vec for an int vector of the whole ring, up to the scale
         of its table, entries in descending term order as a polynomial's
         terms are."""
-        blocks = self._piece_shift(self.whole_piece)[1]
-        q = shift_ints(vec, (0,), blocks, l, self.field.char)
+        table = self._piece_shift(self.whole_piece)[1]
+        q = shift_ints(vec, ((0, 0, table),) * len(table), l, self.field.char)
         key, monos = self.order.key, self.std_monomials
         return {k: q[k] for k in sorted(q, key=lambda k: key(monos[k]), reverse=True)}
 
@@ -474,8 +463,8 @@ class QuotientRing:
         """Basis of the annihilator of the maximal ideal, canonical form."""
         self.require_artinian("the socle")
         scale = self.action_scale(self.whole_piece)
-        columns = [({l * self.dim + ti: c for l, ti, c in entries}, scale)
-                   for entries in self.int_action(self.whole_piece, scale)]
+        columns = [({l * self.dim + ti: c for l, pairs in row.items() for ti, c in pairs}, scale)
+                   for row in self.int_action(self.whole_piece, scale)]
         space = Subspace(self.field)
         for _f, (V, _S) in null_pairs(kernel_of_columns(columns, self.field)):
             space.extend(V)
@@ -499,17 +488,16 @@ def nonzero_ints(vec: dict, p: int) -> dict:
     return vec if all(vec.values()) else {k: x for k, x in vec.items() if x}
 
 
-def shift_ints(vec: dict, offsets: tuple, blocks: tuple, l: int, p: int) -> dict:
-    """x_l times an int vector of consecutive blocks: block g starts at
-    offsets[g] and is (source offset, target offset, `int_action` table),
-    and the product is up to the scale of those tables."""
+def shift_ints(vec: dict, owner: tuple, l: int, p: int) -> dict:
+    """x_l times an int vector of consecutive blocks, up to the scale of
+    their tables: owner[k] is (source offset, target offset, `int_action`
+    table) of the block of coordinate k."""
     out: dict = {}
     for coord, coeff in vec.items():
-        src, tgt, act = blocks[bisect_right(offsets, coord) - 1]
-        for x, ti, c in act[coord - src]:
-            if x == l:
-                k = tgt + ti
-                out[k] = out.get(k, 0) + coeff * c
+        src, tgt, act = owner[coord]
+        for ti, c in act[coord - src].get(l, ()):
+            k = tgt + ti
+            out[k] = out.get(k, 0) + coeff * c
     return nonzero_ints(out, p) if out else out
 
 

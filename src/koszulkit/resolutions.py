@@ -27,8 +27,9 @@ before it".  Only that pivot set is computed, and it depends only on the
 span: a product that is a unit vector after the restriction puts its
 coordinate in the set, and only the few others, projected off those
 coordinates, are echeloned (`_saturated_pivots`).  The products of a
-unit e_f are read off the action row of f, grouped by variable, and a
-new generator of a zero column gets its pair ({f: 1}, 1) only then.
+unit e_f are read off the action row of f, one tuple of pairs per
+variable, and a new generator of a zero column gets its pair ({f: 1}, 1)
+only then.
 
 Over a graded ring the columns of piece j come generator by generator,
 in ascending degree, so the generators of degree j own its last
@@ -66,16 +67,14 @@ x_l*m times a generator is x_l times the image of m, so the images of a
 whole piece's basis follow by shifting int vectors through the ring's
 int x_l tables (`quotient.shift_ints`), each keeping its own
 denominator, and `kernel_of_columns` takes them as they are.  A zero
-image's multiples are zero.  A graded piece finds the block of a
-coordinate by bisecting its block offsets.  The one piece of an ungraded
-ring needs no search: every block is the whole ring, so block g starts
-at g * dim R, coordinate f is row f % dim R of the block at
-f - f % dim R, and every block shares the ring's one x_l table
-(`_stride_all`, `_stride_shift`).  The layout is chosen once per piece
-(`_layout`).  Field vectors are built only where they are read:
-`ResolutionData.maps`,
-`ResolutionData.differential` and the solutions of a chain-map lift,
-whose systems and targets stay int pairs.
+image's multiples are zero.  Every piece of a free module, graded or
+not, finds the block of a coordinate the same way: `FreeModule.layout`
+lists, per coordinate, the source and target offsets of its block and
+the ring's x_l table of the block's generator, and one all-variable
+shift (`_shift_all`) and one single-variable shift (`shift_ints`) read
+that list.  Field vectors are built only where they are read:
+`ResolutionData.maps`, `ResolutionData.differential` and the solutions
+of a chain-map lift, whose systems and targets stay int pairs.
 
 The pairs of the last step are built only where they are read, too.
 The Betti numbers need only the count of its new generators, the free
@@ -207,7 +206,7 @@ class FreeModule:
         self.ring = ring
         self.degrees = list(degrees)
         self._offsets: dict[int, tuple] = {}
-        self._int_shifts: dict[int, tuple] = {}
+        self._layouts: dict[int, tuple] = {}
         self._constant_slots: dict[int, dict] = {}
 
     @property
@@ -231,9 +230,10 @@ class FreeModule:
         """Dimension of piece j."""
         return sum(len(self.ring.piece(j - d)) for d in self.degrees)
 
-    def int_shifts(self, j: int):
-        """Offsets of piece j, the scale of its int x_l tables and, per
-        generator, (source offset, target offset, their int action).
+    def layout(self, j: int) -> tuple:
+        """(scale, owner) for piece j: owner[k] is (source offset, target
+        offset, int action) of the block of coordinate k, the int x_l
+        tables of its generator at `scale`.
 
         Over Q all blocks share one scale, the lcm of the denominators of
         every block's action, so x_l times an int vector is one integer
@@ -241,15 +241,16 @@ class FreeModule:
         proportionality.  Over GF(p) the tables hold residues.  Cached per
         piece: the sweep asks for a piece as source and as target.
         """
-        cached = self._int_shifts.get(j)
+        cached = self._layouts.get(j)
         if cached is None:
             ring = self.ring
-            src = self.offsets(j)
             tgt = self.offsets(ring.piece_of(j + 1))
             scale = lcm(*(ring.action_scale(j - d) for d in self.degrees))
-            cached = self._int_shifts[j] = (
-                src, scale, tuple((src[g], tgt[g], ring.int_action(j - d, scale))
-                                  for g, d in enumerate(self.degrees)))
+            owner: list = []
+            for src, t, d in zip(self.offsets(j), tgt, self.degrees):
+                act = ring.int_action(j - d, scale)
+                owner += [(src, t, act)] * len(act)
+            cached = self._layouts[j] = (scale, tuple(owner))
         return cached
 
     def constant_slots(self, j: int) -> dict:
@@ -268,57 +269,21 @@ class FreeModule:
 # -- component plumbing -----------------------------------------------
 
 
-def _shift_all(vec: dict, offsets: tuple, blocks: tuple, p: int,
-               stored: Optional[set] = None) -> list[dict]:
+def _shift_all(vec: dict, owner: tuple, p: int, stored: Optional[set] = None) -> list[dict]:
     """The nonzero ones among x_1 * vec, ..., x_n * vec for an int vector
-    of a graded piece, each up to the scale of the tables from
-    FreeModule.int_shifts; one pass over vec, which finds the block of
-    each coordinate among the block offsets of the piece.  With `stored`,
-    only target coordinates outside stored survive."""
+    of a piece whose `FreeModule.layout` gives owner, each up to the
+    scale of its tables; one pass over vec.  With `stored`, only target
+    coordinates outside stored survive."""
     outs: dict = {}  # l -> x_l * vec; most products of a sweep are zero
     for coord, coeff in vec.items():
-        src, tgt, act = blocks[bisect_right(offsets, coord) - 1]
-        for l, ti, c in act[coord - src]:
+        src, tgt, act = owner[coord]
+        for l, pairs in act[coord - src].items():
             out = outs.get(l)
             if out is None:
                 out = outs[l] = {}
-            k = tgt + ti
-            out[k] = out.get(k, 0) + coeff * c
-    return _products(outs, p, stored)
-
-
-def _stride_all(vec: dict, d: int, act: tuple, p: int, stored: Optional[set] = None) -> list[dict]:
-    """`_shift_all` on the one piece of an ungraded ring, where block g
-    starts at g * d, d = dim R, and every block has the ring's one
-    `int_action` table act: coordinate f is row f % d of the block at
-    f - f % d, which x_l maps into itself."""
-    outs: dict = {}
-    for coord, coeff in vec.items():
-        base = coord - (i := coord % d)
-        for l, ti, c in act[i]:
-            out = outs.get(l)
-            if out is None:
-                out = outs[l] = {}
-            k = base + ti
-            out[k] = out.get(k, 0) + coeff * c
-    return _products(outs, p, stored)
-
-
-def _stride_shift(vec: dict, d: int, act: tuple, l: int, p: int) -> dict:
-    """`quotient.shift_ints` on the one piece of an ungraded ring, by the
-    stride of `_stride_all`."""
-    out: dict = {}
-    for coord, coeff in vec.items():
-        base = coord - (i := coord % d)
-        for x, ti, c in act[i]:
-            if x == l:
-                k = base + ti
+            for ti, c in pairs:
+                k = tgt + ti
                 out[k] = out.get(k, 0) + coeff * c
-    return nonzero_ints(out, p) if out else out
-
-
-def _products(outs: dict, p: int, stored: Optional[set]) -> list[dict]:
-    """The nonzero products x_l * vec of `outs`, off `stored` if given."""
     result = []
     for out in outs.values():
         if stored:
@@ -327,21 +292,6 @@ def _products(outs: dict, p: int, stored: Optional[set]) -> list[dict]:
         if out:
             result.append(out)
     return result
-
-
-def _layout(module: FreeModule, piece: int) -> tuple:
-    """(shift_all, shift, a, scale, b) for the given piece of module,
-    chosen once per piece: shift_all(v, a, b, p, stored) gives every
-    x_l * v and shift(v, a, b, l, p) one of them, each up to `scale`.
-    Over a graded ring they are `_shift_all` and `quotient.shift_ints` on
-    the offsets a and blocks b of `FreeModule.int_shifts`; over an
-    ungraded ring, `_stride_all` and `_stride_shift` on a = dim R and the
-    ring's one table b."""
-    ring = module.ring
-    if ring.graded:
-        return (_shift_all, shift_ints, *module.int_shifts(piece))
-    scale = ring.action_scale(0)
-    return _stride_all, _stride_shift, ring.dim, scale, ring.int_action(0, scale)
 
 
 def _saturated_pivots(module: FreeModule, piece: int, zeros, dense, stored: set) -> set:
@@ -358,41 +308,26 @@ def _saturated_pivots(module: FreeModule, piece: int, zeros, dense, stored: set)
     vectors miss those coordinates; so the pivots are the unit
     coordinates plus the pivots of an echelon of the projected D, which
     is small in a resolution sweep.  The products of e_f are read off the
-    action row of f, grouped by variable; over an ungraded ring that is
-    row f % d of the ring's one grouped table, d = dim R, moved to the
-    block at f - f % d (see `_stride_all`).  A product of e_f with more
-    than one term goes to D even if the restriction leaves it one entry:
-    the pivots are those of the same span.
+    action row of f in its block (`FreeModule.layout`), one tuple of
+    pairs per variable.  A product of e_f with more than one term goes
+    to D even if the restriction leaves it one entry: the pivots are
+    those of the same span.
     """
     units: set = set()
     rest = []
     if zeros or dense:
-        ring = module.ring
-        shift_all, _shift, a, scale, b = _layout(module, piece)
-        if ring.graded:
-            grouped = [ring.grouped_int_action(piece - d, scale) for d in module.degrees]
-            for f in zeros:
-                g = bisect_right(a, f) - 1
-                src, tgt, _act = b[g]
-                for pairs in grouped[g][f - src]:
-                    if len(pairs) == 1:  # most products of a sweep
-                        if (k := tgt + pairs[0][0]) not in stored:
-                            units.add(k)
-                    elif w := {k: c for ti, c in pairs if (k := tgt + ti) not in stored}:
-                        rest.append(w)
-        else:
-            grouped = ring.grouped_int_action(0, scale)
-            for f in zeros:
-                tgt = f - (i := f % a)
-                for pairs in grouped[i]:
-                    if len(pairs) == 1:
-                        if (k := tgt + pairs[0][0]) not in stored:
-                            units.add(k)
-                    elif w := {k: c for ti, c in pairs if (k := tgt + ti) not in stored}:
-                        rest.append(w)
-        p = ring.field.char
+        owner = module.layout(piece)[1]
+        for f in zeros:
+            src, tgt, act = owner[f]
+            for pairs in act[f - src].values():
+                if len(pairs) == 1:  # most products of a sweep
+                    if (k := tgt + pairs[0][0]) not in stored:
+                        units.add(k)
+                elif w := {k: c for ti, c in pairs if (k := tgt + ti) not in stored}:
+                    rest.append(w)
+        p = module.ring.field.char
         for v in dense:
-            for w in shift_all(v, a, b, p, stored):
+            for w in _shift_all(v, owner, p, stored):
                 if len(w) == 1:
                     units.update(w)
                 else:
@@ -435,10 +370,10 @@ def _basis_images(source: FreeModule, target: FreeModule, vectors, j: int,
                 if prev is None:  # over an ungraded ring, `out` itself
                     prev = _basis_images(source, target, vectors, below, memo)
                     prev_offsets = source.offsets(below)
-                    _all, shift, a, scale, b = _layout(target, below)
+                    scale, owner = target.layout(below)
                 l, i = step
                 V, S = prev[prev_offsets[g] + i]
-                W = shift(V, a, b, l, p) if V else None
+                W = shift_ints(V, owner, l, p) if V else None
                 out.append((W, S * scale) if W else ZERO)
     return out
 
@@ -719,7 +654,7 @@ def _components(vectors: list, d: int) -> list[list]:
     a chain of images between them, touch a common target block k // d
     (d = dim R).  Each component lists its generators in ascending
     order, in the order of its first generator; a union-find over the
-    blocks."""
+    blocks, which only the images that touch more than one block enter."""
     root: dict = {}
 
     def find(b):
@@ -728,17 +663,17 @@ def _components(vectors: list, d: int) -> list[list]:
             root[b] = b = root[up]  # halve the path
         return b
 
+    seeds = []  # a block of each image
     for V, _S in vectors:
-        first = None
-        for k in V:
-            b = find(k // d)
-            if first is None:
-                first = b
-            elif b != first:
-                root[b] = first
+        seeds.append(b := next(iter(V)) // d)
+        if len(V) > 1 and len(blocks := {k // d for k in V}) > 1:
+            first = find(b)
+            for other in map(find, blocks):
+                if other != first:
+                    root[other] = first
     gens: dict = {}
-    for g, (V, _S) in enumerate(vectors):
-        gens.setdefault(find(next(iter(V)) // d), []).append(g)
+    for g, b in enumerate(seeds):
+        gens.setdefault(find(b) if b in root else b, []).append(g)
     return list(gens.values())
 
 
@@ -866,10 +801,10 @@ def _first_step(ambient: FreeModule, by_piece: dict) -> tuple:
         span = EchelonSolver(ring.field)
         feed = rows if ring.graded else [V for V, _S in given]
         while feed:
-            shift_all, _shift, a, _scale, b = _layout(ambient, ring.piece_of(j - 1))
+            owner = ambient.layout(ring.piece_of(j - 1))[1]
             rank = span.rank
             for v in feed:
-                for w in shift_all(v, a, b, p):
+                for w in _shift_all(v, owner, p):
                     span.add(w)
             # x_l maps an ungraded piece into itself, so its new rows too
             feed = () if ring.graded else span.int_rows()[rank:]

@@ -20,15 +20,18 @@ echelon saturation whose pivot set both read off.  `unit_images` keeps
 the per-(m_i, scale) chain of shifts that gave the image block of a
 unit generator before the engine read it off the ring's product pairs.
 
-Over an ungraded ring the engine finds the block of a coordinate f of
-its one piece by stride, at f - f % dim R.  `bisect_shift_all`,
-`bisect_saturated_pivots` and `bisect_basis_images` keep the engine's
-`_shift_all`, `_saturated_pivots` and `_basis_images` as they were
-before, finding every block by bisecting the block offsets of
-`FreeModule.int_shifts` and `FreeModule.offsets`.  `bisect_basis_images`
-also keeps the engine's old read of a unit generator's image block off
-the ring's product pairs (`_unit_coordinate`), where the engine now
-shifts every image.
+The engine finds the block of a coordinate in a list with one entry
+per coordinate (`FreeModule.layout`), and reads the ring's x_l table one
+variable at a time.  The references here read neither: `int_shifts`
+gives the block offsets of a piece and, per block, the flat table of
+(l, position, coefficient) triples of `reference_quotient.int_action`,
+and they find every block by bisecting the offsets.  `bisect_shift_all`,
+`bisect_saturated_pivots` (with its own grouping of the triples by
+variable) and `bisect_basis_images` keep the engine's `_shift_all`,
+`_saturated_pivots` and `_basis_images` as they were before.
+`bisect_basis_images` also keeps the engine's old read of a unit
+generator's image block off the ring's product pairs
+(`_unit_coordinate`), where the engine now shifts every image.
 
 The engine also shifts the basis images of a map as int vectors, each
 over its own denominator.  `reference_tor_map_vanishes` keeps the field
@@ -41,16 +44,17 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import partial
+from math import lcm
 from operator import itemgetter
 
 from koszulkit.linalg import EchelonSolver, vec_add_terms
 from koszulkit.poly import Polynomial
-from koszulkit.quotient import nonzero_ints, shift_ints
+from koszulkit.quotient import nonzero_ints
 from koszulkit.resolutions import ModulePresentation, TorMapReport, minimal_resolution
 
 import reference_linalg
 from reference_linalg import Subspace, int_kernel, kernel_of_columns, vec_combine
-from reference_quotient import var_action
+from reference_quotient import action_scale, int_action, var_action
 
 
 def _piece(ring, e):
@@ -212,8 +216,20 @@ def _nonzero(vec: dict, p: int) -> dict:
     return {k: x for k, x in vec.items() if x}
 
 
+def int_shifts(module, j):
+    """Offsets of piece j of a free module, the scale of its int x_l
+    tables and, per generator, (source offset, target offset, the flat
+    `reference_quotient.int_action` of its piece at that scale)."""
+    ring = module.ring
+    src = module.offsets(j)
+    tgt = module.offsets(ring.piece_of(j + 1))
+    scale = lcm(*(action_scale(ring, j - d) for d in module.degrees))
+    return src, scale, tuple((src[g], tgt[g], int_action(ring, j - d, scale))
+                             for g, d in enumerate(module.degrees))
+
+
 def _shift_ints(vec: dict, offsets: tuple, blocks: tuple, l: int, p: int) -> dict:
-    """x_l times an int vector, up to the scale of FreeModule.int_shifts."""
+    """x_l times an int vector, up to the scale of `int_shifts`."""
     out: dict = {}
     for coord, coeff in vec.items():
         src, tgt, act = blocks[bisect_right(offsets, coord) - 1]
@@ -251,7 +267,7 @@ def _saturation(module, piece, feed, keep) -> EchelonSolver:
     each product restricted by keep."""
     span = EchelonSolver(module.ring.field)
     if feed:
-        offsets, _scale, blocks = module.int_shifts(piece)
+        offsets, _scale, blocks = int_shifts(module, piece)
         for v in feed:
             for w in shift_all(v, offsets, blocks, module.ring.field.char, keep):
                 span.add(w)
@@ -270,7 +286,7 @@ def saturated_pivots(module, piece, feed, keep) -> set:
     units: set = set()
     dense = []
     if feed:
-        offsets, _scale, blocks = module.int_shifts(piece)
+        offsets, _scale, blocks = int_shifts(module, piece)
         p = module.ring.field.char
         for v in feed:
             if len(v) == 1:
@@ -308,7 +324,7 @@ def unit_images(ring, i, scale) -> list:
     unit vector of m_i in a block at offset 0, as the sweep kept it per
     (i, scale) on the ring."""
     rows = []
-    offsets, blocks = (0,), ((0, 0, ring.int_action(0, scale)),)
+    offsets, blocks = (0,), ((0, 0, int_action(ring, 0, scale)),)
     p = ring.field.char
     for step in ring.divisors(0):
         if step is None:
@@ -340,7 +356,7 @@ def int_basis_images(source, target, vectors, j, memo) -> list[tuple]:
                 if prev is None:  # over an ungraded ring, `out` itself
                     prev = int_basis_images(source, target, vectors, below, memo)
                     prev_offsets = source.offsets(below)
-                    offsets, scale, blocks = target.int_shifts(below)
+                    offsets, scale, blocks = int_shifts(target, below)
                 l, i = step
                 V, S = prev[prev_offsets[g] + i]
                 W = _shift_ints(V, offsets, blocks, l, p)
@@ -377,7 +393,7 @@ def reference_sweep(src, jmin, jmax, images):
 
 def bisect_shift_all(vec: dict, offsets: tuple, blocks: tuple, p: int, stored=None) -> list:
     """The nonzero ones among x_1 * vec, ..., x_n * vec for an int vector,
-    each up to the scale of the tables from FreeModule.int_shifts, with
+    each up to the scale of the tables from `int_shifts`, with
     one bisect per coordinate.  With `stored`, only target coordinates
     outside stored survive."""
     outs: dict = {}
@@ -399,6 +415,18 @@ def bisect_shift_all(vec: dict, offsets: tuple, blocks: tuple, p: int, stored=No
     return result
 
 
+def _grouped(act: tuple) -> tuple:
+    """Per row of a flat int action, one tuple of (position, coefficient)
+    pairs for each variable x_l with a nonzero product, by ascending l."""
+    out = []
+    for entries in act:
+        groups: dict = {}
+        for l, ti, c in entries:
+            groups.setdefault(l, []).append((ti, c))
+        out.append(tuple(map(tuple, groups.values())))
+    return tuple(out)
+
+
 def bisect_saturated_pivots(module, piece: int, zeros, dense, stored: set) -> set:
     """`resolutions._saturated_pivots` with the block of every coordinate
     found by bisection, over graded and ungraded rings alike."""
@@ -406,8 +434,8 @@ def bisect_saturated_pivots(module, piece: int, zeros, dense, stored: set) -> se
     rest = []
     if zeros or dense:
         ring = module.ring
-        offsets, scale, blocks = module.int_shifts(piece)
-        grouped = [ring.grouped_int_action(piece - d, scale) for d in module.degrees]
+        offsets, _scale, blocks = int_shifts(module, piece)
+        grouped = [_grouped(act) for _src, _tgt, act in blocks]
         for f in zeros:
             g = bisect_right(offsets, f) - 1
             src, tgt, _act = blocks[g]
@@ -452,7 +480,7 @@ def bisect_basis_images(source, target, vectors, j: int, memo: dict) -> list[tup
     """`resolutions._basis_images` with the block of every coordinate
     found by bisection: the block of a unit generator over an ungraded
     ring sits at the target offset below its coordinate, and every other
-    image is shifted through `FreeModule.int_shifts`."""
+    image is shifted through `int_shifts`."""
     out = memo.get(j)
     if out is None:
         ring = source.ring
@@ -475,10 +503,10 @@ def bisect_basis_images(source, target, vectors, j: int, memo: dict) -> list[tup
                 if prev is None:  # over an ungraded ring, `out` itself
                     prev = bisect_basis_images(source, target, vectors, below, memo)
                     prev_offsets = source.offsets(below)
-                    offsets, scale, blocks = target.int_shifts(below)
+                    offsets, scale, blocks = int_shifts(target, below)
                 l, i = step
                 V, S = prev[prev_offsets[g] + i]
-                W = shift_ints(V, offsets, blocks, l, p) if V else None
+                W = _shift_ints(V, offsets, blocks, l, p) if V else None
                 out.append((W, S * scale) if W else _ZERO)
     return out
 

@@ -175,9 +175,10 @@ def test_cyclic_modules_share_the_stretched_denominator(name):
 
 @pytest.mark.parametrize("name", sorted(RANDOM_RING_FIELDS))
 def test_two_generator_modules_share_the_stretched_denominator(name):
-    # the theorem of the test above on modules with two generators: the
-    # cokernel of 1-3 random columns in m R^2, whose resolutions split
-    # into components as soon as a step's images miss a common block
+    # the theorem of the test above on modules with two or three
+    # generators: the cokernel of 1-3 random columns in m R^2 or m R^3,
+    # whose resolutions split into components as soon as a step's images
+    # miss a common block
     pytest.importorskip("hypothesis")
     field, coefficients = RANDOM_RING_FIELDS[name]
     limit = 6
@@ -194,9 +195,12 @@ def test_two_generator_modules_share_the_stretched_denominator(name):
                 ring.n, field, ring.order,
                 [(m, field.of(data.draw(st.sampled_from(coefficients)))) for m in chosen]))
 
-        columns = tuple((entry(), entry()) for _ in range(data.draw(st.integers(1, 3))))
+        rank = data.draw(st.integers(2, 3))
+        columns = tuple(tuple(entry() for _ in range(rank))
+                        for _ in range(data.draw(st.integers(1, 3))))
         assume(any(p.terms for column in columns for p in column))
-        pres = ModulePresentation(ring, "cokernel", 2, (0, 0), columns)
+        pres = ModulePresentation(ring, "cokernel", rank, (0,) * rank, columns)
+        event("rank %d" % rank)
         betti = minimal_resolution(ring, pres, limit).betti_numbers()
         den = stretched_series(spec.v, spec.r).den
         start = _recursion_start(betti, den)

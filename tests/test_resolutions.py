@@ -24,6 +24,7 @@ from koszulkit.ringdef import (format_field, format_polynomial, parse_polynomial
                                parse_ring_definition)
 from koszulkit.series import poly_mul
 
+import reference_resolutions
 from reference_linalg import Subspace
 from reference_resolutions import (bisect_basis_images, bisect_saturated_pivots,
                                    int_basis_images, piece_images, reference_lift,
@@ -386,9 +387,10 @@ def test_unit_images_match_the_chain(field):
 
 @pytest.mark.parametrize("name", sorted(SWEEP_FIELDS))
 def test_stride_images_match_the_bisect_images(name):
-    # over an ungraded ring the engine finds the block of a coordinate by
-    # stride; the images of every step's piece basis, and of the chain
-    # map that `_lift` composes, are literally those of the bisection
+    # the engine finds the block of a coordinate in the owner list of
+    # `FreeModule.layout`; over an ungraded ring the images of every
+    # step's piece basis, and of the chain map that `_lift` composes, are
+    # literally those of the bisection, unit generators included
     pytest.importorskip("hypothesis")
     field = SWEEP_FIELDS[name][0]
 
@@ -449,18 +451,20 @@ class _Table:
     rows[k] lists the (l, target, coefficient) triples of x_l * e_k.
     Graded, the module is one block; its ungraded twin has `blocks`
     blocks of the table at the stride dim = len(rows), as over an
-    ungraded ring, and `int_shifts` still gives their offsets."""
+    ungraded ring.  `layout` gives the engine the owner of every
+    coordinate with the rows by variable, and `int_shifts`, which the
+    references read in place of their own, the offsets and flat rows."""
 
     def __init__(self, field, rows, blocks=None):
-        grouped = tuple(tuple(tuple((t, c) for x, t, c in row if x == l)
-                              for l in sorted({x for x, _t, _c in row}))
-                        for row in rows)
-        self.ring = SimpleNamespace(field=field, graded=blocks is None, dim=len(rows),
-                                    action_scale=lambda e: 1,
-                                    int_action=lambda e, scale: rows,
-                                    grouped_int_action=lambda e, scale: grouped)
+        self.ring = SimpleNamespace(field=field)
         self.degrees = [0] * (blocks or 1)
         self.rows = rows
+        act = tuple({l: tuple((t, c) for x, t, c in row if x == l)
+                     for l in sorted({x for x, _t, _c in row})} for row in rows)
+        self.owner = tuple((o, o, act) for o in self.int_shifts(0)[0] for _row in rows)
+
+    def layout(self, piece):
+        return 1, self.owner
 
     def int_shifts(self, piece):
         offsets = tuple(range(0, len(self.degrees) * len(self.rows), len(self.rows)))
@@ -492,17 +496,19 @@ PIVOT_FEEDS = {
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["Q", "GF2"])
 @pytest.mark.parametrize("case", sorted(PIVOT_FEEDS))
-def test_saturated_pivots_match_the_echelon(case, field):
+def test_saturated_pivots_match_the_echelon(case, field, monkeypatch):
     # the pivot set of the sweep's saturation equals the pivots of an
     # echelon form fed the same products; each feed is ordered so that a
     # product with more terms comes before the unit products it meets.
     # The engine takes the unit feed vectors as indices, the others as
     # vectors, and the stored columns in place of keep; it names a
-    # coordinate k where the references name it keep[k] = -k.  Graded,
-    # the engine finds a coordinate's block among the offsets; over the
-    # ungraded twin it finds it by stride, while the references still
-    # read the offsets.  There entry k of feed vector i goes to block
-    # (i + k) % 3, so the feed meets every block and a vector spans two
+    # coordinate k where the references name it keep[k] = -k.  The
+    # engine finds a coordinate's block in the owner list of `layout`,
+    # while the references bisect the offsets of the table's own
+    # `int_shifts`.  Over the ungraded twin entry k of feed vector i goes
+    # to block (i + k) % 3, so the feed meets every block and a vector
+    # spans two
+    monkeypatch.setattr(reference_resolutions, "int_shifts", _Table.int_shifts)
     for blocks in (None, 3):
         table = _Table(field, _ROWS, blocks)
         count = len(table.degrees)
